@@ -18,6 +18,7 @@ from .curve import (
     turning_angles,
     tv_gamma_prime,
 )
+from .energy import validate_params
 from .errors import PencurveError
 from .measure import DiscreteMeasure, convex_hull_2d, diameter
 from .projection import TransportPlan, build_plan
@@ -148,27 +149,27 @@ def singleton_best_energy(mu: DiscreteMeasure, p: float) -> float:
 
 
 def check_length_bound(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
-                       tol: float | None = None) -> TheoryCheck:
+                       tol: float | None = None, diam: float | None = None) -> TheoryCheck:
     """lambda * L(curve) must not exceed the best singleton competitor's energy."""
     bound = singleton_best_energy(mu, p)
     observed = lam * length(c)
     if tol is None:
         tol = 1e-9 * max(1.0, bound)
-    raw = diameter(mu) ** p * mu.total_mass
+    raw = (diameter(mu) if diam is None else diam) ** p * mu.total_mass
     return TheoryCheck(
         "length_bound", observed <= bound + tol, bound, observed, tol,
         f"raw bound lambda*L <= diam^p * mass = {raw:.6g}",
     )
 
 
-def check_hull_containment(mu: DiscreteMeasure, c: Polyline,
-                           tol_rel: float = 1e-6) -> TheoryCheck:
+def check_hull_containment(mu: DiscreteMeasure, c: Polyline, tol_rel: float = 1e-6,
+                           hull: np.ndarray | None = None,
+                           diam: float | None = None) -> TheoryCheck:
     """Every curve vertex must lie inside the convex hull of the atoms."""
     if mu.dim != 2 or c.dim != 2:
         return TheoryCheck("hull_containment", None, None, None, None, "needs d=2")
-    hull = convex_hull_2d(mu)
-    diam = diameter(mu)
-    tol = tol_rel * max(diam, 1e-300)
+    hull = convex_hull_2d(mu) if hull is None else hull
+    tol = tol_rel * max(diameter(mu, hull) if diam is None else diam, 1e-300)
     viol = hull_edge_violations(c.vertices, hull)
     worst = int(np.argmax(viol))
     observed = float(max(viol[worst], 0.0))
@@ -241,21 +242,18 @@ def _hull_transition_params(a: np.ndarray, b: np.ndarray, hull: np.ndarray) -> l
 
 
 def check_tv_bound(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
-                   tol: float = ANGLE_TOL) -> TheoryCheck:
+                   tol: float = ANGLE_TOL, diam: float | None = None) -> TheoryCheck:
     """Total turning of the curve against the global mass/diameter bound."""
-    bound = (p / lam) * diameter(mu) ** (p - 1.0) * mu.total_mass
+    bound = (p / lam) * (diameter(mu) if diam is None else diam) ** (p - 1.0) * mu.total_mass
     observed = tv_gamma_prime(c)
     return TheoryCheck("tv_global", observed <= bound + tol, bound, observed, tol)
 
 
 def _window_mass_prefixes(plan: TransportPlan, m: int):
-    wv = np.zeros(m)
-    ws = np.zeros(max(m - 1, 0))
-    for e in plan.entries:
-        if e.target.is_vertex:
-            wv[e.target.vertex] += e.mass
-        else:
-            ws[e.target.seg] += e.mass
+    at_vertex = plan.ia == plan.ib
+    # bincount adds the weights one at a time in entry order
+    wv = np.bincount(plan.ia[at_vertex], weights=plan.mass[at_vertex], minlength=m)
+    ws = np.bincount(plan.ia[~at_vertex], weights=plan.mass[~at_vertex], minlength=m - 1)
     pv = np.concatenate([[0.0], np.cumsum(wv)])
     ps = np.concatenate([[0.0], np.cumsum(ws)])
     return pv, ps
@@ -263,9 +261,9 @@ def _window_mass_prefixes(plan: TransportPlan, m: int):
 
 def check_local_tv(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
                    plan: TransportPlan | None = None,
-                   tol: float = ANGLE_TOL) -> TheoryCheck:
+                   tol: float = ANGLE_TOL, diam: float | None = None) -> TheoryCheck:
     """Turning inside every vertex window against the mass projected there."""
-    diam = diameter(mu)
+    diam = diameter(mu) if diam is None else diam
     if plan is None:
         plan, _ = build_plan(mu, c, diam=diam)
     m = c.n_vertices
@@ -292,36 +290,28 @@ def check_local_tv(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
 
 
 def _entry_sides(mu: DiscreteMeasure, c: Polyline, plan: TransportPlan, eps_side: float):
-    """Per entry: (below?, above?, distance, mass, bucket) for the turn check.
+    """Per entry: (below, above) boolean columns for the turn check.
 
-    Side is the sign of tangent x (atom - target); ambiguous entries count
-    on both sides, which can only loosen the resulting bound.
+    Side is the sign of tangent x (atom - target), against the target's
+    segment or both segments at a vertex; ambiguous entries count on both
+    sides, which can only loosen the resulting bound.
     """
-    seg_unit = c.segment_vectors / c.segment_lengths[:, None] if c.n_vertices > 1 else None
-    rows = []
-    for e in plan.entries:
-        x = mu.positions[e.atom]
-        if e.target.is_vertex:
-            j = e.target.vertex
-            tangents = []
-            if j > 0:
-                tangents.append(seg_unit[j - 1])
-            if j < c.n_vertices - 1:
-                tangents.append(seg_unit[j])
-            bucket = ("v", j)
-        else:
-            tangents = [seg_unit[e.target.seg]]
-            bucket = ("s", e.target.seg)
-        off = x - e.target.point
-        crosses = [t[0] * off[1] - t[1] * off[0] for t in tangents] or [0.0]
-        above = any(cr > eps_side for cr in crosses)
-        below = any(cr < -eps_side for cr in crosses)
-        if not above and not below:  # on the curve or ambiguous
-            above = below = True
-        if above != below and min(abs(cr) for cr in crosses) <= eps_side:
-            above = below = True  # straddles a vertex tangent wedge
-        rows.append((below, above, e.distance, e.mass, bucket))
-    return rows
+    seg_unit = c.segment_vectors / c.segment_lengths[:, None]
+    ia = plan.ia
+    off = mu.positions[plan.atom] - plan.point
+    c1, c2 = (seg_unit[k][:, 0] * off[:, 1] - seg_unit[k][:, 1] * off[:, 0]
+              for k in (np.where(ia == plan.ib, np.maximum(ia - 1, 0), ia),
+                        np.minimum(ia, c.n_vertices - 2)))
+    above = (c1 > eps_side) | (c2 > eps_side)
+    below = (c1 < -eps_side) | (c2 < -eps_side)
+    # on the curve, or straddling a vertex tangent wedge
+    both = (above == below) | (np.minimum(np.abs(c1), np.abs(c2)) <= eps_side)
+    return below | both, above | both
+
+
+def _running(op, values: np.ndarray) -> np.ndarray:
+    """0.0, then op applied cumulatively in entry order (sums add one entry at a time)."""
+    return np.concatenate([[0.0], op.accumulate(values)])
 
 
 def check_turn_direction(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
@@ -349,20 +339,11 @@ def check_turn_direction(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
     if tv >= 0.5:
         return TheoryCheck("turn_direction", None, None, None, None,
                            f"window {a, b} skipped: TV {tv:.3f} >= 1/2")
-    rows = _entry_sides(mu, c, plan, 1e-9 * diam)
-    mass_below = mass_above = 0.0
-    d_below = d_above = 0.0
-    for below, above, dist, mass, bucket in rows:
-        kind, idx = bucket
-        in_window = (a <= idx <= b) if kind == "v" else (a <= idx <= b - 1)
-        if not in_window:
-            continue
-        if below:
-            mass_below += mass
-            d_below = max(d_below, dist)
-        if above:
-            mass_above += mass
-            d_above = max(d_above, dist)
+    inside = (plan.ia >= a) & (plan.ib <= b)
+    (mass_below, d_below), (mass_above, d_above) = (
+        (float(_running(np.add, plan.mass[sel])[-1]),
+         float(_running(np.maximum, plan.dist[sel])[-1]))
+        for sel in (inside & side for side in _entry_sides(mu, c, plan, 1e-9 * diam)))
     seg_unit = c.segment_vectors / c.segment_lengths[:, None]
     t0 = seg_unit[a]
     sines = [t0[0] * seg_unit[k][1] - t0[1] * seg_unit[k][0] for k in range(a, b)]
@@ -381,59 +362,51 @@ def check_turn_direction(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
 
 def turn_direction_sweep(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
                          plan: TransportPlan | None = None,
-                         tol: float = ANGLE_TOL) -> TheoryCheck:
+                         tol: float = ANGLE_TOL, diam: float | None = None) -> TheoryCheck:
     """Worst turn-direction violation over all eligible (TV < 1/2) windows."""
     if c.dim != 2:
         return TheoryCheck("turn_direction", None, None, None, None, "needs d=2")
-    diam = diameter(mu)
+    diam = diameter(mu) if diam is None else diam
     if plan is None:
         plan, _ = build_plan(mu, c, diam=diam)
     m = c.n_vertices
     if m < 2:
         return TheoryCheck("turn_direction", True, 0.0, 0.0, tol, "no segment")
-    rows = _entry_sides(mu, c, plan, 1e-9 * diam)
-    by_vertex: dict[int, list] = {}
-    by_seg: dict[int, list] = {}
-    for below, above, dist, mass, (kind, idx) in rows:
-        (by_vertex if kind == "v" else by_seg).setdefault(idx, []).append(
-            (below, above, dist, mass))
+    # entries in curve order: vertex j has key 2j, segment j key 2j + 1, so
+    # window (a, b) holds keys 2a..2b
+    key = plan.ia + plan.ib
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    sides = [(np.where(side, plan.mass, 0.0)[order], np.where(side, plan.dist, 0.0)[order])
+             for side in _entry_sides(mu, c, plan, 1e-9 * diam)]
     angles = turning_angles(c)
     seg_unit = c.segment_vectors / c.segment_lengths[:, None]
     coef = p / lam
     worst = (-np.inf, None)
     checked = 0
     for a in range(m - 1):
-        mass_below = mass_above = d_below = d_above = 0.0
-        for below, above, dist, mass in by_vertex.get(a, ()):
-            if below:
-                mass_below += mass
-                d_below = max(d_below, dist)
-            if above:
-                mass_above += mass
-                d_above = max(d_above, dist)
+        first = np.searchsorted(key, 2 * a)
+        ends = np.searchsorted(key, 2 * np.arange(a, m), side="right") - first
+        (mass_below, d_below), (mass_above, d_above) = (
+            (_running(np.add, ms[first:])[ends].tolist(),
+             _running(np.maximum, ds[first:])[ends].tolist())
+            for ms, ds in sides)
         t0 = seg_unit[a]
         sup_up = sup_down = 0.0
         tv = 0.0
         for b in range(a + 1, m):
-            # window (a, b): add vertex b and segment b-1 contributions
+            # window (a, b) adds segment b-1 and vertex b: totals at ends[b - a]
             if b >= a + 2:
                 tv += angles[b - 2]
                 if tv >= 0.5:
                     break
-            for source in (by_seg.get(b - 1, ()), by_vertex.get(b, ())):
-                for below, above, dist, mass in source:
-                    if below:
-                        mass_below += mass
-                        d_below = max(d_below, dist)
-                    if above:
-                        mass_above += mass
-                        d_above = max(d_above, dist)
             tk = seg_unit[b - 1]
             sine = t0[0] * tk[1] - t0[1] * tk[0]
             sup_up = max(sup_up, sine)
             sup_down = max(sup_down, -sine)
-            viol = max(sup_up - coef * d_below ** (p - 1.0) * mass_below,
-                       sup_down - coef * d_above ** (p - 1.0) * mass_above)
+            k = b - a
+            viol = max(sup_up - coef * d_below[k] ** (p - 1.0) * mass_below[k],
+                       sup_down - coef * d_above[k] ** (p - 1.0) * mass_above[k])
             checked += 1
             if viol > worst[0]:
                 worst = (viol, (a, b))
@@ -473,16 +446,25 @@ def check_injectivity(c: Polyline, mu: DiscreteMeasure | None = None,
 
 
 def full_report(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
-                tie_rule: str = "first_arc_length") -> TheoryReport:
-    """Run every certificate (with window sweeps) on one (measure, curve) pair."""
-    diam = diameter(mu)
+                tie_rule: str = "first_arc_length", diam: float | None = None,
+                hull: np.ndarray | None = None) -> TheoryReport:
+    """Run every certificate (with window sweeps) on one (measure, curve) pair.
+
+    The 2-D hull, the diameter and the plan are computed once and shared by
+    the checks; a caller that holds diam and hull (fit does) passes them.
+    """
+    validate_params(p, lam)
+    if hull is None and mu.dim == 2:
+        hull = convex_hull_2d(mu)
+    if diam is None:
+        diam = diameter(mu, hull)
     plan, _ = build_plan(mu, c, tie_rule=tie_rule, diam=diam)
     checks = [
-        check_length_bound(mu, c, p, lam),
-        check_hull_containment(mu, c),
-        check_tv_bound(mu, c, p, lam),
-        check_local_tv(mu, c, p, lam, plan=plan),
-        turn_direction_sweep(mu, c, p, lam, plan=plan),
-        check_injectivity(c, mu, p),
+        check_length_bound(mu, c, p, lam, diam=diam),
+        check_hull_containment(mu, c, hull=hull, diam=diam),
+        check_tv_bound(mu, c, p, lam, diam=diam),
+        check_local_tv(mu, c, p, lam, plan=plan, diam=diam),
+        turn_direction_sweep(mu, c, p, lam, plan=plan, diam=diam),
+        check_injectivity(c, mu, p, eps=1e-9 * diam),
     ]
     return TheoryReport(tuple(checks))

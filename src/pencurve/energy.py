@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,11 +13,12 @@ from .measure import DiscreteMeasure, diameter
 from .projection import TransportPlan, VertexClassification, build_plan
 
 
-def _validate_params(p: float, lam: float) -> None:
-    if not p >= 1.0:
-        raise ConfigError(f"p must be >= 1, got {p}")
-    if not lam > 0.0:
-        raise ConfigError(f"lambda must be > 0, got {lam}")
+def validate_params(p: float, lam: float) -> None:
+    """Raise ConfigError unless p >= 1 and lambda > 0, both finite."""
+    if not (p >= 1.0 and math.isfinite(p)):
+        raise ConfigError(f"p must be finite and >= 1, got {p}")
+    if not (lam > 0.0 and math.isfinite(lam)):
+        raise ConfigError(f"lambda must be finite and > 0, got {lam}")
 
 
 @dataclass(frozen=True)
@@ -45,7 +47,7 @@ def energy(
     diam: float | None = None,
 ) -> EnergyBreakdown:
     """Exact discrete energy with deterministic (atom-ordered) summation."""
-    _validate_params(p, lam)
+    validate_params(p, lam)
     if plan is None:
         plan, _ = build_plan(mu, c, diam=diam)
     dists = plan.atom_distances()
@@ -203,13 +205,13 @@ def gradient(
     so this is the true gradient at smooth points). Raises at a p = 1 kink
     where an atom coincides with its target.
     """
-    _validate_params(p, lam)
+    validate_params(p, lam)
     diam = diameter(mu)
     if eps_tie is None:
         eps_tie = 1e-9 * diam
     if plan is None:
         plan, _ = build_plan(mu, c, eps_tie=eps_tie, diam=diam)
-    if p == 1.0 and np.any(plan.packed["dist"] <= eps_tie):
+    if p == 1.0 and np.any(plan.dist <= eps_tie):
         raise NonSmoothPointError(
             "p=1 gradient at a coincident atom-target pair; use stationarity_report"
         )
@@ -293,7 +295,7 @@ def stationarity_report(
     p * T_ij * (x_i - v_j) * |x_i - v_j|^(p-2) plus the unit vector(s)
     toward its neighbor(s) scaled by lambda.
     """
-    _validate_params(p, lam)
+    validate_params(p, lam)
     if plan is None or classification is None:
         plan, classification = build_plan(mu, c, eps_tie=eps_tie, diam=None)
     eps_tie = classification.eps_tie

@@ -155,16 +155,22 @@ def _measure_from_json_dict(data: dict) -> DiscreteMeasure:
     return DiscreteMeasure(np.array(coords, dtype=float), mass_arr)
 
 
-def diameter(mu: DiscreteMeasure) -> float:
-    """Largest pairwise distance among atom positions (0 for one atom)."""
-    pos = mu.positions
+def diameter(mu: DiscreteMeasure, hull: np.ndarray | None = None) -> float:
+    """Largest pairwise distance among atom positions (0 for one atom).
+
+    In 2-D the farthest pair is a pair of convex-hull vertices, so only the
+    hull is searched: O(n log n) overall, or O(k^2) for a given k-vertex
+    hull of mu. Other dimensions compare all pairs in row chunks.
+    """
+    if mu.dim == 2:
+        return _max_pair_distance(convex_hull_2d(mu) if hull is None else hull)
+    return _max_pair_distance(mu.positions)
+
+
+def _max_pair_distance(pos: np.ndarray) -> float:
     n = pos.shape[0]
-    if n == 0:
-        raise PencurveError("diameter of an empty measure")
-    if n == 1:
-        return 0.0
     best = 0.0
-    chunk = max(1, int(2_000_000 // max(n, 1)))
+    chunk = max(1, int(2_000_000 // n))
     for i0 in range(0, n, chunk):
         block = pos[i0 : i0 + chunk]
         d2 = np.sum((block[:, None, :] - pos[None, :, :]) ** 2, axis=-1)
@@ -188,12 +194,13 @@ def convex_hull_2d(mu: DiscreteMeasure) -> np.ndarray:
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     if len(pts) == 1:
         return pts.copy()
-    lower: list[np.ndarray] = []
+    pts = pts.tolist()  # python floats: the same IEEE arithmetic, without numpy scalar overhead
+    lower: list = []
     for p in pts:
         while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
             lower.pop()
         lower.append(p)
-    upper: list[np.ndarray] = []
+    upper: list = []
     for p in pts[::-1]:
         while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
             upper.pop()

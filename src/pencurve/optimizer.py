@@ -23,6 +23,7 @@ from .energy import (
     fixed_plan_hessian,
     fixed_plan_value_grad,
     stationarity_report,
+    validate_params,
 )
 from .errors import ConfigError, NumericError
 from .measure import DiscreteMeasure, convex_hull_2d, diameter, synth_measure
@@ -56,10 +57,7 @@ class FitConfig:
     tie_rule: str = "first_arc_length"
 
     def resolved(self, mu: DiscreteMeasure, diam: float) -> "FitConfig":
-        if not self.p >= 1.0:
-            raise ConfigError(f"p must be >= 1, got {self.p}")
-        if not self.lam > 0.0:
-            raise ConfigError(f"lambda must be > 0, got {self.lam}")
+        validate_params(self.p, self.lam)
         n = mu.n_atoms
         m_max = self.m_max if self.m_max is not None else min(200, 10 * math.ceil(math.sqrt(n)))
         if self.m_init is None:
@@ -156,12 +154,13 @@ def _principal_frame(mu: DiscreteMeasure):
 
 
 def init_curve(mu: DiscreteMeasure, cfg: FitConfig, restart: int = 0,
-               diam: float | None = None) -> Polyline:
+               diam: float | None = None, hull: np.ndarray | None = None) -> Polyline:
     """Initial polyline on the first principal axis of the measure.
 
     m_init vertices are spread over +/- one weighted standard deviation
     around the weighted mean; restarts > 0 jitter the vertices (in the
     principal frame, clipped to the hull in 2-D) with seeded noise.
+    diam and the 2-D hull of mu are computed when not given.
     """
     if diam is None:
         diam = diameter(mu)
@@ -178,7 +177,7 @@ def init_curve(mu: DiscreteMeasure, cfg: FitConfig, restart: int = 0,
         coeffs = rng.normal(0.0, 0.1 * diam, size=verts.shape)
         verts = verts + coeffs @ evecs.T
         if mu.dim == 2:
-            hull = convex_hull_2d(mu)
+            hull = convex_hull_2d(mu) if hull is None else hull
             verts = np.array([project_to_hull(v, hull) for v in verts])
     verts = _collapse_exact(verts)
     return Polyline(verts)
@@ -386,8 +385,8 @@ def _drop_straight_vertices(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig,
     return c, current
 
 
-def _fit_single(mu: DiscreteMeasure, cfg: FitConfig, restart: int, diam: float):
-    curve = init_curve(mu, cfg, restart=restart, diam=diam)
+def _fit_single(mu: DiscreteMeasure, cfg: FitConfig, restart: int, diam: float, hull):
+    curve = init_curve(mu, cfg, restart=restart, diam=diam, hull=hull)
     current = _true_energy(mu, curve, cfg, diam)
     if not np.isfinite(current.total):
         raise NumericError("non-finite energy at initialization")
@@ -445,19 +444,21 @@ def fit(mu: DiscreteMeasure, cfg: FitConfig) -> FitResult:
     """Fit a polyline minimizing the penalized energy; best restart wins.
 
     Restarts run independently with derived seeds; ties in final energy
-    keep the lowest restart index, so results are deterministic.
+    keep the lowest restart index, so results are deterministic. The
+    diameter and the 2-D hull are computed once and passed down.
     """
-    diam = diameter(mu)
+    hull = convex_hull_2d(mu) if mu.dim == 2 else None
+    diam = diameter(mu, hull)
     cfg = cfg.resolved(mu, diam)
     best = None
     for r in range(cfg.restarts):
-        curve, current, trace, iterations, status = _fit_single(mu, cfg, r, diam)
+        curve, current, trace, iterations, status = _fit_single(mu, cfg, r, diam, hull)
         if best is None or current.total < best[1].total:
             best = (curve, current, trace, iterations, status, r)
     curve, current, trace, iterations, status, r = best
     plan, cls = build_plan(mu, curve, tie_rule=cfg.tie_rule, eps_tie=cfg.eps_tie, diam=diam)
     stat = stationarity_report(mu, curve, cfg.p, cfg.lam, plan=plan, classification=cls)
-    theory = full_report(mu, curve, cfg.p, cfg.lam, tie_rule=cfg.tie_rule)
+    theory = full_report(mu, curve, cfg.p, cfg.lam, tie_rule=cfg.tie_rule, diam=diam, hull=hull)
     return FitResult(curve, trace, current, stat, theory, iterations, r, status)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import Polyline
-from .energy import energy
+from .energy import energy, validate_params
 from .errors import BudgetExceededError, ConfigError, PencurveError
 from .measure import DiscreteMeasure, diameter
 
@@ -40,20 +40,18 @@ class OracleConfig:
             raise ConfigError(f"oracle supports 1 <= m <= 4, got {self.m}")
         if not self.h > 0:
             raise ConfigError("h must be > 0")
-        if not self.p >= 1:
-            raise ConfigError("p must be >= 1")
-        if not self.lam > 0:
-            raise ConfigError("lambda must be > 0")
+        validate_params(self.p, self.lam)
 
 
-def lipschitz_constant(mu: DiscreteMeasure, p: float, lam: float, m: int) -> float:
+def lipschitz_constant(mu: DiscreteMeasure, p: float, lam: float, m: int,
+                       diam: float | None = None) -> float:
     """Energy change per unit of simultaneous vertex movement.
 
     Moving every vertex by at most delta changes each atom's distance by at
     most delta and each segment length by at most 2*delta, so the energy
     moves by at most (p * diam^(p-1) * mass + lam * m) * delta.
     """
-    return p * diameter(mu) ** (p - 1.0) * mu.total_mass + lam * m
+    return p * (diameter(mu) if diam is None else diam) ** (p - 1.0) * mu.total_mass + lam * m
 
 
 def _grid_axis(lo: float, hi: float, h: float) -> np.ndarray:
@@ -236,7 +234,8 @@ def certify_fit(mu: DiscreteMeasure, fit_curve: Polyline, ocfg: OracleConfig,
     PASS requires fit <= oracle + C*h + tol where C is the grid Lipschitz
     slack; a refused oracle yields status SKIPPED.
     """
-    C = lipschitz_constant(mu, ocfg.p, ocfg.lam, ocfg.m)
+    diam = diameter(mu)
+    C = lipschitz_constant(mu, ocfg.p, ocfg.lam, ocfg.m, diam=diam)
     record = {
         "h": ocfg.h,
         "m": ocfg.m,
@@ -251,7 +250,7 @@ def certify_fit(mu: DiscreteMeasure, fit_curve: Polyline, ocfg: OracleConfig,
         record["status"] = "SKIPPED"
         record["reason"] = str(exc)
         return record
-    fit_energy = energy(mu, fit_curve, ocfg.p, ocfg.lam).total
+    fit_energy = energy(mu, fit_curve, ocfg.p, ocfg.lam, diam=diam).total
     record["oracle_energy"] = oracle_energy
     record["fit_energy"] = fit_energy
     record["gap"] = fit_energy - oracle_energy

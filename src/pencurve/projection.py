@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -42,72 +42,73 @@ class PlanEntry:
     target: Target
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
-    """Atom-to-curve mass assignment; first marginal is the measure.
+    """Atom-to-curve mass assignment in entry columns; first marginal is the measure.
 
-    Entries are grouped by atom (ascending atom index, then target arc
-    length), which fixes the deterministic summation order. Only nearest
-    targets carry mass, so every entry's distance is d(x_i, curve).
+    Entry k sends mass[k] of atom[k] to point[k] = (1-t[k]) V[ia[k]] + t[k] V[ib[k]]
+    (vertex targets: ia == ib, t == 0) at arc length arc[k]. Entries are
+    grouped by atom, then arc length: the deterministic summation order.
+    Only nearest targets carry mass, so every dist[k] is d(x_atom[k], curve).
     """
 
-    entries: tuple[PlanEntry, ...]
+    atom: np.ndarray
+    mass: np.ndarray
+    dist: np.ndarray
+    ia: np.ndarray
+    ib: np.ndarray
+    t: np.ndarray
+    arc: np.ndarray
+    point: np.ndarray
     n_atoms: int
     n_vertices: int
 
     @property
     def total_mass(self) -> float:
-        return float(sum(e.mass for e in self.entries))
+        return float(np.sum(self.mass))
 
     def atom_distances(self) -> np.ndarray:
         """d(x_i, curve) per atom, in atom order."""
         out = np.zeros(self.n_atoms)
-        for e in self.entries:
-            out[e.atom] = e.distance
+        out[self.atom] = self.dist
         return out
 
-    @cached_property
+    @property
     def packed(self) -> dict:
-        """Entry columns as arrays for vectorized energy/gradient work.
+        """The columns fixed_plan_value_grad and fixed_plan_hessian read."""
+        return {"atom": self.atom, "mass": self.mass, "dist": self.dist,
+                "ia": self.ia, "ib": self.ib, "t": self.t}
 
-        Each target is the affine point (1-t) * V[ia] + t * V[ib]; vertex
-        targets use ia == ib and t == 0.
-        """
-        n = len(self.entries)
-        atom = np.zeros(n, dtype=np.int64)
-        mass = np.zeros(n)
-        dist = np.zeros(n)
-        ia = np.zeros(n, dtype=np.int64)
-        ib = np.zeros(n, dtype=np.int64)
-        t = np.zeros(n)
-        for k, e in enumerate(self.entries):
-            atom[k] = e.atom
-            mass[k] = e.mass
-            dist[k] = e.distance
-            if e.target.is_vertex:
-                ia[k] = ib[k] = e.target.vertex
-            else:
-                ia[k] = e.target.seg
-                ib[k] = e.target.seg + 1
-                t[k] = e.target.t
-        return {"atom": atom, "mass": mass, "dist": dist, "ia": ia, "ib": ib, "t": t}
+    @property
+    def entries(self) -> "PlanEntries":
+        """Read-only PlanEntry view of the columns; len() builds no entry."""
+        return PlanEntries(self)
 
     def to_dict(self) -> dict:
         groups: dict[int, list] = {}
         for e in self.entries:
-            tgt = {
-                "kind": "vertex" if e.target.is_vertex else "segment",
-                "mass": e.mass,
-                "distance": e.distance,
-                "arc": e.target.arc,
-            }
-            if e.target.is_vertex:
-                tgt["vertex"] = e.target.vertex
-            else:
-                tgt["segment"] = e.target.seg
-                tgt["t"] = e.target.t
+            g = e.target
+            tgt = {"kind": "vertex" if g.is_vertex else "segment", "mass": e.mass,
+                   "distance": e.distance, "arc": g.arc}
+            tgt.update({"vertex": g.vertex} if g.is_vertex else {"segment": g.seg, "t": g.t})
             groups.setdefault(e.atom, []).append(tgt)
         return {"atoms": [{"atom": i, "targets": groups[i]} for i in sorted(groups)]}
+
+
+@dataclass(frozen=True)
+class PlanEntries(Sequence):
+    """A plan's entries as PlanEntry objects, each built when it is read."""
+
+    plan: TransportPlan
+
+    def __len__(self) -> int:
+        return len(self.plan.atom)
+
+    def __getitem__(self, k: int) -> PlanEntry:
+        k = range(len(self))[k]
+        pl = self.plan
+        tgt = _target(pl.ia[k], pl.ib[k], pl.t[k], pl.arc[k], pl.point[k])
+        return PlanEntry(int(pl.atom[k]), float(pl.mass[k]), float(pl.dist[k]), tgt)
 
 
 @dataclass(frozen=True)
@@ -137,17 +138,29 @@ def _segment_feet(x: np.ndarray, c: Polyline):
     return t, d
 
 
-def _canonical_target(c: Polyline, seg: int, t: float, snap: float) -> Target:
-    cum = c.cumulative_lengths
+def _target(ia, ib, t, arc, point) -> Target:
+    ia, arc = int(ia), float(arc)
+    if ia == ib:
+        return Target(ia, None, 0.0, arc, point.copy())
+    return Target(None, ia, float(t), arc, point.copy())
+
+
+def _snap_targets(c: Polyline, seg: np.ndarray, t: np.ndarray, snap: float):
+    """Columns (ia, ib, t, arc, point) of the feet at parameters t on segments seg.
+
+    A foot within snap (in length) of its segment's start or end is
+    reported as that vertex, with ia == ib and t == 0.
+    """
     ln = c.segment_lengths[seg]
-    if t * ln <= snap:
-        j = seg
-        return Target(j, None, 0.0, float(cum[j]), c.vertices[j].copy())
-    if (1.0 - t) * ln <= snap:
-        j = seg + 1
-        return Target(j, None, 0.0, float(cum[j]), c.vertices[j].copy())
-    point = c.vertices[seg] + t * c.segment_vectors[seg]
-    return Target(None, seg, float(t), float(cum[seg] + t * ln), point)
+    lo = t * ln <= snap
+    hi = ~lo & ((1.0 - t) * ln <= snap)
+    inner = ~(lo | hi)
+    ia = seg + hi
+    ib = np.where(inner, seg + 1, ia)
+    arc = np.where(inner, c.cumulative_lengths[seg] + t * ln, c.cumulative_lengths[ia])
+    point = np.where(inner[:, None], c.vertices[seg] + t[:, None] * c.segment_vectors[seg],
+                     c.vertices[ia])
+    return ia, ib, np.where(inner, t, 0.0), arc, point
 
 
 def project_point(x, c: Polyline, eps_abs: float = 0.0, snap: float = 0.0):
@@ -165,16 +178,28 @@ def project_point(x, c: Polyline, eps_abs: float = 0.0, snap: float = 0.0):
         return d, [Target(0, None, 0.0, 0.0, c.vertices[0].copy())]
     t, d = _segment_feet(x, c)
     dmin = float(np.min(d))
-    targets = []
-    seen = set()
-    for k in np.nonzero(d <= dmin + eps_abs)[0]:
-        tgt = _canonical_target(c, int(k), float(t[k]), snap)
+    seg = np.nonzero(d <= dmin + eps_abs)[0]
+    targets: dict = {}
+    for row in zip(*_snap_targets(c, seg, t[seg], snap)):
+        tgt = _target(*row)
         key = ("v", tgt.vertex) if tgt.is_vertex else ("s", tgt.seg, round(tgt.arc, 15))
-        if key not in seen:
-            seen.add(key)
-            targets.append(tgt)
-    targets.sort(key=lambda g: g.arc)
-    return dmin, targets
+        targets.setdefault(key, tgt)
+    return dmin, sorted(targets.values(), key=lambda g: g.arc)
+
+
+def _split_evenly(mu: DiscreteMeasure, c: Polyline, cols: list, split, eps_abs, snap) -> list:
+    """cols with each atom in split replaced by one entry per nearest target."""
+    found = [project_point(mu.positions[i], c, eps_abs=eps_abs, snap=snap)[1] for i in split]
+    counts = np.ones(mu.n_atoms, dtype=np.int64)
+    counts[split] = [len(tgts) for tgts in found]
+    cols = [col[np.repeat(np.arange(mu.n_atoms), counts)] for col in cols]
+    for i, start, tgts in zip(split, np.cumsum(counts)[split] - counts[split], found):
+        for r, g in enumerate(tgts, start=start):
+            j = g.vertex if g.is_vertex else g.seg
+            cols[1][r] = mu.masses[i] / len(tgts)
+            cols[3][r], cols[4][r], cols[5][r], cols[6][r], cols[7][r] = (
+                j, j + (not g.is_vertex), g.t, g.arc, g.point)
+    return cols
 
 
 def build_plan(
@@ -190,7 +215,8 @@ def build_plan(
     tie_rule resolves atoms with several nearest targets: all mass to the
     smallest arc length, or an even split. Returns the plan and the per-
     vertex free/tied classification (eps_tie defaults to 1e-9 * diameter).
-    diam, when given, skips the O(n^2) diameter recomputation.
+    Callers that already hold diameter(mu) pass it as diam. The columns
+    come from one dense n x (m-1) foot computation: O(n m) time and memory.
     """
     if mu.dim != c.dim:
         raise DimensionMismatchError(f"measure dim {mu.dim} vs curve dim {c.dim}")
@@ -205,14 +231,13 @@ def build_plan(
     X = mu.positions
     n = mu.n_atoms
     m = c.n_vertices
-    entries: list[PlanEntry] = []
-
     if m == 1:
         v0 = c.vertices[0]
-        for i in range(n):
-            d = float(np.linalg.norm(X[i] - v0))
-            entries.append(PlanEntry(i, float(mu.masses[i]), d,
-                                     Target(0, None, 0.0, 0.0, v0.copy())))
+        rel = X - v0  # row products use project_point's norm kernel: equal bits
+        dist = np.sqrt((rel[:, None, :] @ rel[:, :, None])[:, 0, 0])
+        zero = np.zeros(n, dtype=np.int64)
+        cols = [np.arange(n), mu.masses, dist, zero, zero, np.zeros(n), np.zeros(n),
+                np.repeat(v0[None, :], n, axis=0)]
     else:
         a = c.vertices[:-1]
         vec = c.segment_vectors
@@ -224,34 +249,25 @@ def build_plan(
         dmin = np.min(D, axis=1)
         ties = D <= (dmin[:, None] + eps_abs)
         arcs = c.cumulative_lengths[:-1][None, :] + T * c.segment_lengths[None, :]
-        arcs_masked = np.where(ties, arcs, np.inf)
-        first_seg = np.argmin(arcs_masked, axis=1)
-        n_ties = np.sum(ties, axis=1)
-        for i in range(n):
-            mi = float(mu.masses[i])
-            di = float(dmin[i])
-            if tie_rule == "first_arc_length" or n_ties[i] == 1:
-                k = int(first_seg[i])
-                tgt = _canonical_target(c, k, float(T[i, k]), eps_tie)
-                entries.append(PlanEntry(i, mi, di, tgt))
-            else:
-                _, tgts = project_point(X[i], c, eps_abs=eps_abs, snap=eps_tie)
-                share = mi / len(tgts)
-                for tgt in tgts:
-                    entries.append(PlanEntry(i, share, di, tgt))
+        first_seg = np.argmin(np.where(ties, arcs, np.inf), axis=1)
+        rows = np.arange(n)
+        cols = [rows, mu.masses, dmin, *_snap_targets(c, first_seg, T[rows, first_seg], eps_tie)]
+        split = np.nonzero(np.sum(ties, axis=1) > 1)[0] if tie_rule == "split_evenly" else ()
+        if len(split):
+            cols = _split_evenly(mu, c, cols, split, eps_abs, eps_tie)
+    plan = TransportPlan(*cols, n_atoms=n, n_vertices=m)
 
-    talking: list[list[int]] = [[] for _ in range(m)]
+    atom, dist, ia = plan.atom, plan.dist, plan.ia
+    at_vertex = ia == plan.ib
+    groups = np.cumsum(np.bincount(ia[at_vertex], minlength=m))[:-1]
+    talking = np.split(atom[at_vertex][np.argsort(ia[at_vertex], kind="stable")], groups)
     tied: list[int | None] = [None] * m
-    tied_dist = [np.inf] * m
-    for e in entries:
-        if e.target.is_vertex:
-            j = e.target.vertex
-            talking[j].append(e.atom)
-            if e.distance <= eps_tie and e.distance < tied_dist[j]:
-                tied[j] = e.atom
-                tied_dist[j] = e.distance
-    plan = TransportPlan(tuple(entries), n, m)
-    classification = VertexClassification(tuple(tied), tuple(tuple(t) for t in talking), eps_tie)
+    tied_dist = np.full(m, np.inf)
+    for k in np.nonzero(at_vertex & (dist <= eps_tie))[0]:
+        if dist[k] < tied_dist[ia[k]]:
+            tied[ia[k]], tied_dist[ia[k]] = int(atom[k]), dist[k]
+    classification = VertexClassification(tuple(tied), tuple(tuple(g.tolist()) for g in talking),
+                                          eps_tie)
     return plan, classification
 
 
@@ -264,11 +280,4 @@ def sigma_mass(plan: TransportPlan, window) -> float:
     a, b = int(window[0]), int(window[1])
     if not (0 <= a <= b <= plan.n_vertices - 1):
         raise PencurveError(f"invalid window {window} for {plan.n_vertices} vertices")
-    total = 0.0
-    for e in plan.entries:
-        if e.target.is_vertex:
-            if a <= e.target.vertex <= b:
-                total += e.mass
-        elif a <= e.target.seg <= b - 1:
-            total += e.mass
-    return total
+    return float(np.sum(plan.mass[(plan.ia >= a) & (plan.ib <= b)]))

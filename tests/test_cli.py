@@ -45,6 +45,28 @@ def test_fit_rejects_bad_p(two_atoms_csv, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--p", "inf"), ("--lambda", "inf")])
+def test_fit_rejects_infinite_p_and_lambda(two_atoms_csv, tmp_path, flag, value):
+    params = {"--p": "2", "--lambda": "0.2", flag: value}
+    rc = cli.main(["fit", str(two_atoms_csv), *[x for kv in params.items() for x in kv],
+                   "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("flag,value", [("--p", "0.5"), ("--lambda", "0"), ("--p", "inf"),
+                                        ("--lambda", "inf")])
+def test_check_rejects_bad_p_and_lambda(two_atoms_csv, tmp_path, flag, value):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"dim": 2, "vertices": [[0.2, 0.0], [0.8, 0.0]]}))
+    params = {"--p": "2", "--lambda": "0.2", flag: value}
+    report = tmp_path / "report.json"
+    rc = cli.main(["check", str(two_atoms_csv), str(curve),
+                   *[x for kv in params.items() for x in kv], "--out", str(report)])
+    assert rc == 2
+    assert not report.exists()
+
+
 def test_fit_missing_file(tmp_path):
     rc = cli.main(["fit", str(tmp_path / "nope.csv"), "--p", "2", "--lambda", "0.2",
                    "--out", str(tmp_path)])

@@ -1,16 +1,25 @@
+import importlib
 import io
+import json
 
 import numpy as np
 import pytest
 
+from pencurve import cli
+from pencurve.curve import Polyline
+from pencurve.diagnostics import full_report
 from pencurve.errors import ParseError, PencurveError
 from pencurve.measure import (
+    SYNTH_FAMILIES,
     DiscreteMeasure,
     convex_hull_2d,
     diameter,
     load_measure,
     synth_measure,
 )
+from pencurve.optimizer import FitConfig, fit
+
+measure_mod = importlib.import_module("pencurve.measure")
 
 
 def test_csv_uniform_default_masses():
@@ -77,6 +86,82 @@ def test_diameter_rigid_invariance():
     th = 0.83
     R = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     assert diameter(DiscreteMeasure(pos @ R.T, np.ones(40))) == pytest.approx(d0, rel=1e-12)
+
+
+def _brute_force_diameter(pos):
+    best = 0.0
+    for i0 in range(0, len(pos), 256):
+        d2 = np.sum((pos[i0 : i0 + 256, None, :] - pos[None, :, :]) ** 2, axis=-1)
+        best = max(best, float(np.max(d2)))
+    return float(np.sqrt(best))
+
+
+@pytest.mark.parametrize("family", SYNTH_FAMILIES)
+def test_diameter_2d_equals_brute_force(family):
+    for n, seed in ((3, 0), (17, 1), (200, 2), (1000, 3), (3500, 4)):
+        mu = synth_measure(family, n, seed=seed)
+        assert diameter(mu) == _brute_force_diameter(mu.positions)
+
+
+def test_diameter_collinear_duplicates_single_atom_and_3d(monkeypatch):
+    rng = np.random.default_rng(5)
+    for k in range(60):
+        n = int(rng.integers(2, 60))
+        t = rng.choice(rng.uniform(-2.0, 3.0, max(1, n // 3)), size=n)  # repeats points
+        if k % 3 == 0:
+            pos = rng.uniform(-1, 1, 2) + t[:, None] * rng.normal(size=2)
+        elif k % 3 == 1:
+            pos = np.stack([t, np.full(n, rng.uniform())], axis=1)
+        else:
+            ti = rng.integers(-20, 20, n).astype(float)
+            pos = np.stack([ti, 2.0 * ti], axis=1)
+        assert diameter(DiscreteMeasure(pos, np.ones(n))) == _brute_force_diameter(pos)
+    assert diameter(DiscreteMeasure(np.array([[0.3, -2.0]]), np.ones(1))) == 0.0
+
+    searched = []
+    inner = measure_mod._max_pair_distance
+    monkeypatch.setattr(measure_mod, "_max_pair_distance",
+                        lambda pos: searched.append(len(pos)) or inner(pos))
+    cloud = rng.normal(size=(300, 3))
+    assert diameter(DiscreteMeasure(cloud, np.ones(300))) == _brute_force_diameter(cloud)
+    assert searched == [300]  # d >= 3 compares every pair
+
+
+def _counting(fn, log):
+    def counted(*args, **kwargs):
+        log.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return counted
+
+
+def test_geometry_computed_once_per_call(monkeypatch, tmp_path):
+    log = []
+    monkeypatch.setattr(measure_mod, "_max_pair_distance",
+                        _counting(measure_mod._max_pair_distance, log))
+    for name in ("measure", "optimizer", "diagnostics"):
+        module = importlib.import_module(f"pencurve.{name}")
+        monkeypatch.setattr(module, "convex_hull_2d", _counting(module.convex_hull_2d, log))
+    mu = synth_measure("noisy_circle", 300, seed=1)
+    theta = np.linspace(0.0, 1.5 * np.pi, 12)
+    arc = Polyline(0.5 + 0.35 * np.stack([np.cos(theta), np.sin(theta)], axis=1))
+    once = ["convex_hull_2d", "_max_pair_distance"]
+
+    full_report(mu, arc, 2.0, 0.05)
+    assert log == once
+    log.clear()
+    fit(mu, FitConfig(p=2.0, lam=0.05, max_outer_iters=3, restarts=1))
+    assert log == once
+    log.clear()
+    # restart 1 clips its jittered start to the hull: the same hull
+    fit(mu, FitConfig(p=2.0, lam=0.05, max_outer_iters=2, restarts=2))
+    assert log == once
+    log.clear()
+    atoms, curve = tmp_path / "atoms.csv", tmp_path / "curve.json"
+    np.savetxt(atoms, mu.positions, delimiter=",", fmt="%.17g")
+    curve.write_text(json.dumps(arc.to_dict()))
+    assert cli.main(["check", str(atoms), str(curve), "--p", "2", "--lambda", "0.05",
+                     "--out", str(tmp_path / "report.json")]) == 0
+    assert log == once
 
 
 def test_hull_square_with_center():

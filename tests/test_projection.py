@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pencurve.curve import Polyline, point_at
-from pencurve.measure import DiscreteMeasure, synth_measure
-from pencurve.projection import build_plan, project_point, sigma_mass
+from pencurve.measure import DiscreteMeasure, diameter, synth_measure
+from pencurve.projection import EPS_PROJ, TIE_RULES, build_plan, project_point, sigma_mass
 
 
 def P(*pts):
@@ -109,3 +109,73 @@ def test_plan_json_dump_shape():
     dump = plan.to_dict()
     assert [a["atom"] for a in dump["atoms"]] == [0, 1]
     assert all("distance" in t for a in dump["atoms"] for t in a["targets"])
+
+
+def _plan_cases():
+    """Random polylines, plus atoms on vertices, feet a hair from a vertex, and ridges."""
+    rng = np.random.default_rng(21)
+    for k in range(40):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 30))
+        V = rng.uniform(0.0, 1.0, (m, 2))
+        X = rng.uniform(-0.2, 1.2, (n, 2))
+        if k % 2 and m > 1:
+            X[0] = V[m // 2]
+            if n > 1:  # foot 1e-13 of a segment length past vertex 0: snapped onto it
+                s = V[1] - V[0]
+                X[1] = V[0] + 1e-13 * s + 0.05 * np.array([-s[1], s[0]])
+        yield DiscreteMeasure(X, rng.uniform(0.1, 1.0, n)), Polyline(V)
+    yield (DiscreteMeasure(np.array([[0.5, 1.3], [0.5, 0.5], [0.2, 0.4]]), np.ones(3)),
+           P((0, 1), (0.5, -1), (1, 1)))
+    yield DiscreteMeasure(np.array([[0.5, 0.5], [0.9, 0.2]]), np.ones(2)), P((0, 0), (1, 0), (1, 1))
+
+
+@pytest.mark.parametrize("tie_rule", TIE_RULES)
+def test_array_plan_matches_project_point(tie_rule):
+    snapped = ridges = 0
+    for mu, c in _plan_cases():
+        plan, _ = build_plan(mu, c, tie_rule=tie_rule)
+        diam = diameter(mu)
+        k = 0
+        for i, x in enumerate(mu.positions):
+            d, targets = project_point(x, c, eps_abs=EPS_PROJ * diam, snap=1e-9 * diam)
+            unsnapped = project_point(x, c, eps_abs=EPS_PROJ * diam)[1]
+            snapped += targets[0].is_vertex and not unsnapped[0].is_vertex
+            ridges += len(targets) > 1
+            if tie_rule == "first_arc_length":
+                targets = targets[:1]
+            for tgt in targets:
+                assert plan.atom[k] == i
+                assert plan.dist[k] == d
+                assert plan.mass[k] == mu.masses[i] / len(targets)
+                assert plan.arc[k] == tgt.arc
+                assert np.array_equal(plan.point[k], tgt.point)
+                if tgt.is_vertex:
+                    assert plan.ia[k] == plan.ib[k] == tgt.vertex and plan.t[k] == 0.0
+                else:
+                    assert (plan.ia[k], plan.ib[k], plan.t[k]) == (tgt.seg, tgt.seg + 1, tgt.t)
+                k += 1
+        assert k == len(plan.atom)
+    assert snapped and ridges  # the cases reach both special paths
+
+
+def test_plan_entries_and_dict_agree_with_arrays():
+    mu = DiscreteMeasure(np.array([[0.5, 1.3], [0.5, 0.5], [2.0, 0.0]]), np.array([1.0, 2.0, 3.0]))
+    plan, _ = build_plan(mu, P((0, 1), (0.5, -1), (1, 1)), tie_rule="split_evenly")
+    assert len(plan.entries) == len(plan.atom) == 5  # atoms 0, 1 on the ridge: two entries each
+    dump = plan.to_dict()["atoms"]
+    targets = [t for a in dump for t in a["targets"]]
+    atoms = [a["atom"] for a in dump for _ in a["targets"]]
+    for k, (e, tgt) in enumerate(zip(plan.entries, targets)):
+        assert e.atom == plan.atom[k] == atoms[k]
+        assert e.mass == plan.mass[k] == tgt["mass"]
+        assert e.distance == plan.dist[k] == tgt["distance"]
+        assert e.target.arc == plan.arc[k] == tgt["arc"]
+        assert np.array_equal(e.target.point, plan.point[k])
+        if e.target.is_vertex:
+            assert e.target.vertex == plan.ia[k] == plan.ib[k] == tgt["vertex"]
+        else:
+            assert e.target.seg == plan.ia[k] == tgt["segment"]
+            assert e.target.t == plan.t[k] == tgt["t"]
+    assert plan.entries[-1].atom == 2
+    with pytest.raises(IndexError):
+        plan.entries[5]
