@@ -4,13 +4,9 @@ __version__ = "0.1.0"
 
 from .curve import (
     Polyline,
-    curve_distance,
     length,
     merge_vertices,
-    point_at,
     self_intersections_2d,
-    signed_turning_2d,
-    split_segments,
     turning_angles,
     tv_gamma_prime,
 )
@@ -20,7 +16,6 @@ from .diagnostics import (
     check_injectivity,
     check_length_bound,
     check_local_tv,
-    check_turn_direction,
     check_tv_bound,
     convex_clip,
     full_report,
@@ -38,4 +33,4 @@ from .errors import (
 from .measure import DiscreteMeasure, convex_hull_2d, diameter, load_measure, synth_measure
 from .optimizer import FitConfig, FitResult, conjecture_search, fit, fixed_plan_solve, init_curve
 from .oracle import OracleConfig, brute_force_min, certify_fit
-from .projection import TransportPlan, VertexClassification, build_plan, project_point, sigma_mass
+from .projection import TransportPlan, VertexClassification, build_plan, project_point

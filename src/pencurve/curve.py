@@ -1,4 +1,4 @@
-"""Polyline curves: arc-length parameterization, turning, crossings, curve metric."""
+"""Polyline curves: arc-length parameterization, turning, crossings, vertex merging."""
 
 from __future__ import annotations
 
@@ -87,20 +87,6 @@ def length(c: Polyline) -> float:
     return c.total_length
 
 
-def point_at(c: Polyline, s: float) -> np.ndarray:
-    """Point at arc length s in [0, L]."""
-    L = c.total_length
-    if s < 0.0 or s > L:
-        raise PencurveError(f"arc length {s} outside [0, {L}]")
-    if c.n_vertices == 1:
-        return c.vertices[0].copy()
-    cum = c.cumulative_lengths
-    k = int(np.searchsorted(cum, s, side="right")) - 1
-    k = min(max(k, 0), c.n_vertices - 2)
-    t = (s - cum[k]) / c.segment_lengths[k]
-    return c.vertices[k] + t * c.segment_vectors[k]
-
-
 def _angle_between(u: np.ndarray, w: np.ndarray) -> float:
     # robust for near-0 and near-pi angles
     a = u / np.linalg.norm(u)
@@ -138,22 +124,6 @@ def tv_gamma_prime(c: Polyline, window=None) -> float:
     return float(np.sum(angles[a : max(b - 1, a)]))
 
 
-def signed_turning_2d(c: Polyline) -> np.ndarray:
-    """Signed exterior angles (positive = left/counterclockwise turn)."""
-    if c.dim != 2:
-        raise DimensionMismatchError("signed turning is 2-D only")
-    m = c.n_vertices
-    if m < 3:
-        return np.zeros(0)
-    seg = c.segment_vectors
-    out = np.zeros(m - 2)
-    for j in range(1, m - 1):
-        cross = seg[j - 1, 0] * seg[j, 1] - seg[j - 1, 1] * seg[j, 0]
-        ang = _angle_between(seg[j - 1], seg[j])
-        out[j - 1] = math.copysign(ang, cross) if cross != 0.0 else 0.0
-    return out
-
-
 @dataclass(frozen=True)
 class Intersection:
     """A crossing or contact between two non-adjacent segments."""
@@ -178,7 +148,9 @@ def self_intersections_2d(c: Polyline, eps: float = 1e-12) -> list[Intersection]
     Adjacent segments (sharing a vertex) are excluded. Exact-sign cross
     products decide transversal crossings; anything else within eps of
     touching is reported as a contact (this covers shared endpoints and
-    collinear overlaps).
+    collinear overlaps). Pairs whose bounding boxes are more than eps
+    apart are dropped first, one array test per segment; hits come in
+    (seg_a, seg_b) order.
     """
     if c.dim != 2:
         raise DimensionMismatchError("self-intersection test is 2-D only")
@@ -190,10 +162,10 @@ def self_intersections_2d(c: Polyline, eps: float = 1e-12) -> list[Intersection]
     lo = np.minimum(v[:-1], v[1:])
     hi = np.maximum(v[:-1], v[1:])
     found = []
-    for i in range(nseg):
-        for j in range(i + 2, nseg):
-            if np.any(lo[i] > hi[j] + eps) or np.any(lo[j] > hi[i] + eps):
-                continue
+    for i in range(nseg - 2):
+        later = np.arange(i + 2, nseg)
+        apart = np.any(lo[i] > hi[later] + eps, axis=1) | np.any(lo[later] > hi[i] + eps, axis=1)
+        for j in later[~apart].tolist():
             p1, p2, q1, q2 = v[i], v[i + 1], v[j], v[j + 1]
             r = p2 - p1
             s = q2 - q1
@@ -217,46 +189,11 @@ def self_intersections_2d(c: Polyline, eps: float = 1e-12) -> list[Intersection]
     return found
 
 
-def curve_distance(c1: Polyline, c2: Polyline) -> float:
-    """Uniform distance between the curves' arc-length parameterizations.
-
-    The shorter curve is extended by freezing at its endpoint. Both maps
-    are piecewise affine in t, so the sup is attained at a breakpoint of
-    the common subdivision; closest-approach parameters of each affine
-    piece are evaluated too.
-    """
-    if c1.dim != c2.dim:
-        raise DimensionMismatchError(f"curves of dim {c1.dim} and {c2.dim}")
-    if c1.total_length > c2.total_length:
-        c1, c2 = c2, c1
-    a1, a2 = c1.total_length, c2.total_length
-
-    def gamma1(t):
-        return point_at(c1, min(t, a1))
-
-    knots = np.concatenate([c1.cumulative_lengths, c2.cumulative_lengths, [0.0, a1, a2]])
-    knots = np.unique(np.clip(knots, 0.0, a2))
-    best = 0.0
-    for t0, t1 in zip(knots[:-1], knots[1:]):
-        f0 = gamma1(t0) - point_at(c2, t0)
-        f1 = gamma1(t1) - point_at(c2, t1)
-        best = max(best, float(np.linalg.norm(f0)), float(np.linalg.norm(f1)))
-        df = f1 - f0
-        dd = float(np.dot(df, df))
-        if dd > 0.0:
-            u = float(np.clip(-np.dot(f0, df) / dd, 0.0, 1.0))
-            ts = t0 + u * (t1 - t0)
-            best = max(best, float(np.linalg.norm(gamma1(ts) - point_at(c2, ts))))
-    if len(knots) == 1:  # both curves are single points
-        best = float(np.linalg.norm(c1.vertices[0] - c2.vertices[0]))
-    return best
-
-
 def merge_vertices(c: Polyline, eps_merge: float) -> Polyline:
     """Collapse consecutive vertices within eps_merge to their midpoint.
 
-    Repeats until no pair is closer than eps_merge, so exact duplicates are
-    always removed even for eps_merge = 0.
+    Repeats until no consecutive pair is within eps_merge. A Polyline has no
+    zero-length segment, so eps_merge = 0 returns the curve unchanged.
     """
     if eps_merge < 0:
         raise PencurveError("eps_merge must be >= 0")
@@ -276,22 +213,3 @@ def merge_vertices(c: Polyline, eps_merge: float) -> Polyline:
                 i += 1
         verts = out
     return Polyline(np.array(verts))
-
-
-def split_segments(c: Polyline, max_len: float) -> Polyline:
-    """Subdivide every segment longer than max_len into equal pieces.
-
-    The image set and total length are unchanged; subdivision counts follow
-    the ceiling rule.
-    """
-    if max_len <= 0:
-        raise PencurveError("max_len must be > 0")
-    if c.n_vertices == 1:
-        return c
-    pieces = [c.vertices[0]]
-    for a, b, ln in zip(c.vertices[:-1], c.vertices[1:], c.segment_lengths):
-        k = max(1, math.ceil(ln / max_len - 1e-12))
-        for i in range(1, k):
-            pieces.append(a + (i / k) * (b - a))
-        pieces.append(b)
-    return Polyline(np.array(pieces))

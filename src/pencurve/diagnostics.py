@@ -314,52 +314,6 @@ def _running(op, values: np.ndarray) -> np.ndarray:
     return np.concatenate([[0.0], op.accumulate(values)])
 
 
-def check_turn_direction(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
-                         plan: TransportPlan | None = None,
-                         window=None, tol: float = ANGLE_TOL,
-                         diam: float | None = None) -> TheoryCheck:
-    """One-sided turning bound on a window: leftward turning needs mass below.
-
-    In the frame where the window starts at the origin moving along e_1,
-    sup of tangent . e_2 is bounded by (p/lam) D^(p-1) times the mass
-    strictly below the window (D = largest projection distance among that
-    mass); symmetrically for rightward turning and the mass above.
-    Windows turning more than 1/2 radian in total are skipped.
-    """
-    if c.dim != 2:
-        return TheoryCheck("turn_direction", None, None, None, None, "needs d=2")
-    if diam is None:
-        diam = diameter(mu)
-    if plan is None:
-        plan, _ = build_plan(mu, c, diam=diam)
-    a, b = int(window[0]), int(window[1])
-    if not (0 <= a < b <= c.n_vertices - 1):
-        raise PencurveError(f"invalid window {window}")
-    tv = tv_gamma_prime(c, (a, b))
-    if tv >= 0.5:
-        return TheoryCheck("turn_direction", None, None, None, None,
-                           f"window {a, b} skipped: TV {tv:.3f} >= 1/2")
-    inside = (plan.ia >= a) & (plan.ib <= b)
-    (mass_below, d_below), (mass_above, d_above) = (
-        (float(_running(np.add, plan.mass[sel])[-1]),
-         float(_running(np.maximum, plan.dist[sel])[-1]))
-        for sel in (inside & side for side in _entry_sides(mu, c, plan, 1e-9 * diam)))
-    seg_unit = c.segment_vectors / c.segment_lengths[:, None]
-    t0 = seg_unit[a]
-    sines = [t0[0] * seg_unit[k][1] - t0[1] * seg_unit[k][0] for k in range(a, b)]
-    sup_up = max(sines)
-    sup_down = max(-s for s in sines)
-    bound_up = (p / lam) * d_below ** (p - 1.0) * mass_below
-    bound_down = (p / lam) * d_above ** (p - 1.0) * mass_above
-    ok = sup_up <= bound_up + tol and sup_down <= bound_down + tol
-    observed = max(sup_up - bound_up, sup_down - bound_down)
-    return TheoryCheck(
-        "turn_direction", ok, 0.0, float(observed), tol,
-        f"window {a, b}: up {sup_up:.3g} vs {bound_up:.3g}, "
-        f"down {sup_down:.3g} vs {bound_down:.3g}",
-    )
-
-
 def turn_direction_sweep(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
                          plan: TransportPlan | None = None,
                          tol: float = ANGLE_TOL, diam: float | None = None) -> TheoryCheck:

@@ -56,15 +56,64 @@ def energy(
     return EnergyBreakdown(fidelity, length_term, fidelity + length_term, dists)
 
 
-def _kernel_factor(r: np.ndarray, p: float, eps_clamp: float) -> np.ndarray:
-    """p * r^(p-2), with r clamped below eps_clamp when p < 2.
+def _entry_offsets(V: np.ndarray, packed: dict, X: np.ndarray):
+    """Per plan entry: barycentric weights (1-t, t), offset x - y and its length r.
 
-    At r = 0 the pull vector (x - v) vanishes too, so p >= 2 needs no guard
-    (0^0 evaluates to 1 for p = 2).
+    y = (1-t) V[ia] + t V[ib] is the entry's target, held affine in V.
+    """
+    wa, wb = 1.0 - packed["t"], packed["t"]
+    y = wa[:, None] * V[packed["ia"]] + wb[:, None] * V[packed["ib"]]
+    diff = X[packed["atom"]] - y
+    return wa, wb, diff, np.linalg.norm(diff, axis=1)
+
+
+def _entry_kernel(r: np.ndarray, mass: np.ndarray, p: float, eps_clamp: float) -> np.ndarray:
+    """Per plan entry: mass * p * r^(p-2), the pull per unit of offset x - y.
+
+    r is clamped below eps_clamp when p < 2; at r = 0 the offset vanishes
+    too, so p >= 2 needs no guard (0^0 is 1 for p = 2). A p = 1 entry with
+    r <= eps_clamp gets kernel 0: its pull is a subgradient, bounded by its
+    mass. Value-only evaluations skip this, so it is apart from the offsets.
     """
     if p >= 2.0:
-        return p * r ** (p - 2.0)
-    return p * np.maximum(r, eps_clamp) ** (p - 2.0)
+        kern = p * r ** (p - 2.0) * mass
+    else:
+        kern = p * np.maximum(r, eps_clamp) ** (p - 2.0) * mass
+    if p == 1.0:
+        kern = np.where(r <= eps_clamp, 0.0, kern)
+    return kern
+
+
+def _first_variation(V: np.ndarray, packed: dict, wa: np.ndarray, wb: np.ndarray,
+                     diff: np.ndarray, kern: np.ndarray, lam: float) -> np.ndarray:
+    """Vertex gradient of the fixed-plan objective, before any p = 1 shrink.
+
+    Each entry's pull kernel * (x - y) at its target y enters with a minus
+    sign, split onto the segment's vertices by the barycentric weights;
+    each segment adds lambda times its unit tangent at its end, minus that
+    at its start.
+    """
+    m = V.shape[0]
+    grad = np.zeros_like(V)
+    g_y = -kern[:, None] * diff
+    np.add.at(grad, packed["ia"], wa[:, None] * g_y)
+    np.add.at(grad, packed["ib"], wb[:, None] * g_y)
+    if m > 1:
+        seg = np.diff(V, axis=0)
+        seg_len = np.linalg.norm(seg, axis=1)
+        unit = seg / np.maximum(seg_len, 1e-300)[:, None]
+        unit[seg_len == 0.0] = 0.0
+        np.subtract.at(grad, np.arange(m - 1), lam * unit)
+        np.add.at(grad, np.arange(1, m), lam * unit)
+    return grad
+
+
+def _tied_mass(packed: dict, r: np.ndarray, eps_clamp: float, m: int) -> np.ndarray:
+    """Per vertex: mass of the vertex entries whose atom lies within eps_clamp."""
+    tied_mass = np.zeros(m)
+    sel = (r <= eps_clamp) & (packed["ia"] == packed["ib"])
+    np.add.at(tied_mass, packed["ia"][sel], packed["mass"][sel])
+    return tied_mass
 
 
 def fixed_plan_value_grad(
@@ -86,36 +135,18 @@ def fixed_plan_value_grad(
     descent direction of the nonsmooth convex objective.
     """
     m = V.shape[0]
-    ia, ib, t = packed["ia"], packed["ib"], packed["t"]
     mass = packed["mass"]
-    y = (1.0 - t)[:, None] * V[ia] + t[:, None] * V[ib]
-    diff = X[packed["atom"]] - y
-    r = np.linalg.norm(diff, axis=1)
+    wa, wb, diff, r = _entry_offsets(V, packed, X)
     value = float(np.sum(mass * r**p))
-    seg = np.diff(V, axis=0)
-    seg_len = np.linalg.norm(seg, axis=1) if m > 1 else np.zeros(0)
+    seg_len = np.linalg.norm(np.diff(V, axis=0), axis=1) if m > 1 else np.zeros(0)
     value += lam * float(np.sum(seg_len))
     if not want_grad:
         return value, None
 
-    grad = np.zeros_like(V)
-    tied_here = r <= eps_clamp
-    factor = _kernel_factor(r, p, eps_clamp) * mass
-    if p == 1.0:
-        factor = np.where(tied_here, 0.0, factor)
-    g_y = -factor[:, None] * diff
-    np.add.at(grad, ia, (1.0 - t)[:, None] * g_y)
-    np.add.at(grad, ib, t[:, None] * g_y)
-    if m > 1:
-        safe = np.maximum(seg_len, 1e-300)
-        unit = seg / safe[:, None]
-        unit[seg_len == 0.0] = 0.0
-        np.subtract.at(grad, np.arange(m - 1), lam * unit)
-        np.add.at(grad, np.arange(1, m), lam * unit)
-    if p == 1.0 and np.any(tied_here):
-        tied_mass = np.zeros(m)
-        sel = tied_here & (ia == ib)
-        np.add.at(tied_mass, ia[sel], mass[sel])
+    kern = _entry_kernel(r, mass, p, eps_clamp)
+    grad = _first_variation(V, packed, wa, wb, diff, kern, lam)
+    if p == 1.0 and np.any(r <= eps_clamp):
+        tied_mass = _tied_mass(packed, r, eps_clamp, m)
         norms = np.linalg.norm(grad, axis=1)
         for j in np.nonzero(tied_mass > 0)[0]:
             if norms[j] <= tied_mass[j]:
@@ -148,47 +179,32 @@ def fixed_plan_hessian(
     no longer guaranteed positive semidefinite.
     """
     m, d = V.shape
-    H = np.zeros((m * d, m * d))
-    ia, ib, t = packed["ia"], packed["ib"], packed["t"]
-    mass = packed["mass"]
-    y = (1.0 - t)[:, None] * V[ia] + t[:, None] * V[ib]
-    diff = y - X[packed["atom"]]
-    r = np.linalg.norm(diff, axis=1)
-    rc = np.maximum(r, eps_clamp)
-    eye = np.eye(d)
-    for k in range(len(mass)):
-        if p == 1.0 and r[k] <= eps_clamp:
-            continue
-        u = diff[k] / rc[k]
-        kern = mass[k] * p * rc[k] ** (p - 2.0)
-        hy = kern * (eye + (p - 2.0) * np.outer(u, u))
-        a, b = int(ia[k]), int(ib[k])
-        wa, wb = 1.0 - t[k], t[k]
-        for i, wi in ((a, wa), (b, wb)):
-            for j, wj in ((a, wa), (b, wb)):
-                if wi and wj:
-                    H[i * d : (i + 1) * d, j * d : (j + 1) * d] += wi * wj * hy
-        if envelope and a != b:
-            s = V[b] - V[a]
-            s2 = float(np.dot(s, s))
-            if s2 > 0.0:
-                rho = -diff[k]  # x - y, perpendicular to s at the foot
-                va = wa * s + rho
-                vb = wb * s - rho
-                coef = kern / s2
-                for (i, vi), (j, vj) in (((a, va), (a, va)), ((a, va), (b, vb)),
-                                         ((b, vb), (a, va)), ((b, vb), (b, vb))):
-                    H[i * d : (i + 1) * d, j * d : (j + 1) * d] -= coef * np.outer(vi, vj)
-    for k in range(m - 1):
-        s = V[k + 1] - V[k]
-        ln = float(np.linalg.norm(s))
-        if ln == 0.0:
-            continue
-        u = s / ln
-        hseg = (lam / ln) * (eye - np.outer(u, u))
+    ia, ib = packed["ia"], packed["ib"]
+    wa, wb, diff, r = _entry_offsets(V, packed, X)
+    kern = _entry_kernel(r, packed["mass"], p, eps_clamp)
+    u = diff / np.maximum(r, eps_clamp)[:, None]
+    hy = kern[:, None, None] * (np.eye(d) + (p - 2.0) * u[:, :, None] * u[:, None, :])
+    # envelope term: x - y is perpendicular to the segment s at an interior foot;
+    # vertex entries have s = 0 and get none
+    s = V[ib] - V[ia]
+    s2 = np.einsum("kj,kj->k", s, s)
+    coef = np.divide(kern, s2, out=np.zeros_like(kern), where=envelope & (s2 > 0.0))
+    ends = ((ia, wa, wa[:, None] * s + diff), (ib, wb, wb[:, None] * s - diff))
+    H = np.zeros((m, m, d, d))  # H[i, j] is the d x d block of vertices i and j
+    for i, wi, vi in ends:
+        for j, wj, vj in ends:
+            np.add.at(H, (i, j), (wi * wj)[:, None, None] * hy
+                      - coef[:, None, None] * vi[:, :, None] * vj[:, None, :])
+    if m > 1:
+        s = np.diff(V, axis=0)
+        ln = np.linalg.norm(s, axis=1)
+        inv = np.divide(1.0, ln, out=np.zeros_like(ln), where=ln > 0.0)
+        u = s * inv[:, None]
+        hseg = (lam * inv)[:, None, None] * (np.eye(d) - u[:, :, None] * u[:, None, :])
+        k = np.arange(m - 1)
         for i, j, sign in ((k, k, 1.0), (k + 1, k + 1, 1.0), (k, k + 1, -1.0), (k + 1, k, -1.0)):
-            H[i * d : (i + 1) * d, j * d : (j + 1) * d] += sign * hseg
-    return H
+            H[i, j] += sign * hseg
+    return H.transpose(0, 2, 1, 3).reshape(m * d, m * d)
 
 
 def gradient(
@@ -229,7 +245,7 @@ class VertexResidual:
     tied_atom: int | None
     residual: np.ndarray
     residual_norm: float
-    slack: float | None  # m_k - |residual without the tied atom|, p=1 tied only
+    slack: float | None  # tied mass - |residual|, p=1 tied only
 
     def to_dict(self) -> dict:
         out = {
@@ -251,8 +267,9 @@ class StationarityReport:
     """First-variation residuals per vertex.
 
     A free vertex of a stationary curve must have residual zero; a tied
-    vertex with p = 1 must instead satisfy |residual without its atom's
-    pull| <= that atom's mass (reported as a nonnegative slack).
+    vertex with p = 1 must instead satisfy |residual| <= the mass of the
+    atoms sitting on it, whose pulls the residual leaves out (reported as
+    a nonnegative slack).
     """
 
     vertices: tuple[VertexResidual, ...]
@@ -290,65 +307,33 @@ def stationarity_report(
 ) -> StationarityReport:
     """Evaluate the first-variation conditions on every vertex.
 
-    Interior plan targets are first folded onto their segment's endpoints
-    with barycentric weights, after which each vertex j accumulates pulls
-    p * T_ij * (x_i - v_j) * |x_i - v_j|^(p-2) plus the unit vector(s)
-    toward its neighbor(s) scaled by lambda.
+    Each plan entry pulls its target y, the foot of its atom x, with
+    p * mass * |x - y|^(p-2) * (x - y), split onto the segment's vertices by
+    the barycentric weights; each vertex adds lambda times the unit vectors
+    toward its neighbours. The residual is therefore minus the fixed-plan
+    gradient, equal to -gradient() wherever that is defined. For p = 1 the
+    pulls of atoms within eps_tie are left out, and a tied vertex reports
+    slack = tied mass - |residual| instead of a free residual.
     """
     validate_params(p, lam)
     if plan is None or classification is None:
         plan, classification = build_plan(mu, c, eps_tie=eps_tie, diam=None)
     eps_tie = classification.eps_tie
     m = c.n_vertices
-    V = c.vertices
-    X = mu.positions
-
-    folded: list[dict[int, float]] = [dict() for _ in range(m)]
-    for e in plan.entries:
-        if e.target.is_vertex:
-            shares = ((e.target.vertex, e.mass),)
-        else:
-            k = e.target.seg
-            shares = ((k, e.mass * (1.0 - e.target.t)), (k + 1, e.mass * e.target.t))
-        for j, w in shares:
-            if w > 0.0:
-                folded[j][e.atom] = folded[j].get(e.atom, 0.0) + w
+    packed = plan.packed
+    wa, wb, diff, r = _entry_offsets(c.vertices, packed, mu.positions)
+    kern = _entry_kernel(r, packed["mass"], p, eps_tie)
+    residual = -_first_variation(c.vertices, packed, wa, wb, diff, kern, lam)
+    norms = np.linalg.norm(residual, axis=1)
+    tied_mass = _tied_mass(packed, r, eps_tie, m)
 
     rows = []
-    max_free = 0.0
-    min_slack = None
     for j in range(m):
-        lam_term = np.zeros(c.dim)
-        if m > 1:
-            for w_idx in ((j - 1, j + 1) if 0 < j < m - 1 else ((j + 1,) if j == 0 else (j - 1,))):
-                delta = V[w_idx] - V[j]
-                lam_term += lam * delta / np.linalg.norm(delta)
-        kind = "interior" if 0 < j < m - 1 and m > 1 else "endpoint"
+        kind = "interior" if 0 < j < m - 1 else "endpoint"
         tied_atom = classification.tied_atom[j]
         status = "tied" if tied_atom is not None else "free"
-
-        def pull(i: int, w: float) -> np.ndarray:
-            d = X[i] - V[j]
-            r = float(np.linalg.norm(d))
-            if r == 0.0:
-                return np.zeros(c.dim)
-            return p * w * d * r ** (p - 2.0)
-
-        if p == 1.0 and tied_atom is not None:
-            vec = lam_term.copy()
-            for i, w in sorted(folded[j].items()):
-                if i != tied_atom:
-                    vec += pull(i, w)
-            norm = float(np.linalg.norm(vec))
-            slack = float(mu.masses[tied_atom]) - norm
-            rows.append(VertexResidual(j, kind, status, tied_atom, vec, norm, slack))
-            min_slack = slack if min_slack is None else min(min_slack, slack)
-        else:
-            vec = lam_term.copy()
-            for i, w in sorted(folded[j].items()):
-                vec += pull(i, w)
-            norm = float(np.linalg.norm(vec))
-            rows.append(VertexResidual(j, kind, status, tied_atom, vec, norm, None))
-            if status == "free":
-                max_free = max(max_free, norm)
+        slack = float(tied_mass[j] - norms[j]) if p == 1.0 and tied_atom is not None else None
+        rows.append(VertexResidual(j, kind, status, tied_atom, residual[j], float(norms[j]), slack))
+    max_free = max((v.residual_norm for v in rows if v.status == "free"), default=0.0)
+    min_slack = min((v.slack for v in rows if v.slack is not None), default=None)
     return StationarityReport(tuple(rows), max_free, min_slack, p, lam)

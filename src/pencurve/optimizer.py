@@ -29,6 +29,9 @@ from .errors import ConfigError, NumericError
 from .measure import DiscreteMeasure, convex_hull_2d, diameter, synth_measure
 from .projection import build_plan
 
+INNER_MAX_STEPS = 80  # gradient steps per fixed-plan solve
+ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
+SHRINK = 0.5  # step factor per backtrack
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -45,9 +48,6 @@ class FitConfig:
     m_init: int | None = None
     m_max: int | None = None
     max_outer_iters: int = 200
-    inner_max_steps: int = 80
-    armijo: float = 1e-4
-    shrink: float = 0.5
     tol_energy_rel: float = 1e-8
     tol_stationarity: float | None = None
     eps_tie: float | None = None
@@ -76,23 +76,13 @@ class FitConfig:
             eps_tie=self.eps_tie if self.eps_tie is not None else 1e-9 * scale,
             eps_merge=self.eps_merge if self.eps_merge is not None else 1e-9 * scale,
         )
-        for name in ("max_outer_iters", "inner_max_steps", "restarts"):
+        for name in ("max_outer_iters", "restarts"):
             if getattr(out, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("tol_energy_rel", "tol_stationarity", "armijo"):
+        for name in ("tol_energy_rel", "tol_stationarity"):
             if not getattr(out, name) > 0:
                 raise ConfigError(f"{name} must be > 0")
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p, "lambda": self.lam, "m_init": self.m_init, "m_max": self.m_max,
-            "max_outer_iters": self.max_outer_iters, "inner_max_steps": self.inner_max_steps,
-            "armijo": self.armijo, "shrink": self.shrink,
-            "tol_energy_rel": self.tol_energy_rel, "tol_stationarity": self.tol_stationarity,
-            "eps_tie": self.eps_tie, "eps_merge": self.eps_merge,
-            "restarts": self.restarts, "seed": self.seed, "tie_rule": self.tie_rule,
-        }
 
 
 @dataclass(frozen=True)
@@ -197,9 +187,10 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig,
                      diam: float | None = None):
     """Descend the fixed-plan objective; returns (curve, stalled).
 
-    Plain gradient steps with Armijo backtracking (shrink cfg.shrink, 60
-    halvings max); only strictly decreasing steps are accepted, so the
-    fixed-plan objective and hence the true energy cannot go up.
+    At most INNER_MAX_STEPS plain gradient steps, each with Armijo
+    backtracking (constant ARMIJO, step factor SHRINK, 60 backtracks max);
+    only strictly decreasing steps are accepted, so the fixed-plan
+    objective and hence the true energy cannot go up.
     """
     if diam is None:
         diam = diameter(mu)
@@ -213,7 +204,7 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig,
         raise NumericError("non-finite fixed-plan objective at start")
     stalled = False
     t_warm = None
-    for _ in range(cfg.inner_max_steps):
+    for _ in range(INNER_MAX_STEPS):
         gmax = float(np.max(np.linalg.norm(grad, axis=1))) if grad.size else 0.0
         if gmax <= cfg.tol_stationarity:
             break
@@ -226,10 +217,10 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig,
                                                 want_grad=False)
             if not np.isfinite(cand_val):
                 raise NumericError("non-finite fixed-plan objective during line search")
-            if cand_val <= val - cfg.armijo * t * g2:
+            if cand_val <= val - ARMIJO * t * g2:
                 accepted = True
                 break
-            t *= cfg.shrink
+            t *= SHRINK
         if not accepted:
             stalled = True
             break
@@ -250,19 +241,13 @@ def _manage_vertices(mu, c: Polyline, cfg: FitConfig, diam: float,
     """Merge close vertices, split oversized segments, drop idle endpoints.
 
     Every step is accepted only if the true energy does not increase
-    (splits leave it unchanged exactly); exact duplicate vertices are
-    always removed.
+    (splits leave it unchanged exactly).
     """
     merged = merge_vertices(c, cfg.eps_merge)
     if merged.n_vertices < c.n_vertices:
         cand_e = _true_energy(mu, merged, cfg, diam)
         if cand_e.total <= current.total:
             c, current = merged, cand_e
-        else:
-            fallback = merge_vertices(c, 0.0)
-            if fallback.n_vertices < c.n_vertices:
-                c = fallback
-                current = _true_energy(mu, c, cfg, diam)
 
     while c.n_vertices < cfg.m_max and c.n_vertices > 1:
         lens = c.segment_lengths

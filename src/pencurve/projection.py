@@ -269,15 +269,3 @@ def build_plan(
     classification = VertexClassification(tuple(tied), tuple(tuple(g.tolist()) for g in talking),
                                           eps_tie)
     return plan, classification
-
-
-def sigma_mass(plan: TransportPlan, window) -> float:
-    """Mass projected onto the sub-curve spanned by a vertex index window.
-
-    Counts vertex targets inside [a, b] and interior targets on segments
-    a..b-1 (the segments between the window's vertices).
-    """
-    a, b = int(window[0]), int(window[1])
-    if not (0 <= a <= b <= plan.n_vertices - 1):
-        raise PencurveError(f"invalid window {window} for {plan.n_vertices} vertices")
-    return float(np.sum(plan.mass[(plan.ia >= a) & (plan.ib <= b)]))

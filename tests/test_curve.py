@@ -3,13 +3,9 @@ import pytest
 
 from pencurve.curve import (
     Polyline,
-    curve_distance,
     length,
     merge_vertices,
-    point_at,
     self_intersections_2d,
-    signed_turning_2d,
-    split_segments,
     turning_angles,
     tv_gamma_prime,
 )
@@ -29,26 +25,6 @@ def test_length_examples():
 def test_zero_segment_rejected():
     with pytest.raises(PencurveError):
         P((0, 0), (0, 0), (1, 0))
-
-
-def test_point_at_examples():
-    assert point_at(P((0, 0), (2, 0)), 1.0).tolist() == [1.0, 0.0]
-    c = P((3, 1), (4, 5))
-    assert point_at(c, 0.0).tolist() == [3.0, 1.0]
-    assert point_at(P((0, 0), (1, 0), (1, 1)), 1.5).tolist() == [1.0, 0.5]
-    with pytest.raises(PencurveError):
-        point_at(c, -0.1)
-    with pytest.raises(PencurveError):
-        point_at(c, length(c) + 1e-9)
-
-
-def test_point_at_is_1_lipschitz():
-    rng = np.random.default_rng(4)
-    c = Polyline(rng.uniform(0, 1, (8, 2)))
-    L = length(c)
-    for _ in range(200):
-        s, t = rng.uniform(0, L, 2)
-        assert np.linalg.norm(point_at(c, s) - point_at(c, t)) <= abs(s - t) + 1e-12
 
 
 def test_turning_angles():
@@ -74,15 +50,6 @@ def test_tv_examples_and_additivity():
         tv_gamma_prime(c, (5, 3))
 
 
-def test_signed_turning():
-    assert signed_turning_2d(P((0, 0), (1, 0), (1, 1)))[0] == pytest.approx(np.pi / 2)
-    assert signed_turning_2d(P((0, 0), (1, 0), (1, -1)))[0] == pytest.approx(-np.pi / 2)
-    assert signed_turning_2d(P((0, 0), (1, 0), (2, 0)))[0] == 0.0
-    rng = np.random.default_rng(6)
-    c = Polyline(rng.uniform(0, 1, (10, 2)))
-    assert np.allclose(np.abs(signed_turning_2d(c)), turning_angles(c))
-
-
 def test_self_intersections_figure_eight():
     hits = self_intersections_2d(P((0, 0), (1, 1), (1, 0), (0, 1)))
     assert len(hits) == 1
@@ -105,47 +72,11 @@ def test_self_intersections_revisited_vertex_contact():
     assert np.allclose(hits[0].point, [0.0, 0.0])
 
 
-def test_curve_distance_examples():
-    c = P((0, 0), (1, 0), (1, 1))
-    assert curve_distance(c, c) == 0.0
-    assert curve_distance(P((0, 0), (1, 0)), P((0, 1), (1, 1))) == pytest.approx(1.0)
-    assert curve_distance(P((0, 0)), P((0, 0), (1, 0))) == pytest.approx(1.0)
-
-
-def test_curve_distance_pseudometric():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        cs = [Polyline(rng.uniform(0, 1, (rng.integers(1, 6), 2))) for _ in range(3)]
-        d01 = curve_distance(cs[0], cs[1])
-        assert d01 == pytest.approx(curve_distance(cs[1], cs[0]), abs=1e-12)
-        d02 = curve_distance(cs[0], cs[2])
-        d12 = curve_distance(cs[1], cs[2])
-        assert d02 <= d01 + d12 + 1e-12
-
-
 def test_merge_vertices():
     assert merge_vertices(P((0, 0), (1e-12, 0), (1, 0)), 1e-9).n_vertices == 2
     tiny = merge_vertices(P((0, 0), (0.1, 0), (0.2, 0)), 1.0)
     assert tiny.n_vertices == 1
     keep = merge_vertices(P((0, 0), (1, 0), (2, 0)), 1e-9)
     assert keep.n_vertices == 3
-    # zero eps still removes exact duplicates (constructed via array, not Polyline)
+    # zero eps keeps every vertex: a Polyline has no zero-length segment
     assert merge_vertices(P((0, 0), (1, 0)), 0.0).n_vertices == 2
-
-
-def test_split_segments():
-    two = split_segments(P((0, 0), (1, 0)), 0.5)
-    assert two.n_vertices == 3
-    same = split_segments(P((0, 0), (0.2, 0)), 0.5)
-    assert same.n_vertices == 2
-    four = split_segments(P((0, 0), (1, 0)), 0.3)
-    assert np.allclose(four.segment_lengths, 0.25)
-
-
-def test_split_preserves_length_and_points():
-    rng = np.random.default_rng(8)
-    c = Polyline(rng.uniform(0, 1, (6, 2)))
-    fine = split_segments(c, 0.07)
-    assert length(fine) == pytest.approx(length(c), rel=1e-12)
-    for s in rng.uniform(0, length(c), 50):
-        assert np.allclose(point_at(fine, s), point_at(c, s), atol=1e-12)

@@ -7,7 +7,6 @@ from pencurve.diagnostics import (
     check_injectivity,
     check_length_bound,
     check_local_tv,
-    check_turn_direction,
     check_tv_bound,
     convex_clip,
     full_report,
@@ -130,23 +129,26 @@ def test_local_tv_straight_passes():
 def test_turn_direction_straight_passes():
     mu = DiscreteMeasure(np.array([[0.3, 0.5], [0.7, 0.6]]), np.array([0.5, 0.5]))
     c = P((0.0, 0.0), (0.5, 0.0), (1.0, 0.0))
-    chk = check_turn_direction(mu, c, p=2.0, lam=0.2, window=(0, 2))
+    chk = turn_direction_sweep(mu, c, p=2.0, lam=0.2)
     assert chk.passed
+    assert chk.detail.startswith("3 eligible windows")
 
 
 def test_turn_direction_left_turn_without_mass_below_fails():
     mu = DiscreteMeasure(np.array([[0.2, 0.5], [0.8, 0.8]]), np.array([0.5, 0.5]))
-    c = P((0.0, 0.0), (0.5, 0.0), (0.9, 0.3))  # turns left, all mass above
-    chk = check_turn_direction(mu, c, p=2.0, lam=0.2, window=(0, 2))
-    assert not chk.passed
+    # turns left by 0.36 rad (< 1/2, so window (0, 2) is checked), all mass above
+    c = P((0.0, 0.0), (0.5, 0.0), (0.9, 0.15))
+    chk = turn_direction_sweep(mu, c, p=2.0, lam=0.2)
+    assert chk.status == "FAIL"
+    assert "worst (0, 2)" in chk.detail
 
 
 def test_turn_direction_skips_big_tv():
     mu = DiscreteMeasure(np.array([[0.5, 0.5]]), np.array([1.0]))
     c = P((0.0, 0.0), (1.0, 0.0), (0.0, 0.4))  # near-reversal, TV >= 1/2
-    chk = check_turn_direction(mu, c, p=2.0, lam=0.2, window=(0, 2))
-    assert chk.passed is None
-    assert "TV" in chk.detail
+    chk = turn_direction_sweep(mu, c, p=2.0, lam=0.2)
+    assert chk.passed
+    assert chk.detail.startswith("2 eligible windows")  # (0, 1) and (1, 2); (0, 2) excluded
 
 
 def test_injectivity_reports():

@@ -4,6 +4,7 @@ import pytest
 from pencurve.curve import Polyline
 from pencurve.energy import (
     energy,
+    fixed_plan_hessian,
     fixed_plan_value_grad,
     gradient,
     stationarity_report,
@@ -68,16 +69,58 @@ def test_gradient_singleton_magnitude():
 
 
 def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(12)
-    checked = 0
-    while checked < 10:
-        mu = DiscreteMeasure(rng.uniform(0, 1, (6, 2)), rng.uniform(0.5, 1.5, 6))
-        c = Polyline(rng.uniform(0.1, 0.9, (4, 2)))
-        if not _smooth_point(mu, c):
-            continue
-        checked += 1
+    for mu, c in _smooth_configurations(12, 10):
         for p in (1.5, 2.0, 3.0):
             _assert_fd_close(mu, c, p, lam=0.2)
+
+
+def _smooth_configurations(seed, count):
+    """count seeded (measure, curve) pairs of 6 atoms and 4 vertices at smooth points."""
+    rng = np.random.default_rng(seed)
+    found = []
+    while len(found) < count:
+        mu = DiscreteMeasure(rng.uniform(0, 1, (6, 2)), rng.uniform(0.5, 1.5, 6))
+        c = Polyline(rng.uniform(0.1, 0.9, (4, 2)))
+        if _smooth_point(mu, c):
+            found.append((mu, c))
+    return found
+
+
+def test_stationarity_residual_is_minus_gradient():
+    # pulls act at the projection foot, so the residual is the true first variation
+    for mu, c in _smooth_configurations(31, 50):
+        for p in (1.5, 2.0, 3.0):
+            rep = stationarity_report(mu, c, p, 0.2)
+            g = gradient(mu, c, p, 0.2)
+            res = np.array([v.residual for v in rep.vertices])
+            assert np.max(np.abs(res + g)) <= 1e-12
+            assert [v.residual_norm for v in rep.vertices] == pytest.approx(
+                np.linalg.norm(g, axis=1), abs=1e-12)
+
+
+def test_hessians_match_central_differences():
+    # envelope=True: differences of the true gradient (plan rebuilt at every step);
+    # envelope=False: differences of the fixed-plan gradient
+    lam = 0.2
+    for mu, c in _smooth_configurations(32, 6):
+        plan, cls = build_plan(mu, c)
+        V = np.array(c.vertices)
+        m, d = V.shape
+        h = 1e-6 * diameter(mu)
+        for p in (1.5, 2.0, 3.0):
+            fd_env = np.zeros((m * d, m * d))
+            fd_fix = np.zeros((m * d, m * d))
+            for col in range(m * d):
+                step = h * np.eye(m * d)[col].reshape(m, d)
+                fd_env[:, col] = (gradient(mu, Polyline(V + step), p, lam)
+                                  - gradient(mu, Polyline(V - step), p, lam)).ravel() / (2 * h)
+                gp, gm = (fixed_plan_value_grad(V + sign * step, plan.packed, mu.positions, p, lam,
+                                                cls.eps_tie)[1] for sign in (1.0, -1.0))
+                fd_fix[:, col] = (gp - gm).ravel() / (2 * h)
+            for envelope, fd in ((True, fd_env), (False, fd_fix)):
+                H = fixed_plan_hessian(V, plan.packed, mu.positions, p, lam, cls.eps_tie,
+                                       envelope=envelope)
+                assert np.max(np.abs(H - fd)) <= 1e-4 * np.max(np.abs(fd))
 
 
 def _smooth_point(mu, c, margin=1e-3):

@@ -1,13 +1,20 @@
 import numpy as np
 import pytest
 
-from pencurve.curve import Polyline, point_at
+from pencurve.curve import Polyline
+from pencurve.diagnostics import _window_mass_prefixes
 from pencurve.measure import DiscreteMeasure, diameter, synth_measure
-from pencurve.projection import EPS_PROJ, TIE_RULES, build_plan, project_point, sigma_mass
+from pencurve.projection import EPS_PROJ, TIE_RULES, build_plan, project_point
 
 
 def P(*pts):
     return Polyline(np.array(pts, dtype=float))
+
+
+def sigma_mass(plan, a, b):
+    """Mass projected onto vertices a..b and the segments between them, as tv_local reads it."""
+    pv, ps = _window_mass_prefixes(plan, plan.n_vertices)
+    return (pv[b + 1] - pv[a]) + (ps[b] - ps[a])
 
 
 def test_project_point_perpendicular_foot():
@@ -63,9 +70,9 @@ def test_sigma_mass_windows():
     mu = DiscreteMeasure(np.array([[0.1, 1.0], [1.9, -1.0]]), np.array([0.3, 0.7]))
     c = P((0, 0), (1, 0), (2, 0))
     plan, _ = build_plan(mu, c)
-    assert sigma_mass(plan, (0, 2)) == pytest.approx(1.0)
-    assert sigma_mass(plan, (0, 1)) == pytest.approx(0.3)
-    assert sigma_mass(plan, (1, 2)) == pytest.approx(0.7)
+    assert sigma_mass(plan, 0, 2) == pytest.approx(1.0)
+    assert sigma_mass(plan, 0, 1) == pytest.approx(0.3)
+    assert sigma_mass(plan, 1, 2) == pytest.approx(0.7)
 
 
 def test_marginal_consistency_and_partition():
@@ -75,7 +82,7 @@ def test_marginal_consistency_and_partition():
     plan, _ = build_plan(mu, c)
     assert plan.total_mass == pytest.approx(mu.total_mass, abs=1e-12)
     k = 3
-    total = sigma_mass(plan, (0, k)) + sigma_mass(plan, (k, 6)) - sigma_mass(plan, (k, k))
+    total = sigma_mass(plan, 0, k) + sigma_mass(plan, k, 6) - sigma_mass(plan, k, k)
     assert total == pytest.approx(mu.total_mass, abs=1e-12)
 
 
@@ -85,9 +92,12 @@ def test_optimality_audit_random_curve_points():
     c = Polyline(rng.uniform(0, 1, (6, 2)))
     plan, _ = build_plan(mu, c)
     dists = plan.atom_distances()
-    samples = [point_at(c, s) for s in rng.uniform(0, c.total_length, 1000)]
+    s = rng.uniform(0, c.total_length, 1000)
+    cum = c.cumulative_lengths
+    k = np.clip(np.searchsorted(cum, s, side="right") - 1, 0, c.n_vertices - 2)
+    samples = c.vertices[k] + ((s - cum[k]) / c.segment_lengths[k])[:, None] * c.segment_vectors[k]
     for i, x in enumerate(mu.positions):
-        best = min(np.linalg.norm(x - z) for z in samples)
+        best = np.min(np.linalg.norm(samples - x, axis=1))
         assert dists[i] <= best + 1e-12
 
 
