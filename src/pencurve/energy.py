@@ -67,18 +67,25 @@ def _entry_offsets(V: np.ndarray, packed: dict, X: np.ndarray):
     return wa, wb, diff, np.linalg.norm(diff, axis=1)
 
 
-def _entry_kernel(r: np.ndarray, mass: np.ndarray, p: float, eps_clamp: float) -> np.ndarray:
-    """Per plan entry: mass * p * r^(p-2), the pull per unit of offset x - y.
+def _entry_weight(r: np.ndarray, mass: np.ndarray, p: float, eps_clamp: float) -> np.ndarray:
+    """Per plan entry: mass * p * r^(p-2), r clamped below eps_clamp when p < 2.
 
-    r is clamped below eps_clamp when p < 2; at r = 0 the offset vanishes
-    too, so p >= 2 needs no guard (0^0 is 1 for p = 2). A p = 1 entry with
-    r <= eps_clamp gets kernel 0: its pull is a subgradient, bounded by its
-    mass. Value-only evaluations skip this, so it is apart from the offsets.
+    At r = 0 the offset vanishes too, so p >= 2 needs no guard (0^0 is 1
+    for p = 2).
     """
     if p >= 2.0:
-        kern = p * r ** (p - 2.0) * mass
-    else:
-        kern = p * np.maximum(r, eps_clamp) ** (p - 2.0) * mass
+        return p * r ** (p - 2.0) * mass
+    return p * np.maximum(r, eps_clamp) ** (p - 2.0) * mass
+
+
+def _entry_kernel(r: np.ndarray, mass: np.ndarray, p: float, eps_clamp: float) -> np.ndarray:
+    """Per plan entry: the pull per unit of offset x - y, the weight above.
+
+    A p = 1 entry with r <= eps_clamp gets kernel 0: its pull is a
+    subgradient, bounded by its mass. Value-only evaluations skip this, so
+    it is apart from the offsets.
+    """
+    kern = _entry_weight(r, mass, p, eps_clamp)
     if p == 1.0:
         kern = np.where(r <= eps_clamp, 0.0, kern)
     return kern
@@ -156,6 +163,53 @@ def fixed_plan_value_grad(
     return value, grad
 
 
+def fixed_plan_majoriser(
+    V: np.ndarray,
+    packed: dict,
+    X: np.ndarray,
+    p: float,
+    lam: float,
+    eps_clamp: float,
+):
+    """Quadratic model of the fixed-plan objective at V, as the system A V* = B.
+
+    Each entry's mass * r^p becomes (w / 2) |x - y|^2 with w the entry
+    weight at the current r (clamped below eps_clamp). A tied p = 1 entry
+    keeps its clamped weight, which pins its vertex to the atom, unless the
+    other pulls on that vertex outweigh the tied mass (negative slack): then
+    it gets weight 0 so that the vertex can leave the atom. Each
+    lambda |s_j| becomes lambda |s_j|^2 / (2 max(|s_j|, eps_clamp)). Where
+    nothing is clamped the model's gradient at V is the objective's; for
+    p <= 2 the model also lies above the objective, so its minimiser V*
+    cannot raise it. An entry couples only vertices ia and ib = ia or ia + 1
+    and a segment only its two ends, so the model is isotropic with one
+    symmetric tridiagonal m x m matrix A shared by all d coordinates.
+    """
+    m = V.shape[0]
+    ia, ib = packed["ia"], packed["ib"]
+    wa, wb, diff, r = _entry_offsets(V, packed, X)
+    w = _entry_weight(r, packed["mass"], p, eps_clamp)
+    tied = (r <= eps_clamp) & (ia == ib)
+    if p == 1.0 and np.any(tied):
+        pull = _first_variation(V, packed, wa, wb, diff,
+                                _entry_kernel(r, packed["mass"], p, eps_clamp), lam)
+        leave = np.linalg.norm(pull, axis=1) > _tied_mass(packed, r, eps_clamp, m)
+        w = np.where(tied & leave[ia], 0.0, w)
+    k = np.arange(m - 1)
+    seg_len = np.linalg.norm(np.diff(V, axis=0), axis=1)
+    c = lam / np.maximum(seg_len, eps_clamp)
+    rows = np.concatenate((ia, ib, ia, ib, k, k + 1, k, k + 1))
+    cols = np.concatenate((ia, ib, ib, ia, k, k + 1, k + 1, k))
+    vals = np.concatenate((w * wa * wa, w * wb * wb, w * wa * wb, w * wa * wb, c, c, -c, -c))
+    A = np.bincount(rows * m + cols, vals, minlength=m * m).reshape(m, m)
+    ends = np.concatenate((ia, ib))
+    pull = np.concatenate((w * wa, w * wb))
+    Xe = X[np.concatenate((packed["atom"], packed["atom"]))]
+    B = np.stack([np.bincount(ends, pull * Xe[:, q], minlength=m) for q in range(X.shape[1])],
+                 axis=1)
+    return A, B
+
+
 def fixed_plan_hessian(
     V: np.ndarray,
     packed: dict,
@@ -163,7 +217,6 @@ def fixed_plan_hessian(
     p: float,
     lam: float,
     eps_clamp: float,
-    envelope: bool = False,
 ) -> np.ndarray:
     """Dense Hessian of the fixed-plan objective, stacked over vertices.
 
@@ -171,30 +224,17 @@ def fixed_plan_hessian(
     barycentric target map; each segment contributes the usual
     lam / |s| (I - s s^T / |s|^2) curvature. Positive semidefinite since the
     objective is convex; p = 1 kinks are clamped like the gradient.
-
-    With envelope=True, segment-interior entries get the Schur-complement
-    correction from implicit differentiation of the foot parameter, giving
-    the exact Hessian of the projected (moving-foot) distance. That matrix
-    models the true energy and is what Newton polishing should use; it is
-    no longer guaranteed positive semidefinite.
     """
     m, d = V.shape
-    ia, ib = packed["ia"], packed["ib"]
     wa, wb, diff, r = _entry_offsets(V, packed, X)
     kern = _entry_kernel(r, packed["mass"], p, eps_clamp)
     u = diff / np.maximum(r, eps_clamp)[:, None]
     hy = kern[:, None, None] * (np.eye(d) + (p - 2.0) * u[:, :, None] * u[:, None, :])
-    # envelope term: x - y is perpendicular to the segment s at an interior foot;
-    # vertex entries have s = 0 and get none
-    s = V[ib] - V[ia]
-    s2 = np.einsum("kj,kj->k", s, s)
-    coef = np.divide(kern, s2, out=np.zeros_like(kern), where=envelope & (s2 > 0.0))
-    ends = ((ia, wa, wa[:, None] * s + diff), (ib, wb, wb[:, None] * s - diff))
+    ends = ((packed["ia"], wa), (packed["ib"], wb))
     H = np.zeros((m, m, d, d))  # H[i, j] is the d x d block of vertices i and j
-    for i, wi, vi in ends:
-        for j, wj, vj in ends:
-            np.add.at(H, (i, j), (wi * wj)[:, None, None] * hy
-                      - coef[:, None, None] * vi[:, :, None] * vj[:, None, :])
+    for i, wi in ends:
+        for j, wj in ends:
+            np.add.at(H, (i, j), (wi * wj)[:, None, None] * hy)
     if m > 1:
         s = np.diff(V, axis=0)
         ln = np.linalg.norm(s, axis=1)

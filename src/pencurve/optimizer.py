@@ -1,10 +1,15 @@
 """Alternating assignment / vertex-relocation fitting of penalized polylines.
 
-Each outer iteration rebuilds the nearest-target plan, descends the convex
-fixed-plan objective (gradient + backtracking, decrease-only), then runs
-vertex management (merge / split / endpoint drop, accepted only when the
-true energy does not increase). The recorded energy trace is therefore
-non-increasing.
+Each outer iteration rebuilds the nearest-target plan, lowers the convex
+fixed-plan objective by majorise-minimise steps (one m x m tridiagonal
+solve each, decrease-only), then runs vertex management (merge / split /
+endpoint drop, accepted only when the true energy does not increase). For
+p > 1 a quasi-Newton finish then drives the curve to the stationarity
+tolerance; it too only accepts energy decreases, so the recorded energy
+trace is non-increasing. A fit's status is "converged" only when its final
+curve passes the stationarity check; otherwise it is "plateau" (the
+relative energy drop of an outer iteration fell below tol_energy_rel) or
+"max_iters" (max_outer_iters reached).
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from .energy import (
     StationarityReport,
     energy,
     fixed_plan_hessian,
+    fixed_plan_majoriser,
     fixed_plan_value_grad,
     stationarity_report,
     validate_params,
@@ -29,9 +35,9 @@ from .errors import ConfigError, NumericError
 from .measure import DiscreteMeasure, convex_hull_2d, diameter, synth_measure
 from .projection import build_plan
 
-INNER_MAX_STEPS = 80  # gradient steps per fixed-plan solve
-ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
-SHRINK = 0.5  # step factor per backtrack
+INNER_MAX_STEPS = 10  # majorise-minimise steps per fixed-plan solve
+FINISH_MAX_STEPS = 150  # quasi-Newton steps of the final polish
+FINISH_MEMORY = 5  # secant pairs the quasi-Newton finish keeps
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -94,7 +100,7 @@ class FitResult:
     theory: TheoryReport
     iterations: int
     restart_index: int
-    status: str  # "converged", "stationary", or "max_iters"
+    status: str  # "converged" (stationarity passes), else "plateau" or "max_iters"
 
     def to_dict(self) -> dict:
         return {
@@ -184,13 +190,19 @@ def _collapse_exact(verts: np.ndarray) -> np.ndarray:
 
 
 def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig,
-                     diam: float | None = None):
-    """Descend the fixed-plan objective; returns (curve, stalled).
+                     diam: float | None = None) -> Polyline:
+    """Majorise-minimise the fixed-plan objective; returns the new curve.
 
-    At most INNER_MAX_STEPS plain gradient steps, each with Armijo
-    backtracking (constant ARMIJO, step factor SHRINK, 60 backtracks max);
-    only strictly decreasing steps are accepted, so the fixed-plan
-    objective and hence the true energy cannot go up.
+    Each of at most INNER_MAX_STEPS steps solves the quadratic model of
+    fixed_plan_majoriser at the current vertices V and accepts its
+    minimiser V* if the fixed-plan objective drops; otherwise it halves the
+    step along V* - V, a descent direction because the model's gradient is
+    the objective's and its matrix is positive definite. For p <= 2 the
+    model lies above the objective, so unless an entry or a segment is
+    clamped the first trial passes. Stops on the gradient tolerance, on a
+    relative drop below tol_energy_rel, or when no trial decreases the
+    objective, so the fixed-plan objective and hence the true energy cannot
+    go up.
     """
     if diam is None:
         diam = diameter(mu)
@@ -198,37 +210,32 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig,
     V = np.array(c.vertices)
     X = mu.positions
     packed = plan.packed
-    p, lam = cfg.p, cfg.lam
-    val, grad = fixed_plan_value_grad(V, packed, X, p, lam, cfg.eps_tie)
+    p, lam, eps = cfg.p, cfg.lam, cfg.eps_tie
+    val, grad = fixed_plan_value_grad(V, packed, X, p, lam, eps)
     if not np.isfinite(val):
         raise NumericError("non-finite fixed-plan objective at start")
-    stalled = False
-    t_warm = None
     for _ in range(INNER_MAX_STEPS):
-        gmax = float(np.max(np.linalg.norm(grad, axis=1))) if grad.size else 0.0
-        if gmax <= cfg.tol_stationarity:
+        if float(np.max(np.linalg.norm(grad, axis=1))) <= cfg.tol_stationarity:
             break
-        g2 = float(np.sum(grad * grad))
-        t = 2.0 * t_warm if t_warm is not None else max(diam, 1e-12) / math.sqrt(g2)
-        accepted = False
-        for _ in range(60):
-            cand = V - t * grad
-            cand_val, _ = fixed_plan_value_grad(cand, packed, X, p, lam, cfg.eps_tie,
+        A, B = fixed_plan_majoriser(V, packed, X, p, lam, eps)
+        try:
+            step = np.linalg.solve(A, B) - V
+        except np.linalg.LinAlgError:
+            break
+        for _ in range(30):
+            cand_val, _ = fixed_plan_value_grad(V + step, packed, X, p, lam, eps,
                                                 want_grad=False)
-            if not np.isfinite(cand_val):
-                raise NumericError("non-finite fixed-plan objective during line search")
-            if cand_val <= val - ARMIJO * t * g2:
-                accepted = True
+            if cand_val < val:  # False for NaN too
                 break
-            t *= SHRINK
-        if not accepted:
-            stalled = True
+            step *= 0.5
+        else:
             break
-        V = cand
-        val = cand_val
-        t_warm = t
-        _, grad = fixed_plan_value_grad(V, packed, X, p, lam, cfg.eps_tie)
-    return Polyline(_collapse_exact(V)), stalled
+        drop = val - cand_val
+        V = V + step
+        val, grad = fixed_plan_value_grad(V, packed, X, p, lam, eps)
+        if drop <= cfg.tol_energy_rel * abs(val):
+            break
+    return Polyline(_collapse_exact(V))
 
 
 def _true_energy(mu, c, cfg, diam) -> EnergyBreakdown:
@@ -274,78 +281,6 @@ def _manage_vertices(mu, c: Polyline, cfg: FitConfig, diam: float,
     return c, current
 
 
-def _polish(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig, diam: float) -> Polyline:
-    """Damped quasi-Newton refinement to the self-consistent stationary point.
-
-    Each iteration rebuilds the plan, so the gradient is the true energy
-    gradient (envelope principle) while the fixed-plan Hessian serves as a
-    positive-semidefinite model. This pins the converged vertices to the
-    local stationary point at machine precision, removing the tolerance-
-    sized wobble plain descent stops with; reruns and rigid-motion twins
-    then agree to ~1e-12. Candidates are accepted on (near-exact) true
-    energy decrease, so the caller can still gate the result.
-    """
-    if cfg.p == 1.0 or c.n_vertices < 1:
-        return c
-    X = mu.positions
-    V = np.array(c.vertices)
-    m, d = V.shape
-    gscale = cfg.lam + cfg.p * mu.total_mass * max(diam, 1e-12) ** (cfg.p - 1.0)
-
-    def plan_at(curve):
-        return build_plan(mu, curve, tie_rule=cfg.tie_rule, eps_tie=cfg.eps_tie, diam=diam)[0]
-
-    curve = Polyline(_collapse_exact(V))
-    packed = plan_at(curve).packed
-    V = np.array(curve.vertices)
-    m = V.shape[0]
-    val, grad = fixed_plan_value_grad(V, packed, X, cfg.p, cfg.lam, cfg.eps_tie)
-    for _ in range(25):
-        gmax = float(np.max(np.linalg.norm(grad, axis=1)))
-        if gmax <= 1e-13 * gscale:
-            break
-        H = fixed_plan_hessian(V, packed, X, cfg.p, cfg.lam, cfg.eps_tie, envelope=True)
-        ridge = 1e-12 * (abs(np.trace(H)) / (m * d) + gscale)
-        reg = H + ridge * np.eye(m * d)
-        try:
-            np.linalg.cholesky(reg)
-        except np.linalg.LinAlgError:
-            # indefinite envelope model: fall back to the convex frozen one
-            reg = fixed_plan_hessian(V, packed, X, cfg.p, cfg.lam, cfg.eps_tie) \
-                + ridge * np.eye(m * d)
-        try:
-            step = np.linalg.solve(reg, -grad.reshape(-1))
-        except np.linalg.LinAlgError:
-            break
-        step = step.reshape(m, d)
-        slope = -float(np.sum(grad * step))  # descent rate along the step
-        if not slope > 0.0:
-            break
-        scale = 1.0
-        accepted = None
-        for _ in range(30):
-            cand = V + scale * step
-            if np.any(np.linalg.norm(np.diff(cand, axis=0), axis=1) == 0.0):
-                scale *= 0.5
-                continue
-            cand_curve = Polyline(cand)
-            cand_packed = plan_at(cand_curve).packed
-            cand_val, cand_grad = fixed_plan_value_grad(cand, cand_packed, X,
-                                                        cfg.p, cfg.lam, cfg.eps_tie)
-            actual = val - cand_val
-            # monotone, and not a cross-ridge teleport (decrease must stay
-            # commensurate with the local model so twin runs cannot fork)
-            if np.isfinite(cand_val) and actual >= -1e-15 * abs(val) \
-                    and actual <= 4.0 * scale * slope + 1e-14 * abs(val):
-                accepted = (cand, cand_val, cand_grad, cand_packed)
-                break
-            scale *= 0.5
-        if accepted is None:
-            break
-        V, val, grad, packed = accepted
-    return Polyline(_collapse_exact(V))
-
-
 def _drop_straight_vertices(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig,
                             diam: float, current: EnergyBreakdown):
     """Remove interior vertices with zero turning angle (image unchanged).
@@ -381,7 +316,7 @@ def _fit_single(mu: DiscreteMeasure, cfg: FitConfig, restart: int, diam: float, 
     for it in range(1, cfg.max_outer_iters + 1):
         iterations = it
         plan, _ = build_plan(mu, curve, tie_rule=cfg.tie_rule, eps_tie=cfg.eps_tie, diam=diam)
-        curve, stalled = fixed_plan_solve(mu, curve, plan, cfg, diam=diam)
+        curve = fixed_plan_solve(mu, curve, plan, cfg, diam=diam)
         interim = _true_energy(mu, curve, cfg, diam)
         curve, new_energy = _manage_vertices(mu, curve, cfg, diam, interim)
         if not np.isfinite(new_energy.total):
@@ -390,7 +325,7 @@ def _fit_single(mu: DiscreteMeasure, cfg: FitConfig, restart: int, diam: float, 
         rel_drop = (current.total - new_energy.total) / max(abs(current.total), 1e-300)
         current = new_energy
         if rel_drop < cfg.tol_energy_rel:
-            status = "stationary" if stalled else "converged"
+            status = "plateau"
             break
     curve, current = _finalize(mu, curve, cfg, diam, current)
     if trace[-1] != current.total:
@@ -398,39 +333,105 @@ def _fit_single(mu: DiscreteMeasure, cfg: FitConfig, restart: int, diam: float, 
     return curve, current, np.array(trace), iterations, status
 
 
-def _finalize(mu: DiscreteMeasure, curve: Polyline, cfg: FitConfig, diam: float,
-              current: EnergyBreakdown):
-    """Polish to the exact stationary point and canonicalize degeneracies.
+def _quasi_newton_finish(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig,
+                         diam: float) -> Polyline:
+    """Drive a p > 1 curve to the stationarity tolerance.
 
-    Alternates Newton polishing with a gated collapse of near-coincident
-    vertex pairs (a curve that wants a corner leaves two vertices a few
-    ulps apart, where the length term is effectively kinked); every
-    acceptance requires the true energy not to increase beyond a 1e-13
-    relative re-evaluation slack.
+    Majorise-minimise steps converge linearly, and slowly where vertices
+    slide along the curve: the fixed plan holds every foot, so it is stiff
+    there while the true energy is nearly flat. This is L-BFGS on the true
+    energy, whose gradient is the fixed-plan gradient on the plan rebuilt
+    at each point, started from the frozen fixed-plan Hessian; the secant
+    pairs learn the softer true curvature. Only pairs with y.s > 0 are kept,
+    so the model stays positive definite and each step is a descent
+    direction. A trial is accepted only if the true energy drops and is
+    halved otherwise; a segment the step would reverse collapses to its
+    midpoint instead. Stops at tol_stationarity, when no trial drops, or
+    after FINISH_MAX_STEPS.
     """
-    slack = 1.0 + 1e-13
-    for _ in range(curve.n_vertices + 2):
-        polished = _polish(mu, curve, cfg, diam)
-        polished_energy = _true_energy(mu, polished, cfg, diam)
-        if polished_energy.total <= current.total * slack + 1e-300:
-            curve, current = polished, polished_energy
-        merged = merge_vertices(curve, 1e-6 * max(diam, 1e-12))
-        if merged.n_vertices == curve.n_vertices:
+    X, p, lam, eps = mu.positions, cfg.p, cfg.lam, cfg.eps_tie
+
+    def evaluate(V):
+        plan, _ = build_plan(mu, Polyline(V), tie_rule=cfg.tie_rule, eps_tie=eps, diam=diam)
+        return (V, plan.packed) + fixed_plan_value_grad(V, plan.packed, X, p, lam, eps)
+
+    V, packed, val, grad = evaluate(np.array(c.vertices))
+    pairs = []
+    for _ in range(FINISH_MAX_STEPS):
+        if float(np.max(np.linalg.norm(grad, axis=1))) <= cfg.tol_stationarity:
             break
-        merged_energy = _true_energy(mu, merged, cfg, diam)
-        if merged_energy.total <= current.total * slack + 1e-300:
-            curve, current = merged, merged_energy
+        m, d = V.shape
+        H = fixed_plan_hessian(V, packed, X, p, lam, eps)
+        H[np.diag_indices(m * d)] += 1e-12 * (np.trace(H) / (m * d) + lam)
+        q = grad.reshape(-1).copy()  # L-BFGS two-loop recursion around H
+        alphas = []
+        for s, y in reversed(pairs):
+            alphas.append(float(s @ q) / float(y @ s))
+            q -= alphas[-1] * y
+        try:
+            q = np.linalg.solve(H, q)
+        except np.linalg.LinAlgError:
+            break
+        for (s, y), a in zip(pairs, reversed(alphas)):
+            q += s * (a - float(y @ q) / float(y @ s))
+        step = -q.reshape(m, d)
+        for _ in range(30):
+            cand = V + step
+            flip = np.nonzero(np.sum(np.diff(cand, axis=0) * np.diff(V, axis=0), axis=1) <= 0)[0]
+            cand[flip] = cand[flip + 1] = 0.5 * (cand[flip] + cand[flip + 1])
+            trial = evaluate(_collapse_exact(cand))
+            if trial[2] < val:  # False for NaN too
+                break
+            step *= 0.5
         else:
             break
-    return _drop_straight_vertices(mu, curve, cfg, diam, current)
+        if trial[0].shape != V.shape:
+            pairs = []
+        else:
+            s, y = (trial[0] - V).reshape(-1), (trial[3] - grad).reshape(-1)
+            if float(y @ s) > 0.0:
+                pairs = (pairs + [(s, y)])[-FINISH_MEMORY:]
+        V, packed, val, grad = trial
+    return Polyline(V)
+
+
+def _finalize(mu: DiscreteMeasure, curve: Polyline, cfg: FitConfig, diam: float,
+              current: EnergyBreakdown):
+    """Canonicalize degeneracies, then finish to the stationarity tolerance.
+
+    A curve that wants a corner leaves two vertices a few ulps apart, where
+    the length term is effectively kinked, so they are merged; vertices on
+    straight stretches are dropped; for p > 1 the quasi-Newton finish runs
+    last (at p = 1 an atom on the curve is a kink of the energy, and the
+    frozen Hessian is singular along every offset). Each change is accepted
+    only if the true energy does not increase beyond a 1e-13 relative
+    re-evaluation slack.
+    """
+    def gate(cand, curve, current):
+        cand_energy = _true_energy(mu, cand, cfg, diam)
+        if cand_energy.total <= current.total * (1.0 + 1e-13) + 1e-300:
+            return cand, cand_energy
+        return curve, current
+
+    merged = merge_vertices(curve, 1e-6 * max(diam, 1e-12))
+    if merged.n_vertices < curve.n_vertices:
+        curve, current = gate(merged, curve, current)
+    curve, current = _drop_straight_vertices(mu, curve, cfg, diam, current)
+    if cfg.p > 1.0:
+        curve, current = gate(_quasi_newton_finish(mu, curve, cfg, diam), curve, current)
+    return curve, current
 
 
 def fit(mu: DiscreteMeasure, cfg: FitConfig) -> FitResult:
     """Fit a polyline minimizing the penalized energy; best restart wins.
 
-    Restarts run independently with derived seeds; ties in final energy
-    keep the lowest restart index, so results are deterministic. The
-    diameter and the 2-D hull are computed once and passed down.
+    Restarts run independently with derived seeds. A later restart replaces
+    the best one only when its final energy is lower by more than 1e-12
+    relative, so restarts that reach the same minimiser up to rounding keep
+    the lowest index and results are deterministic. The diameter and the
+    2-D hull are computed once and passed down. The status is "converged"
+    only when the final curve passes the stationarity check at
+    tol_stationarity; otherwise it says why the outer loop stopped.
     """
     hull = convex_hull_2d(mu) if mu.dim == 2 else None
     diam = diameter(mu, hull)
@@ -438,11 +439,13 @@ def fit(mu: DiscreteMeasure, cfg: FitConfig) -> FitResult:
     best = None
     for r in range(cfg.restarts):
         curve, current, trace, iterations, status = _fit_single(mu, cfg, r, diam, hull)
-        if best is None or current.total < best[1].total:
+        if best is None or current.total < best[1].total - 1e-12 * abs(best[1].total):
             best = (curve, current, trace, iterations, status, r)
     curve, current, trace, iterations, status, r = best
     plan, cls = build_plan(mu, curve, tie_rule=cfg.tie_rule, eps_tie=cfg.eps_tie, diam=diam)
     stat = stationarity_report(mu, curve, cfg.p, cfg.lam, plan=plan, classification=cls)
+    if stat.passes(cfg.tol_stationarity):
+        status = "converged"
     theory = full_report(mu, curve, cfg.p, cfg.lam, tie_rule=cfg.tie_rule, diam=diam, hull=hull)
     return FitResult(curve, trace, current, stat, theory, iterations, r, status)
 

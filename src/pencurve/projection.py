@@ -75,7 +75,7 @@ class TransportPlan:
 
     @property
     def packed(self) -> dict:
-        """The columns fixed_plan_value_grad and fixed_plan_hessian read."""
+        """The columns the fixed-plan value, gradient, MM system and Hessian read."""
         return {"atom": self.atom, "mass": self.mass, "dist": self.dist,
                 "ia": self.ia, "ib": self.ib, "t": self.t}
 
