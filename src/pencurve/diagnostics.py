@@ -140,11 +140,17 @@ def singleton_best_energy(mu: DiscreteMeasure, p: float) -> float:
     energy and hence for lambda * L of any minimizer.
     """
     X = mu.positions
-    mean = (mu.masses / mu.total_mass) @ X
+    cands = np.vstack([X, (mu.masses / mu.total_mass) @ X])
     best = np.inf
-    for z in list(X) + [mean]:
-        val = float(np.sum(mu.masses * np.linalg.norm(X - z, axis=1) ** p))
-        best = min(best, val)
+    for start in range(0, len(cands), 16):  # blocks of 16 candidates: 16 x n temporaries
+        Z = cands[start:start + 16]
+        sq = np.zeros((len(Z), len(X)))
+        for k in range(mu.dim):  # coordinate by coordinate, the order of a row norm
+            diff = X[:, k] - Z[:, k, None]
+            diff *= diff
+            sq += diff
+        np.power(np.sqrt(sq, out=sq), p, out=sq)
+        best = min(best, float(np.min(np.sum(mu.masses * sq, axis=1))))
     return best
 
 

@@ -1,15 +1,15 @@
 """Alternating assignment / vertex-relocation fitting of penalized polylines.
 
-Each outer iteration rebuilds the nearest-target plan, lowers the convex
-fixed-plan objective by majorise-minimise steps (one m x m tridiagonal
-solve each, decrease-only), then runs vertex management (merge / split /
-endpoint drop, accepted only when the true energy does not increase). For
-p > 1 a quasi-Newton finish then drives the curve to the stationarity
-tolerance; it too only accepts energy decreases, so the recorded energy
-trace is non-increasing. A fit's status is "converged" only when its final
-curve passes the stationarity check; otherwise it is "plateau" (the
-relative energy drop of an outer iteration fell below tol_energy_rel) or
-"max_iters" (max_outer_iters reached).
+Each curve is evaluated once into a state (plan, vertex classes, true
+energy), whose plan serves the energy, the vertex edits and the next
+fixed-plan solve. An outer iteration lowers the convex fixed-plan
+objective by majorise-minimise steps (one m x m tridiagonal solve each,
+decrease-only), then merges, splits and drops vertices, each edit passing
+one energy gate. For p > 1 a quasi-Newton finish then drives the curve to
+the stationarity tolerance, accepting only energy decreases, so the energy
+trace is non-increasing. The status is "converged" only when the final
+curve passes the stationarity check, else "plateau" (an outer iteration's
+relative drop fell below tol_energy_rel) or "max_iters".
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .energy import (
 )
 from .errors import ConfigError, NumericError
 from .measure import DiscreteMeasure, convex_hull_2d, diameter, synth_measure
-from .projection import build_plan
+from .projection import TransportPlan, VertexClassification, build_plan
 
 INNER_MAX_STEPS = 10  # majorise-minimise steps per fixed-plan solve
 FINISH_MAX_STEPS = 150  # quasi-Newton steps of the final polish
@@ -238,130 +238,120 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig,
     return Polyline(_collapse_exact(V))
 
 
-def _true_energy(mu, c, cfg, diam) -> EnergyBreakdown:
-    plan, _ = build_plan(mu, c, tie_rule=cfg.tie_rule, eps_tie=cfg.eps_tie, diam=diam)
-    return energy(mu, c, cfg.p, cfg.lam, plan=plan)
+@dataclass(frozen=True)
+class _State:
+    """A curve evaluated once: its nearest-point plan, vertex classes and true energy."""
+
+    curve: Polyline
+    plan: TransportPlan
+    classification: VertexClassification
+    energy: EnergyBreakdown
 
 
-def _manage_vertices(mu, c: Polyline, cfg: FitConfig, diam: float,
-                     current: EnergyBreakdown):
+def _evaluate(mu: DiscreteMeasure, verts: np.ndarray, cfg: FitConfig, diam: float) -> _State:
+    """The curve through verts, exact duplicates collapsed, with its plan and energy."""
+    curve = Polyline(_collapse_exact(verts))
+    plan, cls = build_plan(mu, curve, tie_rule=cfg.tie_rule, eps_tie=cfg.eps_tie, diam=diam)
+    return _State(curve, plan, cls, energy(mu, curve, cfg.p, cfg.lam, plan=plan))
+
+
+def _gate(cand: _State, current: _State) -> _State:
+    """cand if its energy is at most current's plus a 1e-13 relative slack.
+
+    The slack lets an edit that keeps the image survive re-evaluation.
+    """
+    if cand.energy.total <= current.energy.total * (1.0 + 1e-13) + 1e-300:
+        return cand
+    return current
+
+
+def _manage_vertices(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig, diam: float) -> _State:
     """Merge close vertices, split oversized segments, drop idle endpoints.
 
-    Every step is accepted only if the true energy does not increase
-    (splits leave it unchanged exactly).
+    The merge and each endpoint drop pass the energy gate; splits leave the
+    image unchanged. The split curve is evaluated once, and its plan gives
+    the idle endpoints, the traced energy and the next fixed-plan solve.
     """
+    state = None
     merged = merge_vertices(c, cfg.eps_merge)
     if merged.n_vertices < c.n_vertices:
-        cand_e = _true_energy(mu, merged, cfg, diam)
-        if cand_e.total <= current.total:
-            c, current = merged, cand_e
+        state = _gate(_evaluate(mu, merged.vertices, cfg, diam),
+                      _evaluate(mu, c.vertices, cfg, diam))
+        c = state.curve
 
     while c.n_vertices < cfg.m_max and c.n_vertices > 1:
         lens = c.segment_lengths
-        med = float(np.median(lens))
         k = int(np.argmax(lens))
-        if lens[k] <= 2.0 * med:
+        if lens[k] <= 2.0 * float(np.median(lens)):
             break
-        verts = np.insert(c.vertices, k + 1, 0.5 * (c.vertices[k] + c.vertices[k + 1]), axis=0)
-        c = Polyline(verts)
+        mid = 0.5 * (c.vertices[k] + c.vertices[k + 1])
+        c = Polyline(np.insert(c.vertices, k + 1, mid, axis=0))
+    if state is None or state.curve is not c:
+        state = _evaluate(mu, c.vertices, cfg, diam)
 
-    while c.n_vertices > 1:
-        plan, cls = build_plan(mu, c, tie_rule=cfg.tie_rule, eps_tie=cfg.eps_tie, diam=diam)
+    dropped = True
+    while dropped and state.curve.n_vertices > 1:
         dropped = False
-        for j, keep in ((0, slice(1, None)), (c.n_vertices - 1, slice(None, -1))):
-            if c.n_vertices > 1 and not cls.talking[j]:
-                cand = Polyline(c.vertices[keep])
-                cand_e = _true_energy(mu, cand, cfg, diam)
-                if cand_e.total < current.total:
-                    c, current = cand, cand_e
-                    dropped = True
+        talking, verts = state.classification.talking, state.curve.vertices
+        for atoms, keep in ((talking[0], verts[1:]), (talking[-1], verts[:-1])):
+            if not atoms:
+                cand = _gate(_evaluate(mu, keep, cfg, diam), state)
+                if cand is not state:
+                    state, dropped = cand, True
                     break
-        if not dropped:
-            break
-    return c, current
-
-
-def _drop_straight_vertices(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig,
-                            diam: float, current: EnergyBreakdown):
-    """Remove interior vertices with zero turning angle (image unchanged).
-
-    A vertex on a straight stretch is a flat direction of the energy: its
-    position along the segment is undetermined, which would make otherwise
-    identical runs disagree. Removal is gated on the recomputed energy so
-    the monotone trace survives floating-point re-evaluation.
-    """
-    while c.n_vertices >= 3:
-        angles = turning_angles(c)
-        idx = np.nonzero(angles <= 1e-9)[0]
-        if idx.size == 0:
-            break
-        j = int(idx[0]) + 1
-        cand = Polyline(np.delete(c.vertices, j, axis=0))
-        cand_e = _true_energy(mu, cand, cfg, diam)
-        if cand_e.total <= current.total * (1.0 + 1e-13) + 1e-300:
-            c, current = cand, cand_e
-        else:
-            break
-    return c, current
+    return state
 
 
 def _fit_single(mu: DiscreteMeasure, cfg: FitConfig, restart: int, diam: float, hull):
+    """One restart: (final state, energy trace, outer iterations, status)."""
     curve = init_curve(mu, cfg, restart=restart, diam=diam, hull=hull)
-    current = _true_energy(mu, curve, cfg, diam)
-    if not np.isfinite(current.total):
+    state = _evaluate(mu, curve.vertices, cfg, diam)
+    if not np.isfinite(state.energy.total):
         raise NumericError("non-finite energy at initialization")
-    trace = [current.total]
+    trace = [state.energy.total]
     status = "max_iters"
-    iterations = 0
-    for it in range(1, cfg.max_outer_iters + 1):
-        iterations = it
-        plan, _ = build_plan(mu, curve, tie_rule=cfg.tie_rule, eps_tie=cfg.eps_tie, diam=diam)
-        curve = fixed_plan_solve(mu, curve, plan, cfg, diam=diam)
-        interim = _true_energy(mu, curve, cfg, diam)
-        curve, new_energy = _manage_vertices(mu, curve, cfg, diam, interim)
-        if not np.isfinite(new_energy.total):
-            raise NumericError(f"non-finite energy at outer iteration {it}")
-        trace.append(new_energy.total)
-        rel_drop = (current.total - new_energy.total) / max(abs(current.total), 1e-300)
-        current = new_energy
+    for iterations in range(1, cfg.max_outer_iters + 1):  # resolved() keeps this >= 1
+        solved = fixed_plan_solve(mu, state.curve, state.plan, cfg, diam=diam)
+        new = _manage_vertices(mu, solved, cfg, diam)
+        if not np.isfinite(new.energy.total):
+            raise NumericError(f"non-finite energy at outer iteration {iterations}")
+        trace.append(new.energy.total)
+        rel_drop = (state.energy.total - new.energy.total) / max(abs(state.energy.total), 1e-300)
+        state = new
         if rel_drop < cfg.tol_energy_rel:
             status = "plateau"
             break
-    curve, current = _finalize(mu, curve, cfg, diam, current)
-    if trace[-1] != current.total:
-        trace.append(current.total)
-    return curve, current, np.array(trace), iterations, status
+    state = _finalize(mu, state, cfg, diam)
+    if trace[-1] != state.energy.total:
+        trace.append(state.energy.total)
+    return state, np.array(trace), iterations, status
 
 
-def _quasi_newton_finish(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig,
-                         diam: float) -> Polyline:
+def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig,
+                         diam: float) -> _State:
     """Drive a p > 1 curve to the stationarity tolerance.
 
     Majorise-minimise steps converge linearly, and slowly where vertices
     slide along the curve: the fixed plan holds every foot, so it is stiff
     there while the true energy is nearly flat. This is L-BFGS on the true
-    energy, whose gradient is the fixed-plan gradient on the plan rebuilt
-    at each point, started from the frozen fixed-plan Hessian; the secant
+    energy, whose gradient is the fixed-plan gradient on the plan of the
+    current state, started from the frozen fixed-plan Hessian; the secant
     pairs learn the softer true curvature. Only pairs with y.s > 0 are kept,
     so the model stays positive definite and each step is a descent
-    direction. A trial is accepted only if the true energy drops and is
-    halved otherwise; a segment the step would reverse collapses to its
-    midpoint instead. Stops at tol_stationarity, when no trial drops, or
-    after FINISH_MAX_STEPS.
+    direction. A trial is evaluated (re-planned) and accepted only if its
+    true energy drops, and is halved otherwise; a segment the step would
+    reverse collapses to its midpoint instead. Stops at tol_stationarity,
+    when no trial drops, or after FINISH_MAX_STEPS.
     """
     X, p, lam, eps = mu.positions, cfg.p, cfg.lam, cfg.eps_tie
-
-    def evaluate(V):
-        plan, _ = build_plan(mu, Polyline(V), tie_rule=cfg.tie_rule, eps_tie=eps, diam=diam)
-        return (V, plan.packed) + fixed_plan_value_grad(V, plan.packed, X, p, lam, eps)
-
-    V, packed, val, grad = evaluate(np.array(c.vertices))
+    V = state.curve.vertices
+    _, grad = fixed_plan_value_grad(V, state.plan.packed, X, p, lam, eps)
     pairs = []
     for _ in range(FINISH_MAX_STEPS):
         if float(np.max(np.linalg.norm(grad, axis=1))) <= cfg.tol_stationarity:
             break
         m, d = V.shape
-        H = fixed_plan_hessian(V, packed, X, p, lam, eps)
+        H = fixed_plan_hessian(V, state.plan.packed, X, p, lam, eps)
         H[np.diag_indices(m * d)] += 1e-12 * (np.trace(H) / (m * d) + lam)
         q = grad.reshape(-1).copy()  # L-BFGS two-loop recursion around H
         alphas = []
@@ -379,47 +369,45 @@ def _quasi_newton_finish(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig,
             cand = V + step
             flip = np.nonzero(np.sum(np.diff(cand, axis=0) * np.diff(V, axis=0), axis=1) <= 0)[0]
             cand[flip] = cand[flip + 1] = 0.5 * (cand[flip] + cand[flip + 1])
-            trial = evaluate(_collapse_exact(cand))
-            if trial[2] < val:  # False for NaN too
+            trial = _evaluate(mu, cand, cfg, diam)
+            if trial.energy.total < state.energy.total:  # False for NaN too
                 break
             step *= 0.5
         else:
             break
-        if trial[0].shape != V.shape:
+        W = trial.curve.vertices
+        _, trial_grad = fixed_plan_value_grad(W, trial.plan.packed, X, p, lam, eps)
+        if W.shape != V.shape:
             pairs = []
         else:
-            s, y = (trial[0] - V).reshape(-1), (trial[3] - grad).reshape(-1)
+            s, y = (W - V).reshape(-1), (trial_grad - grad).reshape(-1)
             if float(y @ s) > 0.0:
                 pairs = (pairs + [(s, y)])[-FINISH_MEMORY:]
-        V, packed, val, grad = trial
-    return Polyline(V)
+        state, V, grad = trial, W, trial_grad
+    return state
 
 
-def _finalize(mu: DiscreteMeasure, curve: Polyline, cfg: FitConfig, diam: float,
-              current: EnergyBreakdown):
+def _finalize(mu: DiscreteMeasure, state: _State, cfg: FitConfig, diam: float) -> _State:
     """Canonicalize degeneracies, then finish to the stationarity tolerance.
 
     A curve that wants a corner leaves two vertices a few ulps apart, where
-    the length term is effectively kinked, so they are merged; vertices on
-    straight stretches are dropped; for p > 1 the quasi-Newton finish runs
+    the length term is effectively kinked, so they are merged. A vertex on
+    a straight stretch is a flat direction of the energy (its position
+    along the stretch is undetermined), so all of them are dropped at once.
+    Both edits pass the energy gate. For p > 1 the quasi-Newton finish runs
     last (at p = 1 an atom on the curve is a kink of the energy, and the
-    frozen Hessian is singular along every offset). Each change is accepted
-    only if the true energy does not increase beyond a 1e-13 relative
-    re-evaluation slack.
+    frozen Hessian is singular along every offset).
     """
-    def gate(cand, curve, current):
-        cand_energy = _true_energy(mu, cand, cfg, diam)
-        if cand_energy.total <= current.total * (1.0 + 1e-13) + 1e-300:
-            return cand, cand_energy
-        return curve, current
-
-    merged = merge_vertices(curve, 1e-6 * max(diam, 1e-12))
-    if merged.n_vertices < curve.n_vertices:
-        curve, current = gate(merged, curve, current)
-    curve, current = _drop_straight_vertices(mu, curve, cfg, diam, current)
+    merged = merge_vertices(state.curve, 1e-6 * max(diam, 1e-12))
+    if merged.n_vertices < state.curve.n_vertices:
+        state = _gate(_evaluate(mu, merged.vertices, cfg, diam), state)
+    straight = np.nonzero(turning_angles(state.curve) <= 1e-9)[0] + 1
+    if straight.size:
+        cand = np.delete(state.curve.vertices, straight, axis=0)
+        state = _gate(_evaluate(mu, cand, cfg, diam), state)
     if cfg.p > 1.0:
-        curve, current = gate(_quasi_newton_finish(mu, curve, cfg, diam), curve, current)
-    return curve, current
+        state = _quasi_newton_finish(mu, state, cfg, diam)
+    return state
 
 
 def fit(mu: DiscreteMeasure, cfg: FitConfig) -> FitResult:
@@ -438,16 +426,18 @@ def fit(mu: DiscreteMeasure, cfg: FitConfig) -> FitResult:
     cfg = cfg.resolved(mu, diam)
     best = None
     for r in range(cfg.restarts):
-        curve, current, trace, iterations, status = _fit_single(mu, cfg, r, diam, hull)
-        if best is None or current.total < best[1].total - 1e-12 * abs(best[1].total):
-            best = (curve, current, trace, iterations, status, r)
-    curve, current, trace, iterations, status, r = best
-    plan, cls = build_plan(mu, curve, tie_rule=cfg.tie_rule, eps_tie=cfg.eps_tie, diam=diam)
-    stat = stationarity_report(mu, curve, cfg.p, cfg.lam, plan=plan, classification=cls)
+        run = (*_fit_single(mu, cfg, r, diam, hull), r)
+        e = run[0].energy.total
+        if best is None or e < best[0].energy.total - 1e-12 * abs(best[0].energy.total):
+            best = run
+    state, trace, iterations, status, r = best
+    stat = stationarity_report(mu, state.curve, cfg.p, cfg.lam, plan=state.plan,
+                               classification=state.classification)
     if stat.passes(cfg.tol_stationarity):
         status = "converged"
-    theory = full_report(mu, curve, cfg.p, cfg.lam, tie_rule=cfg.tie_rule, diam=diam, hull=hull)
-    return FitResult(curve, trace, current, stat, theory, iterations, r, status)
+    theory = full_report(mu, state.curve, cfg.p, cfg.lam, tie_rule=cfg.tie_rule, diam=diam,
+                         hull=hull)
+    return FitResult(state.curve, trace, state.energy, stat, theory, iterations, r, status)
 
 
 def conjecture_search(p: float, families=("random_atoms",), budget: int = 20,

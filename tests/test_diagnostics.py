@@ -10,6 +10,7 @@ from pencurve.diagnostics import (
     check_tv_bound,
     convex_clip,
     full_report,
+    singleton_best_energy,
     turn_direction_sweep,
 )
 from pencurve.measure import DiscreteMeasure, convex_hull_2d, synth_measure
@@ -34,6 +35,22 @@ def test_length_bound_singleton_and_violation():
     assert check_length_bound(TWO_ATOMS, P((0.4, 0.0)), p=2.0, lam=0.2).passed
     long_curve = P((0.0, 0.0), (2.0, 0.0))  # lambda * L = 0.4 > 0.25
     assert not check_length_bound(TWO_ATOMS, long_curve, p=2.0, lam=0.2).passed
+
+
+def test_singleton_best_energy_equals_per_candidate_loop():
+    # blocks of 16 candidates must not change a bit of the per-candidate sums
+    rng = np.random.default_rng(8)
+    measures = [(synth_measure(fam, n, seed=11), p) for fam in
+                ("uniform_square", "gaussian_clusters", "noisy_circle", "noisy_segment")
+                for n, p in ((350, 2.0), (100, 1.0), (77, 1.5), (20, 3.0))]
+    measures += [(DiscreteMeasure(rng.normal(size=(n, d)), rng.uniform(0.1, 1.0, n)), p)
+                 for d in (2, 3, 5) for n in (1, 16, 45) for p in (1.0, 1.5, 2.0, 3.0)]
+    for mu, p in measures:
+        X = mu.positions
+        mean = (mu.masses / mu.total_mass) @ X
+        loop = min(float(np.sum(mu.masses * np.linalg.norm(X - z, axis=1) ** p))
+                   for z in [*X, mean])
+        assert singleton_best_energy(mu, p) == loop
 
 
 def test_hull_containment():

@@ -4,7 +4,8 @@ import pytest
 from pencurve.curve import Polyline
 from pencurve.diagnostics import singleton_best_energy
 from pencurve import optimizer
-from pencurve.energy import fixed_plan_majoriser, fixed_plan_value_grad, stationarity_report
+from pencurve.energy import (energy, fixed_plan_majoriser, fixed_plan_value_grad,
+                             stationarity_report)
 from pencurve.errors import ConfigError
 from pencurve.measure import DiscreteMeasure, convex_hull_2d, diameter, synth_measure
 from pencurve.optimizer import FitConfig, conjecture_search, fit, fixed_plan_solve, init_curve
@@ -215,8 +216,57 @@ def test_restarts_tied_up_to_rounding_keep_lowest_index(mu, cfg):
     hull = convex_hull_2d(mu)
     diam = diameter(mu, hull)
     rcfg = cfg.resolved(mu, diam)
-    energies = [optimizer._fit_single(mu, rcfg, r, diam, hull)[1].total
+    energies = [optimizer._fit_single(mu, rcfg, r, diam, hull)[0].energy.total
                 for r in range(cfg.restarts)]
     lowest = min(energies)
     expected = next(r for r, e in enumerate(energies) if e <= lowest + 1e-12 * abs(lowest))
     assert fit(mu, cfg).restart_index == expected
+
+
+def _counting_build_plan(monkeypatch):
+    calls = []
+    real = optimizer.build_plan
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].n_vertices)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "build_plan", counting)
+    return calls
+
+
+def test_fit_builds_one_plan_per_outer_iteration(monkeypatch):
+    # p = 1 has no finish; each outer iteration's one evaluated state serves the
+    # trace energy, the idle endpoints and the next solve
+    mu = synth_measure("noisy_segment", 120, seed=1)
+    calls = _counting_build_plan(monkeypatch)
+    res = fit(mu, FitConfig(p=1.0, lam=0.02, m_init=6, max_outer_iters=15))
+    assert max(calls) > 6  # segments were split
+    assert len(calls) <= res.iterations + 4
+
+
+def _resolved(mu, **kw):
+    diam = diameter(mu)
+    return FitConfig(**kw).resolved(mu, diam), diam
+
+
+def test_manage_vertices_drops_idle_endpoints():
+    mu = DiscreteMeasure(np.array([[0.4, 0.1], [0.5, -0.1], [0.6, 0.05]]), np.full(3, 1 / 3))
+    cfg, diam = _resolved(mu, p=2.0, lam=0.05, m_max=4)
+    c = Polyline(np.array([[-1.0, 0.0], [0.3, 0.0], [0.7, 0.0], [2.0, 0.0]]))
+    state = optimizer._manage_vertices(mu, c, cfg, diam)
+    assert np.array_equal(state.curve.vertices, [[0.3, 0.0], [0.7, 0.0]])
+    assert state.energy.total < energy(mu, c, 2.0, 0.05).total
+
+
+def test_finalize_drops_all_straight_vertices_in_one_gated_step(monkeypatch):
+    mu = DiscreteMeasure(np.array([[0.1, 0.2], [0.6, -0.1], [0.9, 0.5], [1.2, 0.8]]),
+                         np.array([0.1, 0.4, 0.3, 0.2]))
+    cfg, diam = _resolved(mu, p=1.0, lam=0.05)
+    verts = np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [0.75, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    state = optimizer._evaluate(mu, verts, cfg, diam)
+    calls = _counting_build_plan(monkeypatch)
+    out = optimizer._finalize(mu, state, cfg, diam)
+    assert calls == [3]
+    assert np.array_equal(out.curve.vertices, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
+    assert out.energy.total <= state.energy.total * (1.0 + 1e-13)
