@@ -33,4 +33,4 @@ from .errors import (
 from .measure import DiscreteMeasure, convex_hull_2d, diameter, load_measure, synth_measure
 from .optimizer import FitConfig, FitResult, conjecture_search, fit, fixed_plan_solve, init_curve
 from .oracle import OracleConfig, brute_force_min, certify_fit
-from .projection import TransportPlan, VertexClassification, build_plan, project_point
+from .projection import TransportPlan, VertexClassification, build_plan

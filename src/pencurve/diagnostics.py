@@ -304,7 +304,7 @@ def _entry_sides(mu: DiscreteMeasure, c: Polyline, plan: TransportPlan, eps_side
     """
     seg_unit = c.segment_vectors / c.segment_lengths[:, None]
     ia = plan.ia
-    off = mu.positions[plan.atom] - plan.point
+    off = mu.positions - plan.point
     c1, c2 = (seg_unit[k][:, 0] * off[:, 1] - seg_unit[k][:, 1] * off[:, 0]
               for k in (np.where(ia == plan.ib, np.maximum(ia - 1, 0), ia),
                         np.minimum(ia, c.n_vertices - 2)))
@@ -406,8 +406,7 @@ def check_injectivity(c: Polyline, mu: DiscreteMeasure | None = None,
 
 
 def full_report(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
-                tie_rule: str = "first_arc_length", diam: float | None = None,
-                hull: np.ndarray | None = None) -> TheoryReport:
+                diam: float | None = None, hull: np.ndarray | None = None) -> TheoryReport:
     """Run every certificate (with window sweeps) on one (measure, curve) pair.
 
     The 2-D hull, the diameter and the plan are computed once and shared by
@@ -418,7 +417,7 @@ def full_report(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
         hull = convex_hull_2d(mu)
     if diam is None:
         diam = diameter(mu, hull)
-    plan, _ = build_plan(mu, c, tie_rule=tie_rule, diam=diam)
+    plan, _ = build_plan(mu, c, diam=diam)
     checks = [
         check_length_bound(mu, c, p, lam, diam=diam),
         check_hull_containment(mu, c, hull=hull, diam=diam),

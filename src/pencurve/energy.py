@@ -50,7 +50,7 @@ def energy(
     validate_params(p, lam)
     if plan is None:
         plan, _ = build_plan(mu, c, diam=diam)
-    dists = plan.atom_distances()
+    dists = plan.dist
     fidelity = float(np.sum(mu.masses * dists**p))
     length_term = lam * c.total_length
     return EnergyBreakdown(fidelity, length_term, fidelity + length_term, dists)
@@ -63,7 +63,7 @@ def _entry_offsets(V: np.ndarray, packed: dict, X: np.ndarray):
     """
     wa, wb = 1.0 - packed["t"], packed["t"]
     y = wa[:, None] * V[packed["ia"]] + wb[:, None] * V[packed["ib"]]
-    diff = X[packed["atom"]] - y
+    diff = X - y
     return wa, wb, diff, np.linalg.norm(diff, axis=1)
 
 
@@ -204,7 +204,7 @@ def fixed_plan_majoriser(
     A = np.bincount(rows * m + cols, vals, minlength=m * m).reshape(m, m)
     ends = np.concatenate((ia, ib))
     pull = np.concatenate((w * wa, w * wb))
-    Xe = X[np.concatenate((packed["atom"], packed["atom"]))]
+    Xe = np.concatenate((X, X))
     B = np.stack([np.bincount(ends, pull * Xe[:, q], minlength=m) for q in range(X.shape[1])],
                  axis=1)
     return A, B

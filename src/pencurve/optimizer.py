@@ -60,7 +60,6 @@ class FitConfig:
     eps_merge: float | None = None
     restarts: int = 1
     seed: int = 0
-    tie_rule: str = "first_arc_length"
 
     def resolved(self, mu: DiscreteMeasure, diam: float) -> "FitConfig":
         validate_params(self.p, self.lam)
@@ -251,7 +250,7 @@ class _State:
 def _evaluate(mu: DiscreteMeasure, verts: np.ndarray, cfg: FitConfig, diam: float) -> _State:
     """The curve through verts, exact duplicates collapsed, with its plan and energy."""
     curve = Polyline(_collapse_exact(verts))
-    plan, cls = build_plan(mu, curve, tie_rule=cfg.tie_rule, eps_tie=cfg.eps_tie, diam=diam)
+    plan, cls = build_plan(mu, curve, eps_tie=cfg.eps_tie, diam=diam)
     return _State(curve, plan, cls, energy(mu, curve, cfg.p, cfg.lam, plan=plan))
 
 
@@ -435,8 +434,7 @@ def fit(mu: DiscreteMeasure, cfg: FitConfig) -> FitResult:
                                classification=state.classification)
     if stat.passes(cfg.tol_stationarity):
         status = "converged"
-    theory = full_report(mu, state.curve, cfg.p, cfg.lam, tie_rule=cfg.tie_rule, diam=diam,
-                         hull=hull)
+    theory = full_report(mu, state.curve, cfg.p, cfg.lam, diam=diam, hull=hull)
     return FitResult(state.curve, trace, state.energy, stat, theory, iterations, r, status)
 
 
