@@ -70,29 +70,37 @@ def _grid_points(mu: DiscreteMeasure, h: float) -> np.ndarray:
     return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def _atom_pair_costs(x: np.ndarray, mass: float, P: np.ndarray, p: float,
-                     chunk: int = 256) -> np.ndarray:
-    """mass * dist(x, segment(P_a, P_b))^p for every grid point pair (a, b)."""
-    G = P.shape[0]
-    out = np.empty((G, G))
-    for a0 in range(0, G, chunk):
-        A = P[a0 : a0 + chunk]
-        w = P[None, :, :] - A[:, None, :]
-        den = np.einsum("abj,abj->ab", w, w)
-        num = np.einsum("aj,abj->ab", x[None, :] - A, w)
-        t = np.clip(np.divide(num, den, out=np.zeros_like(num), where=den > 0), 0.0, 1.0)
-        foot = A[:, None, :] + t[:, :, None] * w
-        d = np.linalg.norm(x[None, None, :] - foot, axis=-1)
-        out[a0 : a0 + chunk] = mass * d**p
-    return out
+PAIR_BLOCK = 1 << 16  # grid-point pairs per block of the pair kernel
 
 
-def _pair_lengths(P: np.ndarray, chunk: int = 256) -> np.ndarray:
+def _pair_blocks(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float):
+    """Pair costs over grid-point pairs (a, b), in row blocks of ~PAIR_BLOCK pairs.
+
+    Yields (rows, lam * |P_a P_b|, [mass * dist(x, segment(P_a, P_b))^p per
+    atom]). Each block's segment geometry, one 2-D array per coordinate, is
+    computed once and shared by every atom; the per-atom steps reuse two
+    block buffers, in the operation order of the dense (G, G, 2) arithmetic.
+    """
     G = P.shape[0]
-    out = np.empty((G, G))
-    for a0 in range(0, G, chunk):
-        out[a0 : a0 + chunk] = np.linalg.norm(P[None, :, :] - P[a0 : a0 + chunk, None, :], axis=-1)
-    return out
+    step = max(1, PAIR_BLOCK // G)
+    px, py = P[:, 0].copy(), P[:, 1].copy()
+    for a0 in range(0, G, step):
+        ax, ay = P[a0 : a0 + step, 0:1], P[a0 : a0 + step, 1:2]
+        w0, w1 = px - ax, py - ay
+        den = w0 * w0 + w1 * w1
+        seg, t = den > 0, np.zeros_like(den)  # t stays 0 where den is 0
+        e0, e1 = np.empty_like(den), np.empty_like(den)
+        costs = []
+        for (x0, x1), mass in zip(mu.positions, mu.masses):
+            num = np.multiply(x0 - ax, w0, out=e0)
+            num += np.multiply(x1 - ay, w1, out=e1)
+            np.clip(np.divide(num, den, out=t, where=seg), 0.0, 1.0, out=t)
+            np.subtract(x0, np.add(ax, np.multiply(t, w0, out=e0), out=e0), out=e0)
+            np.subtract(x1, np.add(ay, np.multiply(t, w1, out=e1), out=e1), out=e1)
+            e0 *= e0
+            e0 += np.multiply(e1, e1, out=e1)
+            costs.append(float(mass) * np.sqrt(e0, out=e0) ** p)
+        yield slice(a0, a0 + step), lam * np.sqrt(den), costs
 
 
 def _min_three_vertices(atom_costs: list[np.ndarray], lencost: np.ndarray, G: int):
@@ -180,17 +188,19 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     G = P.shape[0]
     n = mu.n_atoms
     m = ocfg.m
+    # work in pair-cost evaluations; rows_held: rows of G floats per cost array alive at once
     if m == 1:
-        work = n * G
+        work, rows_held = n * G, 1
     elif m == 2:
-        work = (n + 1) * G * G
+        work, rows_held = (n + 1) * G * G, min(G, max(1, PAIR_BLOCK // G))
     elif m == 3:
-        work = (n + 2 ** (n + 1)) * G * G
+        work, rows_held = (n + 2 ** (n + 1)) * G * G, G
     else:
-        work = (n + ((m - 1) ** n) * (m - 1)) * G * G
+        work, rows_held = (n + ((m - 1) ** n) * (m - 1)) * G * G, G
     if work > ocfg.budget:
         raise BudgetExceededError(
-            f"oracle needs ~{work:.3g} pair-cost evaluations, budget is {ocfg.budget:.3g}",
+            f"oracle needs ~{work:.3g} pair-cost evaluations over {G} grid points and"
+            f" ~{8 * (n + 1) * rows_held * G:.3g} bytes of cost arrays, budget is {ocfg.budget:.3g}",
             required=work,
         )
 
@@ -200,22 +210,26 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
         k = int(np.argmin(totals))
         return Polyline(P[k][None, :]), float(totals[k])
 
-    atom_costs = [
-        _atom_pair_costs(mu.positions[i], float(mu.masses[i]), P, ocfg.p) for i in range(n)
-    ]
-    lencost = ocfg.lam * _pair_lengths(P)
-
+    blocks = _pair_blocks(P, mu, ocfg.p, ocfg.lam)
     if m == 2:
-        total = lencost
-        for ci in atom_costs:
-            total += ci
-        flat = int(np.argmin(total))
-        best_tuple = (flat // G, flat % G)
-        best_energy = float(total.flat[flat])
-    elif m == 3:
-        best_energy, best_tuple = _min_three_vertices(atom_costs, lencost, G)
+        best_energy, best_tuple = np.inf, (0, 0)  # running first-index minimum
+        for rows, total, costs in blocks:
+            for ci in costs:
+                total += ci
+            flat = int(np.argmin(total))
+            if total.flat[flat] < best_energy:
+                best_energy = float(total.flat[flat])
+                best_tuple = (rows.start + flat // G, flat % G)
     else:
-        best_energy, best_tuple = _min_chain(atom_costs, lencost, G, m)
+        lencost, atom_costs = np.empty((G, G)), [np.empty((G, G)) for _ in range(n)]
+        for rows, lengths, costs in blocks:
+            lencost[rows] = lengths
+            for table, ci in zip(atom_costs, costs):
+                table[rows] = ci
+        if m == 3:
+            best_energy, best_tuple = _min_three_vertices(atom_costs, lencost, G)
+        else:
+            best_energy, best_tuple = _min_chain(atom_costs, lencost, G, m)
 
     verts = P[list(best_tuple)]
     if tuple(map(tuple, verts[::-1])) < tuple(map(tuple, verts)):

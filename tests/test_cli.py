@@ -124,6 +124,16 @@ def test_oracle_command_and_budget_refusal(two_atoms_csv, tmp_path):
     assert rc == 3
 
 
+def test_oracle_refusal_states_its_size(two_atoms_csv, tmp_path, capsys):
+    rc = cli.main(["oracle", str(two_atoms_csv), "--m", "3", "--h", "0.0001",
+                   "--p", "2", "--lambda", "0.2", "--out", str(tmp_path / "oracle.json")])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "10001 grid points" in err
+    assert "bytes" in err
+    assert not (tmp_path / "oracle.json").exists()
+
+
 def test_plot_svg(two_atoms_csv, tmp_path):
     out = tmp_path / "plot.svg"
     rc = cli.main(["plot", str(two_atoms_csv), "--out", str(out)])

@@ -1,12 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from pencurve import oracle
 from pencurve.curve import Polyline
 from pencurve.energy import stationarity_report
 from pencurve.errors import BudgetExceededError, ConfigError
 from pencurve.measure import DiscreteMeasure, diameter
 from pencurve.oracle import (
     OracleConfig,
+    _grid_points,
+    _pair_blocks,
     brute_force_min,
     certify_fit,
     golden_record,
@@ -39,7 +44,13 @@ def test_single_atom_m1():
 
 
 def test_triangle_golden_value():
-    curve, E = brute_force_min(TRIANGLE, OracleConfig(m=2, h=0.01, p=1.0, lam=1.0))
+    tracemalloc.start()
+    try:
+        curve, E = brute_force_min(TRIANGLE, OracleConfig(m=2, h=0.01, p=1.0, lam=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20  # the m=2 search holds one block, never a G x G table
     assert E == pytest.approx(TRIANGLE_GOLDEN_H01, abs=1e-12)
     C = lipschitz_constant(TRIANGLE, 1.0, 1.0, 2)
     assert abs(E - 1.0 / np.sqrt(3.0)) <= C * 0.01
@@ -74,9 +85,92 @@ def test_oracle_curve_near_stationary():
 
 
 def test_budget_refusal_with_estimate():
+    G = 10001  # a 1 x 0 box at h = 1e-4
     with pytest.raises(BudgetExceededError) as exc:
         brute_force_min(TWO_ATOMS, OracleConfig(m=4, h=1e-4, p=2.0, lam=0.2, budget=1e6))
     assert exc.value.required is not None and exc.value.required > 1e6
+    msg = str(exc.value)
+    assert f"~{exc.value.required:.3g} pair-cost evaluations" in msg
+    assert f"{G} grid points" in msg
+    assert f"~{8 * 3 * G * G:.3g} bytes" in msg  # n + 1 = 3 dense G x G tables
+    with pytest.raises(BudgetExceededError) as exc:
+        brute_force_min(TWO_ATOMS, OracleConfig(m=2, h=1e-4, p=2.0, lam=0.2, budget=1e6))
+    rows = oracle.PAIR_BLOCK // G
+    assert f"~{8 * 3 * rows * G:.3g} bytes" in str(exc.value)  # one block of rows
+
+
+def reference_atom_pair_costs(x, mass, P, p, chunk=256):
+    """mass * dist(x, segment(P_a, P_b))^p from dense (rows, G, 2) coordinate arrays.
+
+    The reference the pair kernel must match bit for bit.
+    """
+    G = P.shape[0]
+    out = np.empty((G, G))
+    for a0 in range(0, G, chunk):
+        A = P[a0 : a0 + chunk]
+        w = P[None, :, :] - A[:, None, :]
+        den = np.einsum("abj,abj->ab", w, w)
+        num = np.einsum("aj,abj->ab", x[None, :] - A, w)
+        t = np.clip(np.divide(num, den, out=np.zeros_like(num), where=den > 0), 0.0, 1.0)
+        foot = A[:, None, :] + t[:, :, None] * w
+        d = np.linalg.norm(x[None, None, :] - foot, axis=-1)
+        out[a0 : a0 + chunk] = mass * d**p
+    return out
+
+
+def reference_pair_lengths(P, chunk=256):
+    G = P.shape[0]
+    out = np.empty((G, G))
+    for a0 in range(0, G, chunk):
+        out[a0 : a0 + chunk] = np.linalg.norm(P[None, :, :] - P[a0 : a0 + chunk, None, :], axis=-1)
+    return out
+
+
+def kernel_tables(P, mu, p, lam):
+    """Whole tables assembled from the pair kernel's blocks; unfilled cells stay NaN."""
+    G = P.shape[0]
+    lengths = np.full((G, G), np.nan)
+    costs = [np.full((G, G), np.nan) for _ in range(mu.n_atoms)]
+    for rows, block_lengths, block_costs in _pair_blocks(P, mu, p, lam):
+        lengths[rows] = block_lengths
+        for table, c in zip(costs, block_costs):
+            table[rows] = c
+    return lengths, costs
+
+
+def _table_cases():
+    rng = np.random.default_rng(7)
+    for p in (1.0, 1.5, 2.0, 3.0):
+        pos = rng.uniform(-1.0, 2.0, (4, 2))
+        yield DiscreteMeasure(pos, rng.uniform(0.1, 1.0, 4)), 0.3, p
+    # collinear atoms: the y extent is 0, so the grid is a single row
+    pos = np.stack([rng.uniform(0.0, 1.0, 5), np.full(5, 0.3)], axis=1)
+    yield DiscreteMeasure(pos, rng.uniform(0.1, 1.0, 5)), 0.05, 1.5
+    # atoms on grid points, where den = 0 on the diagonal and t, dist vanish
+    pos = np.array([[0.0, 0.0], [1.0, 1.0], [0.25, 0.5], [0.75, 0.25]])
+    yield DiscreteMeasure(pos, np.full(4, 0.25)), 0.125, 1.0
+
+
+@pytest.mark.parametrize("pair_block", [None, 1, 150])
+def test_pair_blocks_match_per_element_reference(monkeypatch, pair_block):
+    if pair_block is not None:  # 150 pairs: blocks of 2 rows at G = 63, 8 rows at G = 18
+        monkeypatch.setattr(oracle, "PAIR_BLOCK", pair_block)
+    for mu, h, p in _table_cases():
+        P = _grid_points(mu, h)
+        lam = 0.7
+        lengths, costs = kernel_tables(P, mu, p, lam)
+        assert np.array_equal(lengths, lam * reference_pair_lengths(P))
+        for i, c in enumerate(costs):
+            ref = reference_atom_pair_costs(mu.positions[i], float(mu.masses[i]), P, p)
+            assert np.array_equal(c, ref)
+
+
+def test_m2_ties_across_blocks_keep_the_first_pair(monkeypatch):
+    # G = 3 points on [0, 1] x {0}; the pairs (0,0), (1,1) and (2,2) all cost exactly 0.5
+    monkeypatch.setattr(oracle, "PAIR_BLOCK", 1)  # one grid row per block
+    curve, E = brute_force_min(TWO_ATOMS, OracleConfig(m=2, h=0.5, p=1.0, lam=2.0))
+    assert E == 0.5
+    assert curve.vertices.tolist() == [[0.0, 0.0]]
 
 
 def test_certify_fit_pass_and_skip():
