@@ -16,13 +16,14 @@ class Polyline:
     """Ordered vertex list v_1..v_m, m >= 1, with no zero-length segment.
 
     The curve is the piecewise-linear interpolation of the vertices,
-    parameterized by arc length (unit speed).
+    parameterized by arc length (unit speed). vertices is a read-only copy
+    of the given array, so the cached segment geometry stays valid.
     """
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.vertices, dtype=float)
+        v = np.array(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
             raise PencurveError("polyline needs an (m, d) vertex array with m >= 1")
         if not np.all(np.isfinite(v)):
@@ -103,25 +104,9 @@ def turning_angles(c: Polyline) -> np.ndarray:
     return np.array([_angle_between(seg[j - 1], seg[j]) for j in range(1, m - 1)])
 
 
-def _check_window(c: Polyline, window) -> tuple[int, int]:
-    a, b = window
-    a, b = int(a), int(b)
-    if not (0 <= a <= b <= c.n_vertices - 1):
-        raise PencurveError(f"invalid vertex window {window} for m={c.n_vertices}")
-    return a, b
-
-
-def tv_gamma_prime(c: Polyline, window=None) -> float:
-    """Total variation of the unit tangent: sum of turning angles.
-
-    window is an inclusive (first_vertex, last_vertex) pair restricting the
-    sum to the sub-polyline's interior vertices; None means the whole curve.
-    """
-    angles = turning_angles(c)
-    if window is None:
-        return float(np.sum(angles))
-    a, b = _check_window(c, window)
-    return float(np.sum(angles[a : max(b - 1, a)]))
+def tv_gamma_prime(c: Polyline) -> float:
+    """Total variation of the unit tangent: sum of turning angles."""
+    return float(np.sum(turning_angles(c)))
 
 
 @dataclass(frozen=True)
@@ -134,7 +119,8 @@ class Intersection:
     kind: str  # "crossing" (transversal) or "contact" (touch within eps)
 
 
-def _point_segment_distance(x, a, b):
+def point_segment_foot(x, a, b):
+    """(distance, foot): the point of segment [a, b] nearest to x and its distance."""
     ab = b - a
     denom = float(np.dot(ab, ab))
     t = 0.0 if denom == 0.0 else float(np.clip(np.dot(x - a, ab) / denom, 0.0, 1.0))
@@ -181,12 +167,23 @@ def self_intersections_2d(c: Polyline, eps: float = 1e-12) -> list[Intersection]
                 continue
             best = None
             for x, a, b in ((p1, q1, q2), (p2, q1, q2), (q1, p1, p2), (q2, p1, p2)):
-                d, foot = _point_segment_distance(x, a, b)
+                d, foot = point_segment_foot(x, a, b)
                 if best is None or d < best[0]:
                     best = (d, 0.5 * (x + foot))
             if best[0] <= eps:
                 found.append(Intersection(i, j, best[1], "contact"))
     return found
+
+
+def collapse_duplicates(verts: np.ndarray) -> np.ndarray:
+    """verts without exact consecutive repeats (a Polyline forbids zero-length segments)."""
+    if verts.shape[0] < 2:
+        return verts
+    keep = [verts[0]]
+    for v in verts[1:]:
+        if np.linalg.norm(v - keep[-1]) > 0.0:
+            keep.append(v)
+    return np.array(keep)
 
 
 def merge_vertices(c: Polyline, eps_merge: float) -> Polyline:

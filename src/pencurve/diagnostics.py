@@ -14,16 +14,18 @@ import numpy as np
 from .curve import (
     Polyline,
     length,
+    point_segment_foot,
     self_intersections_2d,
     turning_angles,
     tv_gamma_prime,
 )
 from .energy import validate_params
 from .errors import PencurveError
-from .measure import DiscreteMeasure, convex_hull_2d, diameter
+from .measure import DiscreteMeasure, convex_hull_2d, diameter, tie_tolerance
 from .projection import TransportPlan, build_plan
 
 ANGLE_TOL = 5e-4  # radians; absorbs optimizer stationarity slack in angle checks
+HULL_TOL_REL = 1e-6  # outside distance a vertex may have, relative to the diameter
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,7 @@ def hull_edge_violations(points: np.ndarray, hull: np.ndarray) -> np.ndarray:
     if k == 1:
         return np.linalg.norm(pts - hull[0], axis=1)
     if k == 2:
-        return np.array([_dist_point_segment(x, hull[0], hull[1]) for x in pts])
+        return np.array([point_segment_foot(x, hull[0], hull[1])[0] for x in pts])
     out = np.full(pts.shape[0], -np.inf)
     for i in range(k):
         a, b = hull[i], hull[(i + 1) % k]
@@ -98,31 +100,18 @@ def hull_edge_violations(points: np.ndarray, hull: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dist_point_segment(x, a, b) -> float:
-    ab = b - a
-    t = float(np.clip(np.dot(x - a, ab) / np.dot(ab, ab), 0.0, 1.0))
-    return float(np.linalg.norm(x - (a + t * ab)))
-
-
 def project_to_hull(x: np.ndarray, hull: np.ndarray) -> np.ndarray:
     """Nearest point of the (possibly degenerate) convex polygon."""
     k = hull.shape[0]
     if k == 1:
         return hull[0].copy()
     if k == 2:
-        a, b = hull
-        ab = b - a
-        t = float(np.clip(np.dot(x - a, ab) / np.dot(ab, ab), 0.0, 1.0))
-        return a + t * ab
+        return point_segment_foot(x, hull[0], hull[1])[1]
     if np.max(hull_edge_violations(x, hull)) <= 0.0:
         return np.asarray(x, dtype=float).copy()
     best, best_d = None, np.inf
     for i in range(k):
-        a, b = hull[i], hull[(i + 1) % k]
-        ab = b - a
-        t = float(np.clip(np.dot(x - a, ab) / np.dot(ab, ab), 0.0, 1.0))
-        cand = a + t * ab
-        d = float(np.linalg.norm(x - cand))
+        d, cand = point_segment_foot(x, hull[i], hull[(i + 1) % k])
         if d < best_d:
             best, best_d = cand, d
     return best
@@ -154,29 +143,24 @@ def singleton_best_energy(mu: DiscreteMeasure, p: float) -> float:
     return best
 
 
-def check_length_bound(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
-                       tol: float | None = None, diam: float | None = None) -> TheoryCheck:
+def check_length_bound(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -> TheoryCheck:
     """lambda * L(curve) must not exceed the best singleton competitor's energy."""
     bound = singleton_best_energy(mu, p)
     observed = lam * length(c)
-    if tol is None:
-        tol = 1e-9 * max(1.0, bound)
-    raw = (diameter(mu) if diam is None else diam) ** p * mu.total_mass
+    tol = 1e-9 * max(1.0, bound)
+    raw = diameter(mu) ** p * mu.total_mass
     return TheoryCheck(
         "length_bound", observed <= bound + tol, bound, observed, tol,
         f"raw bound lambda*L <= diam^p * mass = {raw:.6g}",
     )
 
 
-def check_hull_containment(mu: DiscreteMeasure, c: Polyline, tol_rel: float = 1e-6,
-                           hull: np.ndarray | None = None,
-                           diam: float | None = None) -> TheoryCheck:
+def check_hull_containment(mu: DiscreteMeasure, c: Polyline) -> TheoryCheck:
     """Every curve vertex must lie inside the convex hull of the atoms."""
     if mu.dim != 2 or c.dim != 2:
         return TheoryCheck("hull_containment", None, None, None, None, "needs d=2")
-    hull = convex_hull_2d(mu) if hull is None else hull
-    tol = tol_rel * max(diameter(mu, hull) if diam is None else diam, 1e-300)
-    viol = hull_edge_violations(c.vertices, hull)
+    tol = HULL_TOL_REL * max(diameter(mu), 1e-300)
+    viol = hull_edge_violations(c.vertices, convex_hull_2d(mu))
     worst = int(np.argmax(viol))
     observed = float(max(viol[worst], 0.0))
     return TheoryCheck(
@@ -247,12 +231,11 @@ def _hull_transition_params(a: np.ndarray, b: np.ndarray, hull: np.ndarray) -> l
     return out
 
 
-def check_tv_bound(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
-                   tol: float = ANGLE_TOL, diam: float | None = None) -> TheoryCheck:
+def check_tv_bound(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -> TheoryCheck:
     """Total turning of the curve against the global mass/diameter bound."""
-    bound = (p / lam) * (diameter(mu) if diam is None else diam) ** (p - 1.0) * mu.total_mass
+    bound = (p / lam) * diameter(mu) ** (p - 1.0) * mu.total_mass
     observed = tv_gamma_prime(c)
-    return TheoryCheck("tv_global", observed <= bound + tol, bound, observed, tol)
+    return TheoryCheck("tv_global", observed <= bound + ANGLE_TOL, bound, observed, ANGLE_TOL)
 
 
 def _window_mass_prefixes(plan: TransportPlan, m: int):
@@ -266,30 +249,33 @@ def _window_mass_prefixes(plan: TransportPlan, m: int):
 
 
 def check_local_tv(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
-                   plan: TransportPlan | None = None,
-                   tol: float = ANGLE_TOL, diam: float | None = None) -> TheoryCheck:
-    """Turning inside every vertex window against the mass projected there."""
-    diam = diameter(mu) if diam is None else diam
+                   plan: TransportPlan | None = None) -> TheoryCheck:
+    """Turning inside every vertex window against the mass projected there.
+
+    Windows (a, b) are swept one start a at a time, all ends b in one array
+    step: O(m) memory. The first worst window in (a, b) order is reported.
+    """
     if plan is None:
-        plan, _ = build_plan(mu, c, diam=diam)
+        plan, _ = build_plan(mu, c)
     m = c.n_vertices
     if m < 3:
-        return TheoryCheck("tv_local", True, None, 0.0, tol, "no interior vertex")
-    coef = (p / lam) * diam ** (p - 1.0)
+        return TheoryCheck("tv_local", True, None, 0.0, ANGLE_TOL, "no interior vertex")
+    coef = (p / lam) * diameter(mu) ** (p - 1.0)
     angles = turning_angles(c)
     pa = np.concatenate([[0.0], np.cumsum(angles)])  # pa[j] = angles of vertices 1..j
     pv, ps = _window_mass_prefixes(plan, m)
     worst = (-np.inf, None)  # (violation, window)
-    for a in range(m - 1):
-        for b in range(a + 2, m):
-            tv = pa[b - 1] - pa[a]  # interior vertices a+1..b-1
-            sigma = (pv[b + 1] - pv[a]) + (ps[b] - ps[a])
-            viol = tv - coef * sigma
-            if viol > worst[0]:
-                worst = (viol, (a, b))
+    for a in range(m - 2):
+        b = np.arange(a + 2, m)
+        tv = pa[b - 1] - pa[a]  # interior vertices a+1..b-1
+        sigma = (pv[b + 1] - pv[a]) + (ps[b] - ps[a])
+        viol = tv - coef * sigma
+        k = int(np.argmax(viol))
+        if viol[k] > worst[0]:
+            worst = (viol[k], (a, a + 2 + k))
     observed = worst[0]
     return TheoryCheck(
-        "tv_local", observed <= tol, 0.0, float(observed), tol,
+        "tv_local", observed <= ANGLE_TOL, 0.0, float(observed), ANGLE_TOL,
         f"worst window {worst[1]} exceeds its bound by {observed:.3g} rad"
         if observed > 0 else f"largest margin used at window {worst[1]}",
     )
@@ -321,24 +307,22 @@ def _running(op, values: np.ndarray) -> np.ndarray:
 
 
 def turn_direction_sweep(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
-                         plan: TransportPlan | None = None,
-                         tol: float = ANGLE_TOL, diam: float | None = None) -> TheoryCheck:
+                         plan: TransportPlan | None = None) -> TheoryCheck:
     """Worst turn-direction violation over all eligible (TV < 1/2) windows."""
     if c.dim != 2:
         return TheoryCheck("turn_direction", None, None, None, None, "needs d=2")
-    diam = diameter(mu) if diam is None else diam
     if plan is None:
-        plan, _ = build_plan(mu, c, diam=diam)
+        plan, _ = build_plan(mu, c)
     m = c.n_vertices
     if m < 2:
-        return TheoryCheck("turn_direction", True, 0.0, 0.0, tol, "no segment")
+        return TheoryCheck("turn_direction", True, 0.0, 0.0, ANGLE_TOL, "no segment")
     # entries in curve order: vertex j has key 2j, segment j key 2j + 1, so
     # window (a, b) holds keys 2a..2b
     key = plan.ia + plan.ib
     order = np.argsort(key, kind="stable")
     key = key[order]
     sides = [(np.where(side, plan.mass, 0.0)[order], np.where(side, plan.dist, 0.0)[order])
-             for side in _entry_sides(mu, c, plan, 1e-9 * diam)]
+             for side in _entry_sides(mu, c, plan, tie_tolerance(diameter(mu)))]
     angles = turning_angles(c)
     seg_unit = c.segment_vectors / c.segment_lengths[:, None]
     coef = p / lam
@@ -371,21 +355,21 @@ def turn_direction_sweep(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
             if viol > worst[0]:
                 worst = (viol, (a, b))
     if worst[1] is None:
-        return TheoryCheck("turn_direction", True, 0.0, 0.0, tol, "no eligible window")
+        return TheoryCheck("turn_direction", True, 0.0, 0.0, ANGLE_TOL, "no eligible window")
     return TheoryCheck(
-        "turn_direction", worst[0] <= tol, 0.0, float(worst[0]), tol,
+        "turn_direction", worst[0] <= ANGLE_TOL, 0.0, float(worst[0]), ANGLE_TOL,
         f"{checked} eligible windows; worst {worst[1]} at violation {worst[0]:.3g}",
     )
 
 
-def check_injectivity(c: Polyline, mu: DiscreteMeasure | None = None,
-                      p: float | None = None, eps: float | None = None) -> TheoryCheck:
-    """No self-intersections; reports tangent alignment at any double point."""
+def check_injectivity(c: Polyline, mu: DiscreteMeasure, p: float | None = None) -> TheoryCheck:
+    """No self-intersections; reports tangent alignment at any double point.
+
+    Segments closer than the measure's tie tolerance count as touching.
+    """
     if c.dim != 2:
         return TheoryCheck("injectivity", None, None, None, None, "needs d=2")
-    if eps is None:
-        scale = diameter(mu) if mu is not None else max(c.total_length, 1.0)
-        eps = 1e-9 * scale
+    eps = tie_tolerance(diameter(mu))
     hits = self_intersections_2d(c, eps=eps)
     if not hits:
         return TheoryCheck("injectivity", True, 0.0, 0.0, eps, "no double points")
@@ -405,25 +389,20 @@ def check_injectivity(c: Polyline, mu: DiscreteMeasure | None = None,
                        "; ".join(details) + extra)
 
 
-def full_report(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
-                diam: float | None = None, hull: np.ndarray | None = None) -> TheoryReport:
+def full_report(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -> TheoryReport:
     """Run every certificate (with window sweeps) on one (measure, curve) pair.
 
-    The 2-D hull, the diameter and the plan are computed once and shared by
-    the checks; a caller that holds diam and hull (fit does) passes them.
+    The plan is built once and shared by the window sweeps; the hull and
+    the diameter are the measure's own, computed at most once.
     """
     validate_params(p, lam)
-    if hull is None and mu.dim == 2:
-        hull = convex_hull_2d(mu)
-    if diam is None:
-        diam = diameter(mu, hull)
-    plan, _ = build_plan(mu, c, diam=diam)
+    plan, _ = build_plan(mu, c)
     checks = [
-        check_length_bound(mu, c, p, lam, diam=diam),
-        check_hull_containment(mu, c, hull=hull, diam=diam),
-        check_tv_bound(mu, c, p, lam, diam=diam),
-        check_local_tv(mu, c, p, lam, plan=plan, diam=diam),
-        turn_direction_sweep(mu, c, p, lam, plan=plan, diam=diam),
-        check_injectivity(c, mu, p, eps=1e-9 * diam),
+        check_length_bound(mu, c, p, lam),
+        check_hull_containment(mu, c),
+        check_tv_bound(mu, c, p, lam),
+        check_local_tv(mu, c, p, lam, plan=plan),
+        turn_direction_sweep(mu, c, p, lam, plan=plan),
+        check_injectivity(c, mu, p),
     ]
     return TheoryReport(tuple(checks))

@@ -9,7 +9,7 @@ import numpy as np
 
 from .curve import Polyline
 from .errors import ConfigError, NonSmoothPointError
-from .measure import DiscreteMeasure, diameter
+from .measure import DiscreteMeasure, diameter, tie_tolerance
 from .projection import TransportPlan, VertexClassification, build_plan
 
 
@@ -28,7 +28,6 @@ class EnergyBreakdown:
     fidelity: float
     length_term: float
     total: float
-    atom_distances: np.ndarray
 
     def to_dict(self) -> dict:
         return {
@@ -44,25 +43,23 @@ def energy(
     p: float,
     lam: float,
     plan: TransportPlan | None = None,
-    diam: float | None = None,
 ) -> EnergyBreakdown:
     """Exact discrete energy with deterministic (atom-ordered) summation."""
     validate_params(p, lam)
     if plan is None:
-        plan, _ = build_plan(mu, c, diam=diam)
-    dists = plan.dist
-    fidelity = float(np.sum(mu.masses * dists**p))
+        plan, _ = build_plan(mu, c)
+    fidelity = float(np.sum(mu.masses * plan.dist**p))
     length_term = lam * c.total_length
-    return EnergyBreakdown(fidelity, length_term, fidelity + length_term, dists)
+    return EnergyBreakdown(fidelity, length_term, fidelity + length_term)
 
 
-def _entry_offsets(V: np.ndarray, packed: dict, X: np.ndarray):
+def _entry_offsets(V: np.ndarray, plan: TransportPlan, X: np.ndarray):
     """Per plan entry: barycentric weights (1-t, t), offset x - y and its length r.
 
     y = (1-t) V[ia] + t V[ib] is the entry's target, held affine in V.
     """
-    wa, wb = 1.0 - packed["t"], packed["t"]
-    y = wa[:, None] * V[packed["ia"]] + wb[:, None] * V[packed["ib"]]
+    wa, wb = 1.0 - plan.t, plan.t
+    y = wa[:, None] * V[plan.ia] + wb[:, None] * V[plan.ib]
     diff = X - y
     return wa, wb, diff, np.linalg.norm(diff, axis=1)
 
@@ -91,7 +88,7 @@ def _entry_kernel(r: np.ndarray, mass: np.ndarray, p: float, eps_clamp: float) -
     return kern
 
 
-def _first_variation(V: np.ndarray, packed: dict, wa: np.ndarray, wb: np.ndarray,
+def _first_variation(V: np.ndarray, plan: TransportPlan, wa: np.ndarray, wb: np.ndarray,
                      diff: np.ndarray, kern: np.ndarray, lam: float) -> np.ndarray:
     """Vertex gradient of the fixed-plan objective, before any p = 1 shrink.
 
@@ -103,8 +100,8 @@ def _first_variation(V: np.ndarray, packed: dict, wa: np.ndarray, wb: np.ndarray
     m = V.shape[0]
     grad = np.zeros_like(V)
     g_y = -kern[:, None] * diff
-    np.add.at(grad, packed["ia"], wa[:, None] * g_y)
-    np.add.at(grad, packed["ib"], wb[:, None] * g_y)
+    np.add.at(grad, plan.ia, wa[:, None] * g_y)
+    np.add.at(grad, plan.ib, wb[:, None] * g_y)
     if m > 1:
         seg = np.diff(V, axis=0)
         seg_len = np.linalg.norm(seg, axis=1)
@@ -115,17 +112,17 @@ def _first_variation(V: np.ndarray, packed: dict, wa: np.ndarray, wb: np.ndarray
     return grad
 
 
-def _tied_mass(packed: dict, r: np.ndarray, eps_clamp: float, m: int) -> np.ndarray:
+def _tied_mass(plan: TransportPlan, r: np.ndarray, eps_clamp: float, m: int) -> np.ndarray:
     """Per vertex: mass of the vertex entries whose atom lies within eps_clamp."""
     tied_mass = np.zeros(m)
-    sel = (r <= eps_clamp) & (packed["ia"] == packed["ib"])
-    np.add.at(tied_mass, packed["ia"][sel], packed["mass"][sel])
+    sel = (r <= eps_clamp) & (plan.ia == plan.ib)
+    np.add.at(tied_mass, plan.ia[sel], plan.mass[sel])
     return tied_mass
 
 
 def fixed_plan_value_grad(
     V: np.ndarray,
-    packed: dict,
+    plan: TransportPlan,
     X: np.ndarray,
     p: float,
     lam: float,
@@ -142,8 +139,8 @@ def fixed_plan_value_grad(
     descent direction of the nonsmooth convex objective.
     """
     m = V.shape[0]
-    mass = packed["mass"]
-    wa, wb, diff, r = _entry_offsets(V, packed, X)
+    mass = plan.mass
+    wa, wb, diff, r = _entry_offsets(V, plan, X)
     value = float(np.sum(mass * r**p))
     seg_len = np.linalg.norm(np.diff(V, axis=0), axis=1) if m > 1 else np.zeros(0)
     value += lam * float(np.sum(seg_len))
@@ -151,9 +148,9 @@ def fixed_plan_value_grad(
         return value, None
 
     kern = _entry_kernel(r, mass, p, eps_clamp)
-    grad = _first_variation(V, packed, wa, wb, diff, kern, lam)
+    grad = _first_variation(V, plan, wa, wb, diff, kern, lam)
     if p == 1.0 and np.any(r <= eps_clamp):
-        tied_mass = _tied_mass(packed, r, eps_clamp, m)
+        tied_mass = _tied_mass(plan, r, eps_clamp, m)
         norms = np.linalg.norm(grad, axis=1)
         for j in np.nonzero(tied_mass > 0)[0]:
             if norms[j] <= tied_mass[j]:
@@ -165,7 +162,7 @@ def fixed_plan_value_grad(
 
 def fixed_plan_majoriser(
     V: np.ndarray,
-    packed: dict,
+    plan: TransportPlan,
     X: np.ndarray,
     p: float,
     lam: float,
@@ -186,14 +183,14 @@ def fixed_plan_majoriser(
     symmetric tridiagonal m x m matrix A shared by all d coordinates.
     """
     m = V.shape[0]
-    ia, ib = packed["ia"], packed["ib"]
-    wa, wb, diff, r = _entry_offsets(V, packed, X)
-    w = _entry_weight(r, packed["mass"], p, eps_clamp)
+    ia, ib = plan.ia, plan.ib
+    wa, wb, diff, r = _entry_offsets(V, plan, X)
+    w = _entry_weight(r, plan.mass, p, eps_clamp)
     tied = (r <= eps_clamp) & (ia == ib)
     if p == 1.0 and np.any(tied):
-        pull = _first_variation(V, packed, wa, wb, diff,
-                                _entry_kernel(r, packed["mass"], p, eps_clamp), lam)
-        leave = np.linalg.norm(pull, axis=1) > _tied_mass(packed, r, eps_clamp, m)
+        pull = _first_variation(V, plan, wa, wb, diff,
+                                _entry_kernel(r, plan.mass, p, eps_clamp), lam)
+        leave = np.linalg.norm(pull, axis=1) > _tied_mass(plan, r, eps_clamp, m)
         w = np.where(tied & leave[ia], 0.0, w)
     k = np.arange(m - 1)
     seg_len = np.linalg.norm(np.diff(V, axis=0), axis=1)
@@ -212,7 +209,7 @@ def fixed_plan_majoriser(
 
 def fixed_plan_hessian(
     V: np.ndarray,
-    packed: dict,
+    plan: TransportPlan,
     X: np.ndarray,
     p: float,
     lam: float,
@@ -226,11 +223,11 @@ def fixed_plan_hessian(
     objective is convex; p = 1 kinks are clamped like the gradient.
     """
     m, d = V.shape
-    wa, wb, diff, r = _entry_offsets(V, packed, X)
-    kern = _entry_kernel(r, packed["mass"], p, eps_clamp)
+    wa, wb, diff, r = _entry_offsets(V, plan, X)
+    kern = _entry_kernel(r, plan.mass, p, eps_clamp)
     u = diff / np.maximum(r, eps_clamp)[:, None]
     hy = kern[:, None, None] * (np.eye(d) + (p - 2.0) * u[:, :, None] * u[:, None, :])
-    ends = ((packed["ia"], wa), (packed["ib"], wb))
+    ends = ((plan.ia, wa), (plan.ib, wb))
     H = np.zeros((m, m, d, d))  # H[i, j] is the d x d block of vertices i and j
     for i, wi in ends:
         for j, wj in ends:
@@ -253,7 +250,6 @@ def gradient(
     p: float,
     lam: float,
     plan: TransportPlan | None = None,
-    eps_tie: float | None = None,
 ) -> np.ndarray:
     """Gradient of the total energy with respect to each vertex.
 
@@ -262,18 +258,14 @@ def gradient(
     where an atom coincides with its target.
     """
     validate_params(p, lam)
-    diam = diameter(mu)
-    if eps_tie is None:
-        eps_tie = 1e-9 * diam
+    eps_tie = tie_tolerance(diameter(mu))
     if plan is None:
-        plan, _ = build_plan(mu, c, eps_tie=eps_tie, diam=diam)
+        plan, _ = build_plan(mu, c)
     if p == 1.0 and np.any(plan.dist <= eps_tie):
         raise NonSmoothPointError(
             "p=1 gradient at a coincident atom-target pair; use stationarity_report"
         )
-    _, grad = fixed_plan_value_grad(
-        np.array(c.vertices), plan.packed, mu.positions, p, lam, eps_tie
-    )
+    _, grad = fixed_plan_value_grad(np.array(c.vertices), plan, mu.positions, p, lam, eps_tie)
     return grad
 
 
@@ -343,7 +335,6 @@ def stationarity_report(
     lam: float,
     plan: TransportPlan | None = None,
     classification: VertexClassification | None = None,
-    eps_tie: float | None = None,
 ) -> StationarityReport:
     """Evaluate the first-variation conditions on every vertex.
 
@@ -352,20 +343,19 @@ def stationarity_report(
     the barycentric weights; each vertex adds lambda times the unit vectors
     toward its neighbours. The residual is therefore minus the fixed-plan
     gradient, equal to -gradient() wherever that is defined. For p = 1 the
-    pulls of atoms within eps_tie are left out, and a tied vertex reports
+    pulls of atoms within the tie tolerance are left out, and a tied vertex reports
     slack = tied mass - |residual| instead of a free residual.
     """
     validate_params(p, lam)
     if plan is None or classification is None:
-        plan, classification = build_plan(mu, c, eps_tie=eps_tie, diam=None)
-    eps_tie = classification.eps_tie
+        plan, classification = build_plan(mu, c)
+    eps_tie = tie_tolerance(diameter(mu))
     m = c.n_vertices
-    packed = plan.packed
-    wa, wb, diff, r = _entry_offsets(c.vertices, packed, mu.positions)
-    kern = _entry_kernel(r, packed["mass"], p, eps_tie)
-    residual = -_first_variation(c.vertices, packed, wa, wb, diff, kern, lam)
+    wa, wb, diff, r = _entry_offsets(c.vertices, plan, mu.positions)
+    kern = _entry_kernel(r, plan.mass, p, eps_tie)
+    residual = -_first_variation(c.vertices, plan, wa, wb, diff, kern, lam)
     norms = np.linalg.norm(residual, axis=1)
-    tied_mass = _tied_mass(packed, r, eps_tie, m)
+    tied_mass = _tied_mass(plan, r, eps_tie, m)
 
     rows = []
     for j in range(m):

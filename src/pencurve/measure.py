@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,14 +20,16 @@ class DiscreteMeasure:
     positions: (n, d) float array, one atom per row (row order is the
     deterministic summation order used everywhere downstream).
     masses: (n,) strictly positive weights. Not renormalized on load.
+    Both are read-only copies of the given arrays, so the 2-D hull and the
+    diameter, each computed on first use, stay valid.
     """
 
     positions: np.ndarray
     masses: np.ndarray
 
     def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=float)
-        mas = np.asarray(self.masses, dtype=float)
+        pos = np.array(self.positions, dtype=float)
+        mas = np.array(self.masses, dtype=float)
         if pos.ndim != 2 or pos.shape[0] == 0:
             raise PencurveError("measure needs at least one atom, got shape %s" % (pos.shape,))
         if pos.shape[1] < 2:
@@ -53,6 +56,14 @@ class DiscreteMeasure:
     @property
     def total_mass(self) -> float:
         return float(np.sum(self.masses))
+
+    @cached_property
+    def _hull(self) -> np.ndarray:
+        return _monotone_chain(self.positions)
+
+    @cached_property
+    def _diameter(self) -> float:
+        return _max_pair_distance(convex_hull_2d(self) if self.dim == 2 else self.positions)
 
     def to_dict(self) -> dict:
         return {
@@ -155,16 +166,23 @@ def _measure_from_json_dict(data: dict) -> DiscreteMeasure:
     return DiscreteMeasure(np.array(coords, dtype=float), mass_arr)
 
 
-def diameter(mu: DiscreteMeasure, hull: np.ndarray | None = None) -> float:
+def diameter(mu: DiscreteMeasure) -> float:
     """Largest pairwise distance among atom positions (0 for one atom).
 
     In 2-D the farthest pair is a pair of convex-hull vertices, so only the
-    hull is searched: O(n log n) overall, or O(k^2) for a given k-vertex
-    hull of mu. Other dimensions compare all pairs in row chunks.
+    hull is searched: O(n log n) overall. Other dimensions compare all
+    pairs in row chunks. Computed once per measure.
     """
-    if mu.dim == 2:
-        return _max_pair_distance(convex_hull_2d(mu) if hull is None else hull)
-    return _max_pair_distance(mu.positions)
+    return mu._diameter
+
+
+def tie_tolerance(diam: float) -> float:
+    """Length below which two points count as one: 1e-9 of the diameter.
+
+    The diameter is floored at 1e-12, so a one-point measure keeps a
+    positive tolerance. Ties, merges, turn sides and contacts all use it.
+    """
+    return 1e-9 * max(diam, 1e-12)
 
 
 def _max_pair_distance(pos: np.ndarray) -> float:
@@ -183,30 +201,35 @@ def _cross2(o, a, b) -> float:
 
 
 def convex_hull_2d(mu: DiscreteMeasure) -> np.ndarray:
-    """Counterclockwise hull vertices of the support (monotone chain).
+    """Counterclockwise hull vertices of the support, read-only.
 
     Collinear points are dropped from the vertex list, so collinear input
     yields the two extreme points and a single atom yields itself.
+    Computed once per measure.
     """
     if mu.dim != 2:
         raise DimensionMismatchError(f"convex hull implemented for d=2 only, got d={mu.dim}")
-    pts = np.unique(mu.positions, axis=0)
+    return mu._hull
+
+
+def _monotone_chain(positions: np.ndarray) -> np.ndarray:
+    pts = np.unique(positions, axis=0)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    if len(pts) == 1:
-        return pts.copy()
-    pts = pts.tolist()  # python floats: the same IEEE arithmetic, without numpy scalar overhead
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in pts[::-1]:
-        while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    return np.array(hull, dtype=float)
+    if len(pts) > 1:
+        pts = pts.tolist()  # python floats: the same IEEE arithmetic, without numpy scalar overhead
+        lower: list = []
+        for p in pts:
+            while len(lower) >= 2 and _cross2(lower[-2], lower[-1], p) <= 0:
+                lower.pop()
+            lower.append(p)
+        upper: list = []
+        for p in pts[::-1]:
+            while len(upper) >= 2 and _cross2(upper[-2], upper[-1], p) <= 0:
+                upper.pop()
+            upper.append(p)
+        pts = np.array(lower[:-1] + upper[:-1], dtype=float)
+    pts.setflags(write=False)
+    return pts
 
 
 def synth_measure(family: str, n: int, seed: int, **params) -> DiscreteMeasure:

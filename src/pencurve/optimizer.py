@@ -9,7 +9,7 @@ one energy gate. For p > 1 a quasi-Newton finish then drives the curve to
 the stationarity tolerance, accepting only energy decreases, so the energy
 trace is non-increasing. The status is "converged" only when the final
 curve passes the stationarity check, else "plateau" (an outer iteration's
-relative drop fell below tol_energy_rel) or "max_iters".
+relative drop fell below TOL_ENERGY_REL) or "max_iters".
 """
 
 from __future__ import annotations
@@ -19,7 +19,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import Polyline, merge_vertices, self_intersections_2d, turning_angles
+from .curve import (
+    Polyline,
+    collapse_duplicates,
+    merge_vertices,
+    self_intersections_2d,
+    turning_angles,
+)
 from .diagnostics import TheoryReport, full_report, project_to_hull
 from .energy import (
     EnergyBreakdown,
@@ -32,21 +38,23 @@ from .energy import (
     validate_params,
 )
 from .errors import ConfigError, NumericError
-from .measure import DiscreteMeasure, convex_hull_2d, diameter, synth_measure
+from .measure import DiscreteMeasure, convex_hull_2d, diameter, tie_tolerance
 from .projection import TransportPlan, VertexClassification, build_plan
 
 INNER_MAX_STEPS = 10  # majorise-minimise steps per fixed-plan solve
+TOL_ENERGY_REL = 1e-8  # relative energy drop that ends a solve and the outer loop
 FINISH_MAX_STEPS = 150  # quasi-Newton steps of the final polish
 FINISH_MEMORY = 5  # secant pairs the quasi-Newton finish keeps
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Exponent, penalty, vertex budget, and stopping parameters for fit().
+    """Exponent, penalty, vertex budget, iteration caps and seed for fit().
 
     None values are resolved against the measure: m_max defaults to
     10 * ceil(sqrt(n)) capped at 200, m_init to ceil(sqrt(n)) clamped into
-    [2, m_max], tol_stationarity to 1e-6 * lam, and eps_tie / eps_merge to
-    1e-9 * diameter.
+    [2, m_max]. Tolerances are derived, not set: tol_stationarity is
+    1e-6 * lam, the relative energy drop is TOL_ENERGY_REL, and ties and
+    merges use the measure's tie_tolerance.
     """
 
     p: float = 2.0
@@ -54,14 +62,14 @@ class FitConfig:
     m_init: int | None = None
     m_max: int | None = None
     max_outer_iters: int = 200
-    tol_energy_rel: float = 1e-8
-    tol_stationarity: float | None = None
-    eps_tie: float | None = None
-    eps_merge: float | None = None
     restarts: int = 1
     seed: int = 0
 
-    def resolved(self, mu: DiscreteMeasure, diam: float) -> "FitConfig":
+    @property
+    def tol_stationarity(self) -> float:
+        return 1e-6 * self.lam
+
+    def resolved(self, mu: DiscreteMeasure) -> "FitConfig":
         validate_params(self.p, self.lam)
         n = mu.n_atoms
         m_max = self.m_max if self.m_max is not None else min(200, 10 * math.ceil(math.sqrt(n)))
@@ -71,23 +79,10 @@ class FitConfig:
             m_init = self.m_init
         if m_init < 1 or m_max < m_init:
             raise ConfigError(f"need 1 <= m_init <= m_max, got {m_init}, {m_max}")
-        scale = max(diam, 1e-12)
-        out = replace(
-            self,
-            m_init=m_init,
-            m_max=m_max,
-            tol_stationarity=self.tol_stationarity if self.tol_stationarity is not None
-            else 1e-6 * self.lam,
-            eps_tie=self.eps_tie if self.eps_tie is not None else 1e-9 * scale,
-            eps_merge=self.eps_merge if self.eps_merge is not None else 1e-9 * scale,
-        )
         for name in ("max_outer_iters", "restarts"):
-            if getattr(out, name) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        for name in ("tol_energy_rel", "tol_stationarity"):
-            if not getattr(out, name) > 0:
-                raise ConfigError(f"{name} must be > 0")
-        return out
+        return replace(self, m_init=m_init, m_max=m_max)
 
 
 @dataclass(frozen=True)
@@ -148,18 +143,14 @@ def _principal_frame(mu: DiscreteMeasure):
     return mean, evals, evecs
 
 
-def init_curve(mu: DiscreteMeasure, cfg: FitConfig, restart: int = 0,
-               diam: float | None = None, hull: np.ndarray | None = None) -> Polyline:
+def init_curve(mu: DiscreteMeasure, cfg: FitConfig, restart: int = 0) -> Polyline:
     """Initial polyline on the first principal axis of the measure.
 
     m_init vertices are spread over +/- one weighted standard deviation
     around the weighted mean; restarts > 0 jitter the vertices (in the
     principal frame, clipped to the hull in 2-D) with seeded noise.
-    diam and the 2-D hull of mu are computed when not given.
     """
-    if diam is None:
-        diam = diameter(mu)
-    cfg = cfg.resolved(mu, diam)
+    cfg = cfg.resolved(mu)
     mean, evals, evecs = _principal_frame(mu)
     std = math.sqrt(max(evals[0], 0.0))
     if std == 0.0 or cfg.m_init == 1:
@@ -169,27 +160,15 @@ def init_curve(mu: DiscreteMeasure, cfg: FitConfig, restart: int = 0,
         verts = mean[None, :] + offsets[:, None] * evecs[:, 0][None, :]
     if restart > 0 and verts.shape[0] > 0:
         rng = np.random.default_rng([cfg.seed, restart])
-        coeffs = rng.normal(0.0, 0.1 * diam, size=verts.shape)
+        coeffs = rng.normal(0.0, 0.1 * diameter(mu), size=verts.shape)
         verts = verts + coeffs @ evecs.T
         if mu.dim == 2:
-            hull = convex_hull_2d(mu) if hull is None else hull
+            hull = convex_hull_2d(mu)
             verts = np.array([project_to_hull(v, hull) for v in verts])
-    verts = _collapse_exact(verts)
-    return Polyline(verts)
+    return Polyline(collapse_duplicates(verts))
 
 
-def _collapse_exact(verts: np.ndarray) -> np.ndarray:
-    if verts.shape[0] < 2:
-        return verts
-    keep = [verts[0]]
-    for v in verts[1:]:
-        if np.linalg.norm(v - keep[-1]) > 0.0:
-            keep.append(v)
-    return np.array(keep)
-
-
-def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig,
-                     diam: float | None = None) -> Polyline:
+def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> Polyline:
     """Majorise-minimise the fixed-plan objective; returns the new curve.
 
     Each of at most INNER_MAX_STEPS steps solves the quadratic model of
@@ -199,31 +178,26 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig,
     the objective's and its matrix is positive definite. For p <= 2 the
     model lies above the objective, so unless an entry or a segment is
     clamped the first trial passes. Stops on the gradient tolerance, on a
-    relative drop below tol_energy_rel, or when no trial decreases the
+    relative drop below TOL_ENERGY_REL, or when no trial decreases the
     objective, so the fixed-plan objective and hence the true energy cannot
     go up.
     """
-    if diam is None:
-        diam = diameter(mu)
-    cfg = cfg.resolved(mu, diam)
     V = np.array(c.vertices)
     X = mu.positions
-    packed = plan.packed
-    p, lam, eps = cfg.p, cfg.lam, cfg.eps_tie
-    val, grad = fixed_plan_value_grad(V, packed, X, p, lam, eps)
+    p, lam, eps = cfg.p, cfg.lam, tie_tolerance(diameter(mu))
+    val, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps)
     if not np.isfinite(val):
         raise NumericError("non-finite fixed-plan objective at start")
     for _ in range(INNER_MAX_STEPS):
         if float(np.max(np.linalg.norm(grad, axis=1))) <= cfg.tol_stationarity:
             break
-        A, B = fixed_plan_majoriser(V, packed, X, p, lam, eps)
+        A, B = fixed_plan_majoriser(V, plan, X, p, lam, eps)
         try:
             step = np.linalg.solve(A, B) - V
         except np.linalg.LinAlgError:
             break
         for _ in range(30):
-            cand_val, _ = fixed_plan_value_grad(V + step, packed, X, p, lam, eps,
-                                                want_grad=False)
+            cand_val, _ = fixed_plan_value_grad(V + step, plan, X, p, lam, eps, want_grad=False)
             if cand_val < val:  # False for NaN too
                 break
             step *= 0.5
@@ -231,10 +205,10 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig,
             break
         drop = val - cand_val
         V = V + step
-        val, grad = fixed_plan_value_grad(V, packed, X, p, lam, eps)
-        if drop <= cfg.tol_energy_rel * abs(val):
+        val, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps)
+        if drop <= TOL_ENERGY_REL * abs(val):
             break
-    return Polyline(_collapse_exact(V))
+    return Polyline(collapse_duplicates(V))
 
 
 @dataclass(frozen=True)
@@ -247,10 +221,10 @@ class _State:
     energy: EnergyBreakdown
 
 
-def _evaluate(mu: DiscreteMeasure, verts: np.ndarray, cfg: FitConfig, diam: float) -> _State:
+def _evaluate(mu: DiscreteMeasure, verts: np.ndarray, cfg: FitConfig) -> _State:
     """The curve through verts, exact duplicates collapsed, with its plan and energy."""
-    curve = Polyline(_collapse_exact(verts))
-    plan, cls = build_plan(mu, curve, eps_tie=cfg.eps_tie, diam=diam)
+    curve = Polyline(collapse_duplicates(verts))
+    plan, cls = build_plan(mu, curve)
     return _State(curve, plan, cls, energy(mu, curve, cfg.p, cfg.lam, plan=plan))
 
 
@@ -264,7 +238,7 @@ def _gate(cand: _State, current: _State) -> _State:
     return current
 
 
-def _manage_vertices(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig, diam: float) -> _State:
+def _manage_vertices(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig) -> _State:
     """Merge close vertices, split oversized segments, drop idle endpoints.
 
     The merge and each endpoint drop pass the energy gate; splits leave the
@@ -272,10 +246,9 @@ def _manage_vertices(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig, diam: flo
     the idle endpoints, the traced energy and the next fixed-plan solve.
     """
     state = None
-    merged = merge_vertices(c, cfg.eps_merge)
+    merged = merge_vertices(c, tie_tolerance(diameter(mu)))
     if merged.n_vertices < c.n_vertices:
-        state = _gate(_evaluate(mu, merged.vertices, cfg, diam),
-                      _evaluate(mu, c.vertices, cfg, diam))
+        state = _gate(_evaluate(mu, merged.vertices, cfg), _evaluate(mu, c.vertices, cfg))
         c = state.curve
 
     while c.n_vertices < cfg.m_max and c.n_vertices > 1:
@@ -286,7 +259,7 @@ def _manage_vertices(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig, diam: flo
         mid = 0.5 * (c.vertices[k] + c.vertices[k + 1])
         c = Polyline(np.insert(c.vertices, k + 1, mid, axis=0))
     if state is None or state.curve is not c:
-        state = _evaluate(mu, c.vertices, cfg, diam)
+        state = _evaluate(mu, c.vertices, cfg)
 
     dropped = True
     while dropped and state.curve.n_vertices > 1:
@@ -294,40 +267,39 @@ def _manage_vertices(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig, diam: flo
         talking, verts = state.classification.talking, state.curve.vertices
         for atoms, keep in ((talking[0], verts[1:]), (talking[-1], verts[:-1])):
             if not atoms:
-                cand = _gate(_evaluate(mu, keep, cfg, diam), state)
+                cand = _gate(_evaluate(mu, keep, cfg), state)
                 if cand is not state:
                     state, dropped = cand, True
                     break
     return state
 
 
-def _fit_single(mu: DiscreteMeasure, cfg: FitConfig, restart: int, diam: float, hull):
+def _fit_single(mu: DiscreteMeasure, cfg: FitConfig, restart: int):
     """One restart: (final state, energy trace, outer iterations, status)."""
-    curve = init_curve(mu, cfg, restart=restart, diam=diam, hull=hull)
-    state = _evaluate(mu, curve.vertices, cfg, diam)
+    curve = init_curve(mu, cfg, restart=restart)
+    state = _evaluate(mu, curve.vertices, cfg)
     if not np.isfinite(state.energy.total):
         raise NumericError("non-finite energy at initialization")
     trace = [state.energy.total]
     status = "max_iters"
     for iterations in range(1, cfg.max_outer_iters + 1):  # resolved() keeps this >= 1
-        solved = fixed_plan_solve(mu, state.curve, state.plan, cfg, diam=diam)
-        new = _manage_vertices(mu, solved, cfg, diam)
+        solved = fixed_plan_solve(mu, state.curve, state.plan, cfg)
+        new = _manage_vertices(mu, solved, cfg)
         if not np.isfinite(new.energy.total):
             raise NumericError(f"non-finite energy at outer iteration {iterations}")
         trace.append(new.energy.total)
         rel_drop = (state.energy.total - new.energy.total) / max(abs(state.energy.total), 1e-300)
         state = new
-        if rel_drop < cfg.tol_energy_rel:
+        if rel_drop < TOL_ENERGY_REL:
             status = "plateau"
             break
-    state = _finalize(mu, state, cfg, diam)
+    state = _finalize(mu, state, cfg)
     if trace[-1] != state.energy.total:
         trace.append(state.energy.total)
     return state, np.array(trace), iterations, status
 
 
-def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig,
-                         diam: float) -> _State:
+def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> _State:
     """Drive a p > 1 curve to the stationarity tolerance.
 
     Majorise-minimise steps converge linearly, and slowly where vertices
@@ -342,15 +314,15 @@ def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig,
     reverse collapses to its midpoint instead. Stops at tol_stationarity,
     when no trial drops, or after FINISH_MAX_STEPS.
     """
-    X, p, lam, eps = mu.positions, cfg.p, cfg.lam, cfg.eps_tie
+    X, p, lam, eps = mu.positions, cfg.p, cfg.lam, tie_tolerance(diameter(mu))
     V = state.curve.vertices
-    _, grad = fixed_plan_value_grad(V, state.plan.packed, X, p, lam, eps)
+    _, grad = fixed_plan_value_grad(V, state.plan, X, p, lam, eps)
     pairs = []
     for _ in range(FINISH_MAX_STEPS):
         if float(np.max(np.linalg.norm(grad, axis=1))) <= cfg.tol_stationarity:
             break
         m, d = V.shape
-        H = fixed_plan_hessian(V, state.plan.packed, X, p, lam, eps)
+        H = fixed_plan_hessian(V, state.plan, X, p, lam, eps)
         H[np.diag_indices(m * d)] += 1e-12 * (np.trace(H) / (m * d) + lam)
         q = grad.reshape(-1).copy()  # L-BFGS two-loop recursion around H
         alphas = []
@@ -368,14 +340,14 @@ def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig,
             cand = V + step
             flip = np.nonzero(np.sum(np.diff(cand, axis=0) * np.diff(V, axis=0), axis=1) <= 0)[0]
             cand[flip] = cand[flip + 1] = 0.5 * (cand[flip] + cand[flip + 1])
-            trial = _evaluate(mu, cand, cfg, diam)
+            trial = _evaluate(mu, cand, cfg)
             if trial.energy.total < state.energy.total:  # False for NaN too
                 break
             step *= 0.5
         else:
             break
         W = trial.curve.vertices
-        _, trial_grad = fixed_plan_value_grad(W, trial.plan.packed, X, p, lam, eps)
+        _, trial_grad = fixed_plan_value_grad(W, trial.plan, X, p, lam, eps)
         if W.shape != V.shape:
             pairs = []
         else:
@@ -386,7 +358,7 @@ def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig,
     return state
 
 
-def _finalize(mu: DiscreteMeasure, state: _State, cfg: FitConfig, diam: float) -> _State:
+def _finalize(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> _State:
     """Canonicalize degeneracies, then finish to the stationarity tolerance.
 
     A curve that wants a corner leaves two vertices a few ulps apart, where
@@ -397,15 +369,15 @@ def _finalize(mu: DiscreteMeasure, state: _State, cfg: FitConfig, diam: float) -
     last (at p = 1 an atom on the curve is a kink of the energy, and the
     frozen Hessian is singular along every offset).
     """
-    merged = merge_vertices(state.curve, 1e-6 * max(diam, 1e-12))
+    merged = merge_vertices(state.curve, 1e-6 * max(diameter(mu), 1e-12))
     if merged.n_vertices < state.curve.n_vertices:
-        state = _gate(_evaluate(mu, merged.vertices, cfg, diam), state)
+        state = _gate(_evaluate(mu, merged.vertices, cfg), state)
     straight = np.nonzero(turning_angles(state.curve) <= 1e-9)[0] + 1
     if straight.size:
         cand = np.delete(state.curve.vertices, straight, axis=0)
-        state = _gate(_evaluate(mu, cand, cfg, diam), state)
+        state = _gate(_evaluate(mu, cand, cfg), state)
     if cfg.p > 1.0:
-        state = _quasi_newton_finish(mu, state, cfg, diam)
+        state = _quasi_newton_finish(mu, state, cfg)
     return state
 
 
@@ -415,17 +387,14 @@ def fit(mu: DiscreteMeasure, cfg: FitConfig) -> FitResult:
     Restarts run independently with derived seeds. A later restart replaces
     the best one only when its final energy is lower by more than 1e-12
     relative, so restarts that reach the same minimiser up to rounding keep
-    the lowest index and results are deterministic. The diameter and the
-    2-D hull are computed once and passed down. The status is "converged"
-    only when the final curve passes the stationarity check at
+    the lowest index and results are deterministic. The status is
+    "converged" only when the final curve passes the stationarity check at
     tol_stationarity; otherwise it says why the outer loop stopped.
     """
-    hull = convex_hull_2d(mu) if mu.dim == 2 else None
-    diam = diameter(mu, hull)
-    cfg = cfg.resolved(mu, diam)
+    cfg = cfg.resolved(mu)
     best = None
     for r in range(cfg.restarts):
-        run = (*_fit_single(mu, cfg, r, diam, hull), r)
+        run = (*_fit_single(mu, cfg, r), r)
         e = run[0].energy.total
         if best is None or e < best[0].energy.total - 1e-12 * abs(best[0].energy.total):
             best = run
@@ -434,46 +403,40 @@ def fit(mu: DiscreteMeasure, cfg: FitConfig) -> FitResult:
                                classification=state.classification)
     if stat.passes(cfg.tol_stationarity):
         status = "converged"
-    theory = full_report(mu, state.curve, cfg.p, cfg.lam, diam=diam, hull=hull)
+    theory = full_report(mu, state.curve, cfg.p, cfg.lam)
     return FitResult(state.curve, trace, state.energy, stat, theory, iterations, r, status)
 
 
-def conjecture_search(p: float, families=("random_atoms",), budget: int = 20,
-                      seed: int = 0, restarts: int = 4,
-                      lam_range=(0.02, 0.5), n_range=(3, 8)) -> list[dict]:
+def conjecture_search(p: float, budget: int = 20, seed: int = 0,
+                      restarts: int = 4) -> list[dict]:
     """Hunt for self-intersecting stationary fits on random instances.
 
-    Returns full records for every instance whose best fitted curve
-    crosses itself while meeting the stationarity tolerance; finding none
-    proves nothing, and candidates carry no claim of global optimality.
-    For p >= 2 the run serves as a consistency control: minimizers are
-    provably injective there, so candidates should not appear.
+    Each instance has 3 to 8 uniform atoms in the unit square with random
+    masses and a log-uniform lambda in [0.02, 0.5]. Returns full records
+    for every instance whose best fitted curve crosses itself while meeting
+    the stationarity tolerance; finding none proves nothing, and candidates
+    carry no claim of global optimality. For p >= 2 the run serves as a
+    consistency control: minimizers are provably injective there, so
+    candidates should not appear.
     """
     if not p >= 1.0:
         raise ConfigError(f"p must be >= 1, got {p}")
     candidates = []
     for i in range(int(budget)):
         rng = np.random.default_rng([seed, i])
-        family = families[i % len(families)]
-        n = int(rng.integers(n_range[0], n_range[1] + 1))
-        if family == "random_atoms":
-            pos = rng.uniform(0.0, 1.0, size=(n, 2))
-            masses = rng.uniform(0.2, 1.0, size=n)
-            masses = masses / masses.sum()
-            mu = DiscreteMeasure(pos, masses)
-        else:
-            mu = synth_measure(family, n, seed=int(rng.integers(0, 2**31 - 1)))
-        lam = float(np.exp(rng.uniform(np.log(lam_range[0]), np.log(lam_range[1]))))
+        n = int(rng.integers(3, 9))
+        pos = rng.uniform(0.0, 1.0, size=(n, 2))
+        masses = rng.uniform(0.2, 1.0, size=n)
+        mu = DiscreteMeasure(pos, masses / masses.sum())
+        lam = float(np.exp(rng.uniform(np.log(0.02), np.log(0.5))))
         cfg = FitConfig(p=p, lam=lam, restarts=restarts, seed=int(rng.integers(0, 2**31 - 1)),
                         m_init=max(3, n // 2), m_max=max(6, n))
         result = fit(mu, cfg)
-        diam = diameter(mu)
-        hits = self_intersections_2d(result.curve, eps=1e-9 * max(diam, 1e-12))
-        stat_ok = result.stationarity.passes(cfg.resolved(mu, diam).tol_stationarity)
-        if hits and stat_ok:
+        hits = self_intersections_2d(result.curve, eps=tie_tolerance(diameter(mu)))
+        if hits and result.stationarity.passes(cfg.tol_stationarity):
             candidates.append({
                 "instance": i,
-                "family": family,
+                "family": "random_atoms",
                 "p": p,
                 "lambda": lam,
                 "measure": mu.to_dict(),

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Polyline
+from .curve import Polyline, collapse_duplicates
 from .energy import energy, validate_params
 from .errors import BudgetExceededError, ConfigError, PencurveError
 from .measure import DiscreteMeasure, diameter
@@ -43,15 +43,14 @@ class OracleConfig:
         validate_params(self.p, self.lam)
 
 
-def lipschitz_constant(mu: DiscreteMeasure, p: float, lam: float, m: int,
-                       diam: float | None = None) -> float:
+def lipschitz_constant(mu: DiscreteMeasure, p: float, lam: float, m: int) -> float:
     """Energy change per unit of simultaneous vertex movement.
 
     Moving every vertex by at most delta changes each atom's distance by at
     most delta and each segment length by at most 2*delta, so the energy
     moves by at most (p * diam^(p-1) * mass + lam * m) * delta.
     """
-    return p * (diameter(mu) if diam is None else diam) ** (p - 1.0) * mu.total_mass + lam * m
+    return p * diameter(mu) ** (p - 1.0) * mu.total_mass + lam * m
 
 
 def _grid_axis(lo: float, hi: float, h: float) -> np.ndarray:
@@ -234,29 +233,26 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     verts = P[list(best_tuple)]
     if tuple(map(tuple, verts[::-1])) < tuple(map(tuple, verts)):
         verts = verts[::-1]  # reversal symmetry: keep the lexicographically smaller form
-    keep = [verts[0]]
-    for v in verts[1:]:
-        if np.linalg.norm(v - keep[-1]) > 0.0:
-            keep.append(v)
-    return Polyline(np.array(keep)), best_energy
+    return Polyline(collapse_duplicates(verts)), best_energy
 
 
-def certify_fit(mu: DiscreteMeasure, fit_curve: Polyline, ocfg: OracleConfig,
-                tol: float = 1e-6) -> dict:
+CERTIFY_TOL = 1e-6  # absolute energy slack of certify_fit, on top of the grid slack
+
+
+def certify_fit(mu: DiscreteMeasure, fit_curve: Polyline, ocfg: OracleConfig) -> dict:
     """Compare a fitted curve's energy against the oracle minimum.
 
-    PASS requires fit <= oracle + C*h + tol where C is the grid Lipschitz
-    slack; a refused oracle yields status SKIPPED.
+    PASS requires fit <= oracle + C*h + CERTIFY_TOL where C is the grid
+    Lipschitz slack; a refused oracle yields status SKIPPED.
     """
-    diam = diameter(mu)
-    C = lipschitz_constant(mu, ocfg.p, ocfg.lam, ocfg.m, diam=diam)
+    C = lipschitz_constant(mu, ocfg.p, ocfg.lam, ocfg.m)
     record = {
         "h": ocfg.h,
         "m": ocfg.m,
         "p": ocfg.p,
         "lambda": ocfg.lam,
         "grid_slack": C * ocfg.h,
-        "tol": tol,
+        "tol": CERTIFY_TOL,
     }
     try:
         oracle_curve, oracle_energy = brute_force_min(mu, ocfg)
@@ -264,11 +260,12 @@ def certify_fit(mu: DiscreteMeasure, fit_curve: Polyline, ocfg: OracleConfig,
         record["status"] = "SKIPPED"
         record["reason"] = str(exc)
         return record
-    fit_energy = energy(mu, fit_curve, ocfg.p, ocfg.lam, diam=diam).total
+    fit_energy = energy(mu, fit_curve, ocfg.p, ocfg.lam).total
     record["oracle_energy"] = oracle_energy
     record["fit_energy"] = fit_energy
     record["gap"] = fit_energy - oracle_energy
-    record["status"] = "PASS" if fit_energy <= oracle_energy + C * ocfg.h + tol else "FAIL"
+    passed = fit_energy <= oracle_energy + C * ocfg.h + CERTIFY_TOL
+    record["status"] = "PASS" if passed else "FAIL"
     record["oracle_curve"] = oracle_curve.to_dict()
     return record
 

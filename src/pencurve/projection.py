@@ -8,7 +8,7 @@ import numpy as np
 
 from .curve import Polyline
 from .errors import DimensionMismatchError
-from .measure import DiscreteMeasure, diameter
+from .measure import DiscreteMeasure, diameter, tie_tolerance
 
 EPS_PROJ = 1e-12  # relative tolerance under which two segment distances tie
 CHUNK = 512  # atoms per block of the nearest-foot pass: O(CHUNK * m) temporaries
@@ -19,8 +19,8 @@ class TransportPlan:
     """Atom-to-curve mass assignment in entry columns; first marginal is the measure.
 
     Entry k is atom k: it sends mass[k] to point[k] = (1-t[k]) V[ia[k]] + t[k] V[ib[k]]
-    (vertex targets: ia == ib, t == 0) at arc length arc[k], the atom's
-    first nearest target along the curve, so dist[k] is d(x_k, curve).
+    (vertex targets: ia == ib, t == 0), the atom's first nearest target
+    along the curve, so dist[k] is d(x_k, curve).
     """
 
     mass: np.ndarray
@@ -28,14 +28,8 @@ class TransportPlan:
     ia: np.ndarray
     ib: np.ndarray
     t: np.ndarray
-    arc: np.ndarray
     point: np.ndarray
     n_vertices: int
-
-    @property
-    def packed(self) -> dict:
-        """The columns the fixed-plan value, gradient, MM system and Hessian read."""
-        return {"mass": self.mass, "dist": self.dist, "ia": self.ia, "ib": self.ib, "t": self.t}
 
     @property
     def entries(self) -> range:
@@ -47,20 +41,17 @@ class TransportPlan:
 class VertexClassification:
     """Free/tied status and talking set for every curve vertex.
 
-    A vertex is tied when an atom sits on it (within eps_tie) and sends its
-    full mass there; talking[j] lists atoms with a plan entry at vertex j.
+    A vertex is tied when an atom sits on it (within the measure's tie
+    tolerance) and sends its full mass there; talking[j] lists atoms with a
+    plan entry at vertex j.
     """
 
     tied_atom: tuple  # per vertex: atom index or None
     talking: tuple  # per vertex: tuple of atom indices
-    eps_tie: float
-
-    def is_tied(self, j: int) -> bool:
-        return self.tied_atom[j] is not None
 
 
 def _snap_targets(c: Polyline, seg: np.ndarray, t: np.ndarray, snap: float):
-    """Columns (ia, ib, t, arc, point) of the feet at parameters t on segments seg.
+    """Columns (ia, ib, t, point) of the feet at parameters t on segments seg.
 
     A foot within snap (in length) of its segment's start or end is
     reported as that vertex, with ia == ib and t == 0.
@@ -71,10 +62,9 @@ def _snap_targets(c: Polyline, seg: np.ndarray, t: np.ndarray, snap: float):
     inner = ~(lo | hi)
     ia = seg + hi
     ib = np.where(inner, seg + 1, ia)
-    arc = np.where(inner, c.cumulative_lengths[seg] + t * ln, c.cumulative_lengths[ia])
     point = np.where(inner[:, None], c.vertices[seg] + t[:, None] * c.segment_vectors[seg],
                      c.vertices[ia])
-    return ia, ib, np.where(inner, t, 0.0), arc, point
+    return ia, ib, np.where(inner, t, 0.0), point
 
 
 def _nearest_feet(X: np.ndarray, c: Polyline, eps_abs: float):
@@ -105,20 +95,17 @@ def _nearest_feet(X: np.ndarray, c: Polyline, eps_abs: float):
     return dist, seg, t
 
 
-def build_plan(mu: DiscreteMeasure, c: Polyline, eps_tie: float | None = None,
-               diam: float | None = None):
+def build_plan(mu: DiscreteMeasure, c: Polyline):
     """Send every atom's mass to its first nearest curve target.
 
-    Returns the plan and the per-vertex free/tied classification (eps_tie
-    defaults to 1e-9 * diameter). Callers that already hold diameter(mu)
-    pass it as diam. Costs O(n m) time and O(CHUNK m) memory.
+    Returns the plan and the per-vertex free/tied classification, with
+    feet and ties decided at tie_tolerance(diameter(mu)). Costs O(n m)
+    time and O(CHUNK m) memory.
     """
     if mu.dim != c.dim:
         raise DimensionMismatchError(f"measure dim {mu.dim} vs curve dim {c.dim}")
-    if diam is None:
-        diam = diameter(mu)
-    if eps_tie is None:
-        eps_tie = 1e-9 * diam
+    diam = diameter(mu)
+    eps_tie = tie_tolerance(diam)
 
     X = mu.positions
     n = mu.n_atoms
@@ -128,7 +115,7 @@ def build_plan(mu: DiscreteMeasure, c: Polyline, eps_tie: float | None = None,
         rel = X - v0  # row products as a matmul: its rounding, not a coordinate sum's
         dist = np.sqrt((rel[:, None, :] @ rel[:, :, None])[:, 0, 0])
         zero = np.zeros(n, dtype=np.int64)
-        cols = [dist, zero, zero, np.zeros(n), np.zeros(n), np.repeat(v0[None, :], n, axis=0)]
+        cols = [dist, zero, zero, np.zeros(n), np.repeat(v0[None, :], n, axis=0)]
     else:
         dist, seg, t = _nearest_feet(X, c, EPS_PROJ * diam)
         cols = [dist, *_snap_targets(c, seg, t, eps_tie)]
@@ -143,6 +130,5 @@ def build_plan(mu: DiscreteMeasure, c: Polyline, eps_tie: float | None = None,
     for k in at_vertex[dist[at_vertex] <= eps_tie]:
         if dist[k] < tied_dist[ia[k]]:
             tied[ia[k]], tied_dist[ia[k]] = int(k), dist[k]
-    classification = VertexClassification(tuple(tied), tuple(tuple(g.tolist()) for g in talking),
-                                          eps_tie)
+    classification = VertexClassification(tuple(tied), tuple(tuple(g.tolist()) for g in talking))
     return plan, classification

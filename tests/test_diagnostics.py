@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from pencurve.curve import Polyline, length
+from pencurve.curve import Polyline, length, turning_angles
 from pencurve.diagnostics import (
+    _window_mass_prefixes,
     check_hull_containment,
     check_injectivity,
     check_length_bound,
@@ -13,7 +14,7 @@ from pencurve.diagnostics import (
     singleton_best_energy,
     turn_direction_sweep,
 )
-from pencurve.measure import DiscreteMeasure, convex_hull_2d, synth_measure
+from pencurve.measure import DiscreteMeasure, convex_hull_2d, diameter, synth_measure
 from pencurve.projection import build_plan
 
 TWO_ATOMS = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
@@ -135,6 +136,52 @@ def test_local_tv_zero_mass_turn_fails():
     chk = check_local_tv(mu, c, p=2.0, lam=0.2)
     assert not chk.passed
     assert chk.observed >= np.pi / 2 - 1e-9
+
+
+def _local_tv_loop(mu, c, p, lam):
+    """Reference for check_local_tv: every window (a, b) in turn, first worst kept."""
+    plan, _ = build_plan(mu, c)
+    m = c.n_vertices
+    coef = (p / lam) * diameter(mu) ** (p - 1.0)
+    pa = np.concatenate([[0.0], np.cumsum(turning_angles(c))])
+    pv, ps = _window_mass_prefixes(plan, m)
+    worst = (-np.inf, None)
+    for a in range(m - 1):
+        for b in range(a + 2, m):
+            tv = pa[b - 1] - pa[a]
+            sigma = (pv[b + 1] - pv[a]) + (ps[b] - ps[a])
+            viol = tv - coef * sigma
+            if viol > worst[0]:
+                worst = (viol, (a, b))
+    return worst
+
+
+def _local_tv_window(chk):
+    return chk.detail.split("window ")[1].split(")")[0] + ")"
+
+
+def test_local_tv_matches_the_window_loop():
+    rng = np.random.default_rng(8)
+    for _ in range(25):
+        mu = synth_measure("uniform_square", int(rng.integers(3, 40)),
+                           seed=int(rng.integers(1000)))
+        c = Polyline(rng.uniform(0.0, 1.0, (int(rng.integers(3, 30)), 2)))
+        for p, lam in ((1.0, 0.1), (1.5, 2.0), (2.0, 0.05)):
+            chk = check_local_tv(mu, c, p, lam)
+            viol, window = _local_tv_loop(mu, c, p, lam)
+            assert chk.observed == viol
+            assert _local_tv_window(chk) == str(window)
+
+
+def test_local_tv_tied_windows_keep_the_first():
+    # equal right-angle turns at vertices 1 and 4, no mass near either: windows
+    # (0, 2) and (3, 5) tie for the worst violation
+    mu = DiscreteMeasure(np.array([[0.5, 1.5]]), np.ones(1))
+    c = P((0, 0), (1, 0), (1, 1), (1, 2), (1, 3), (2, 3))
+    chk = check_local_tv(mu, c, p=1.0, lam=0.1)
+    viol, window = _local_tv_loop(mu, c, 1.0, 0.1)
+    assert window == (0, 2) and viol == np.pi / 2
+    assert chk.observed == viol and _local_tv_window(chk) == "(0, 2)"
 
 
 def test_local_tv_straight_passes():

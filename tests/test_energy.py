@@ -10,7 +10,7 @@ from pencurve.energy import (
     stationarity_report,
 )
 from pencurve.errors import ConfigError, NonSmoothPointError
-from pencurve.measure import DiscreteMeasure, diameter, synth_measure
+from pencurve.measure import DiscreteMeasure, diameter, synth_measure, tie_tolerance
 from pencurve.projection import build_plan
 
 TWO_ATOMS = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
@@ -102,7 +102,8 @@ def test_hessians_match_central_differences():
     # differences of the fixed-plan gradient
     lam = 0.2
     for mu, c in _smooth_configurations(32, 6):
-        plan, cls = build_plan(mu, c)
+        plan, _ = build_plan(mu, c)
+        eps = tie_tolerance(diameter(mu))
         V = np.array(c.vertices)
         m, d = V.shape
         h = 1e-6 * diameter(mu)
@@ -110,10 +111,10 @@ def test_hessians_match_central_differences():
             fd = np.zeros((m * d, m * d))
             for col in range(m * d):
                 step = h * np.eye(m * d)[col].reshape(m, d)
-                gp, gm = (fixed_plan_value_grad(V + sign * step, plan.packed, mu.positions, p, lam,
-                                                cls.eps_tie)[1] for sign in (1.0, -1.0))
+                gp, gm = (fixed_plan_value_grad(V + sign * step, plan, mu.positions, p, lam,
+                                                eps)[1] for sign in (1.0, -1.0))
                 fd[:, col] = (gp - gm).ravel() / (2 * h)
-            H = fixed_plan_hessian(V, plan.packed, mu.positions, p, lam, cls.eps_tie)
+            H = fixed_plan_hessian(V, plan, mu.positions, p, lam, eps)
             assert np.max(np.abs(H - fd)) <= 1e-4 * np.max(np.abs(fd))
 
 
@@ -202,13 +203,12 @@ def test_fixed_plan_objective_midpoint_convexity():
     mu = synth_measure("uniform_square", 25, seed=4)
     c = Polyline(rng.uniform(0, 1, (5, 2)))
     plan, _ = build_plan(mu, c)
-    packed = plan.packed
     for p in (1.0, 1.5, 2.0, 3.0):
         for _ in range(40):
             V1 = rng.uniform(-1, 2, (5, 2))
             V2 = rng.uniform(-1, 2, (5, 2))
-            f1, _ = fixed_plan_value_grad(V1, packed, mu.positions, p, 0.2, 0.0, want_grad=False)
-            f2, _ = fixed_plan_value_grad(V2, packed, mu.positions, p, 0.2, 0.0, want_grad=False)
-            fm, _ = fixed_plan_value_grad(0.5 * (V1 + V2), packed, mu.positions, p, 0.2, 0.0,
+            f1, _ = fixed_plan_value_grad(V1, plan, mu.positions, p, 0.2, 0.0, want_grad=False)
+            f2, _ = fixed_plan_value_grad(V2, plan, mu.positions, p, 0.2, 0.0, want_grad=False)
+            fm, _ = fixed_plan_value_grad(0.5 * (V1 + V2), plan, mu.positions, p, 0.2, 0.0,
                                           want_grad=False)
             assert fm <= 0.5 * (f1 + f2) + 1e-12 * max(1.0, abs(f1) + abs(f2))

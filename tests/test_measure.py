@@ -8,6 +8,7 @@ import pytest
 from pencurve import cli
 from pencurve.curve import Polyline
 from pencurve.diagnostics import full_report
+from pencurve.energy import energy, stationarity_report
 from pencurve.errors import ParseError, PencurveError
 from pencurve.measure import (
     SYNTH_FAMILIES,
@@ -18,6 +19,7 @@ from pencurve.measure import (
     synth_measure,
 )
 from pencurve.optimizer import FitConfig, fit
+from pencurve.oracle import OracleConfig, certify_fit
 
 measure_mod = importlib.import_module("pencurve.measure")
 
@@ -135,33 +137,52 @@ def _counting(fn, log):
 
 
 def test_geometry_computed_once_per_call(monkeypatch, tmp_path):
+    # counts the computations themselves: the hull's monotone chain and the
+    # farthest-pair search run once per measure, however many calls read them
     log = []
-    monkeypatch.setattr(measure_mod, "_max_pair_distance",
-                        _counting(measure_mod._max_pair_distance, log))
-    for name in ("measure", "optimizer", "diagnostics"):
-        module = importlib.import_module(f"pencurve.{name}")
-        monkeypatch.setattr(module, "convex_hull_2d", _counting(module.convex_hull_2d, log))
+    for name in ("_monotone_chain", "_max_pair_distance"):
+        monkeypatch.setattr(measure_mod, name, _counting(getattr(measure_mod, name), log))
     mu = synth_measure("noisy_circle", 300, seed=1)
     theta = np.linspace(0.0, 1.5 * np.pi, 12)
     arc = Polyline(0.5 + 0.35 * np.stack([np.cos(theta), np.sin(theta)], axis=1))
-    once = ["convex_hull_2d", "_max_pair_distance"]
+    once = ["_monotone_chain", "_max_pair_distance"]
 
     full_report(mu, arc, 2.0, 0.05)
     assert log == once
     log.clear()
     fit(mu, FitConfig(p=2.0, lam=0.05, max_outer_iters=3, restarts=1))
-    assert log == once
-    log.clear()
     # restart 1 clips its jittered start to the hull: the same hull
     fit(mu, FitConfig(p=2.0, lam=0.05, max_outer_iters=2, restarts=2))
-    assert log == once
-    log.clear()
+    full_report(mu, arc, 1.0, 0.05)
+    energy(mu, arc, 2.0, 0.05)
+    stationarity_report(mu, arc, 2.0, 0.05)
+    certify_fit(mu, arc, OracleConfig(m=2, h=0.5, p=2.0, lam=0.05, budget=1.0))
+    assert log == []
     atoms, curve = tmp_path / "atoms.csv", tmp_path / "curve.json"
     np.savetxt(atoms, mu.positions, delimiter=",", fmt="%.17g")
     curve.write_text(json.dumps(arc.to_dict()))
     assert cli.main(["check", str(atoms), str(curve), "--p", "2", "--lambda", "0.05",
                      "--out", str(tmp_path / "report.json")]) == 0
-    assert log == once
+    assert log == once  # the file gives a new measure
+
+
+def test_measure_and_curve_copy_their_input():
+    base = np.random.default_rng(3).uniform(0.0, 1.0, (40, 3))
+    X = base[:, :2]
+    mu = DiscreteMeasure(X, np.ones(40))
+    positions, diam = mu.positions.copy(), diameter(mu)
+    V = np.array([[0.0, 0.0], [0.5, 0.2], [1.0, 0.0]])
+    c = Polyline(V)
+    vertices, lengths = c.vertices.copy(), c.segment_lengths.copy()
+    assert X.flags.writeable and base.flags.writeable and V.flags.writeable
+    base[0, 0] = 100.0
+    X[1, 1] = -100.0
+    V[1] = [7.0, 7.0]
+    assert np.array_equal(mu.positions, positions)
+    assert diameter(mu) == diam
+    assert np.array_equal(c.vertices, vertices)
+    assert np.array_equal(c.segment_lengths, lengths)
+    assert not mu.positions.flags.writeable and not c.vertices.flags.writeable
 
 
 def test_hull_square_with_center():

@@ -7,7 +7,7 @@ from pencurve import optimizer
 from pencurve.energy import (energy, fixed_plan_majoriser, fixed_plan_value_grad,
                              stationarity_report)
 from pencurve.errors import ConfigError
-from pencurve.measure import DiscreteMeasure, convex_hull_2d, diameter, synth_measure
+from pencurve.measure import DiscreteMeasure, diameter, synth_measure, tie_tolerance
 from pencurve.optimizer import FitConfig, conjecture_search, fit, fixed_plan_solve, init_curve
 from pencurve.projection import build_plan
 
@@ -59,7 +59,7 @@ def test_fits_on_small_instances_reach_stationarity(p):
                         m_init=max(3, n // 2), m_max=max(6, n))
         res = fit(mu, cfg)
         assert res.status == "converged"
-        assert res.stationarity.passes(cfg.resolved(mu, diameter(mu)).tol_stationarity)
+        assert res.stationarity.passes(cfg.tol_stationarity)
 
 
 def test_fit_large_lambda_collapses_to_point():
@@ -100,10 +100,10 @@ def test_fixed_plan_solve_decreases_objective(p):
     c = Polyline(rng.uniform(0, 1, (5, 2)))
     cfg = FitConfig(p=p, lam=0.1)
     plan, _ = build_plan(mu, c)
-    before, _ = fixed_plan_value_grad(np.array(c.vertices), plan.packed, mu.positions,
+    before, _ = fixed_plan_value_grad(np.array(c.vertices), plan, mu.positions,
                                       p, 0.1, 1e-9, want_grad=False)
     out = fixed_plan_solve(mu, c, plan, cfg)
-    after, _ = fixed_plan_value_grad(np.array(out.vertices), plan.packed, mu.positions,
+    after, _ = fixed_plan_value_grad(np.array(out.vertices), plan, mu.positions,
                                      p, 0.1, 1e-9, want_grad=False)
     assert after < before
 
@@ -118,19 +118,19 @@ def test_majorise_minimise_step_never_raises_objective(p):
         n = int(rng.integers(3, 12))
         mu = DiscreteMeasure(rng.uniform(0, 1, (n, 2)), rng.uniform(0.5, 1.5, n))
         c = Polyline(rng.uniform(0, 1, (int(rng.integers(2, 7)), 2)))
-        plan, cls = build_plan(mu, c)
-        V, X, eps = np.array(c.vertices), mu.positions, cls.eps_tie
+        plan, _ = build_plan(mu, c)
+        V, X, eps = np.array(c.vertices), mu.positions, tie_tolerance(diameter(mu))
         assert np.all(plan.dist > eps) and np.all(c.segment_lengths > eps)  # nothing clamped
-        before, grad = fixed_plan_value_grad(V, plan.packed, X, p, lam, eps)
-        A, B = fixed_plan_majoriser(V, plan.packed, X, p, lam, eps)
+        before, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps)
+        A, B = fixed_plan_majoriser(V, plan, X, p, lam, eps)
         assert np.allclose(A @ V - B, grad, rtol=0.0, atol=1e-12 * np.max(np.abs(B)))
         step = np.linalg.solve(A, B) - V
         for _ in range(30 if p > 2.0 else 0):
-            if fixed_plan_value_grad(V + step, plan.packed, X, p, lam, eps,
+            if fixed_plan_value_grad(V + step, plan, X, p, lam, eps,
                                      want_grad=False)[0] < before:
                 break
             step *= 0.5
-        after, _ = fixed_plan_value_grad(V + step, plan.packed, X, p, lam, eps, want_grad=False)
+        after, _ = fixed_plan_value_grad(V + step, plan, X, p, lam, eps, want_grad=False)
         assert after <= before
 
 
@@ -194,8 +194,7 @@ def test_status_converged_only_when_stationary():
     mu = synth_measure("noisy_circle", 200, seed=3)
     cfg = FitConfig(p=2.0, lam=0.05, m_max=30)
     res = fit(mu, cfg)
-    tol = cfg.resolved(mu, diameter(mu)).tol_stationarity
-    assert (res.status == "converged") == res.stationarity.passes(tol)
+    assert (res.status == "converged") == res.stationarity.passes(cfg.tol_stationarity)
     assert res.status in ("converged", "plateau", "max_iters")
 
 
@@ -213,10 +212,8 @@ INSTANCE11 = DiscreteMeasure(np.array([
     (TRIANGLE, FitConfig(p=2.0, lam=0.05, m_init=3, restarts=6, seed=7)),
 ], ids=["instance11", "triangle"])
 def test_restarts_tied_up_to_rounding_keep_lowest_index(mu, cfg):
-    hull = convex_hull_2d(mu)
-    diam = diameter(mu, hull)
-    rcfg = cfg.resolved(mu, diam)
-    energies = [optimizer._fit_single(mu, rcfg, r, diam, hull)[0].energy.total
+    rcfg = cfg.resolved(mu)
+    energies = [optimizer._fit_single(mu, rcfg, r)[0].energy.total
                 for r in range(cfg.restarts)]
     lowest = min(energies)
     expected = next(r for r, e in enumerate(energies) if e <= lowest + 1e-12 * abs(lowest))
@@ -246,15 +243,14 @@ def test_fit_builds_one_plan_per_outer_iteration(monkeypatch):
 
 
 def _resolved(mu, **kw):
-    diam = diameter(mu)
-    return FitConfig(**kw).resolved(mu, diam), diam
+    return FitConfig(**kw).resolved(mu)
 
 
 def test_manage_vertices_drops_idle_endpoints():
     mu = DiscreteMeasure(np.array([[0.4, 0.1], [0.5, -0.1], [0.6, 0.05]]), np.full(3, 1 / 3))
-    cfg, diam = _resolved(mu, p=2.0, lam=0.05, m_max=4)
+    cfg = _resolved(mu, p=2.0, lam=0.05, m_max=4)
     c = Polyline(np.array([[-1.0, 0.0], [0.3, 0.0], [0.7, 0.0], [2.0, 0.0]]))
-    state = optimizer._manage_vertices(mu, c, cfg, diam)
+    state = optimizer._manage_vertices(mu, c, cfg)
     assert np.array_equal(state.curve.vertices, [[0.3, 0.0], [0.7, 0.0]])
     assert state.energy.total < energy(mu, c, 2.0, 0.05).total
 
@@ -262,11 +258,11 @@ def test_manage_vertices_drops_idle_endpoints():
 def test_finalize_drops_all_straight_vertices_in_one_gated_step(monkeypatch):
     mu = DiscreteMeasure(np.array([[0.1, 0.2], [0.6, -0.1], [0.9, 0.5], [1.2, 0.8]]),
                          np.array([0.1, 0.4, 0.3, 0.2]))
-    cfg, diam = _resolved(mu, p=1.0, lam=0.05)
+    cfg = _resolved(mu, p=1.0, lam=0.05)
     verts = np.array([[0.0, 0.0], [0.25, 0.0], [0.5, 0.0], [0.75, 0.0], [1.0, 0.0], [1.0, 1.0]])
-    state = optimizer._evaluate(mu, verts, cfg, diam)
+    state = optimizer._evaluate(mu, verts, cfg)
     calls = _counting_build_plan(monkeypatch)
-    out = optimizer._finalize(mu, state, cfg, diam)
+    out = optimizer._finalize(mu, state, cfg)
     assert calls == [3]
     assert np.array_equal(out.curve.vertices, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     assert out.energy.total <= state.energy.total * (1.0 + 1e-13)

@@ -60,9 +60,9 @@ def assert_plan_matches_reference(mu, c):
         unsnapped = nearest_targets(x, c, EPS_PROJ * diam, 0.0)[1]
         snapped += targets[0][0] == targets[0][1] and unsnapped[0][0] != unsnapped[0][1]
         ridges += len(targets) > 1
-        ia, ib, t, arc, point = targets[0]
+        ia, ib, t, _, point = targets[0]
         assert plan.dist[i] == d
-        assert (plan.ia[i], plan.ib[i], plan.t[i], plan.arc[i]) == (ia, ib, t, arc)
+        assert (plan.ia[i], plan.ib[i], plan.t[i]) == (ia, ib, t)
         assert np.array_equal(plan.point[i], point)
     at_vertex = plan.ia == plan.ib
     for j in range(c.n_vertices):
@@ -89,7 +89,7 @@ def test_build_plan_ridge_takes_smaller_arc():
     mu = DiscreteMeasure(np.array([[0.5, 0.5]]), np.ones(1))
     plan, _ = build_plan(mu, P((0, 0), (1, 0), (1, 1)))
     assert plan.dist[0] == pytest.approx(0.5)
-    assert (plan.ia[0], plan.ib[0], plan.arc[0]) == (0, 1, pytest.approx(0.5))
+    assert (plan.ia[0], plan.ib[0], plan.t[0]) == (0, 1, pytest.approx(0.5))
 
 
 def test_build_plan_symmetric_atoms():
@@ -233,10 +233,10 @@ def test_plan_memory_is_bounded_by_the_block():
     rng = np.random.default_rng(4)
     mu = DiscreteMeasure(rng.uniform(0.0, 1.0, (20000, 2)), np.ones(20000))
     c = Polyline(np.cumsum(rng.uniform(0.001, 0.01, (200, 2)), axis=0))
-    diam = diameter(mu)
+    diameter(mu)  # the measure computes its diameter once, outside the traced window
     tracemalloc.start()
     try:
-        build_plan(mu, c, diam=diam)
+        build_plan(mu, c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
