@@ -88,20 +88,30 @@ def length(c: Polyline) -> float:
     return c.total_length
 
 
-def _angle_between(u: np.ndarray, w: np.ndarray) -> float:
-    # robust for near-0 and near-pi angles
-    a = u / np.linalg.norm(u)
-    b = w / np.linalg.norm(w)
-    return 2.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b))
+def row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row, rounded as np.linalg.norm rounds that row alone.
+
+    Each row's dot product is taken as a matmul, which shares the 1-D
+    norm's dot; an axis norm sums the squares another way and can differ
+    in the last bit.
+    """
+    x = np.ascontiguousarray(x)
+    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
 
 
 def turning_angles(c: Polyline) -> np.ndarray:
-    """Exterior angle in [0, pi] at each interior vertex (length max(m-2, 0))."""
-    m = c.n_vertices
-    if m < 3:
+    """Exterior angle in [0, pi] at each interior vertex (length max(m-2, 0)).
+
+    Unit tangents a, b meet at 2 atan2(|a - b|, |a + b|), which stays
+    accurate near 0 and near pi.
+    """
+    if c.n_vertices < 3:
         return np.zeros(0)
     seg = c.segment_vectors
-    return np.array([_angle_between(seg[j - 1], seg[j]) for j in range(1, m - 1)])
+    unit = seg / row_norms(seg)[:, None]
+    a, b = unit[:-1], unit[1:]
+    return np.array([2.0 * math.atan2(y, x)
+                     for y, x in zip(row_norms(a - b).tolist(), row_norms(a + b).tolist())])
 
 
 def tv_gamma_prime(c: Polyline) -> float:
@@ -175,38 +185,23 @@ def self_intersections_2d(c: Polyline, eps: float = 1e-12) -> list[Intersection]
     return found
 
 
-def collapse_duplicates(verts: np.ndarray) -> np.ndarray:
-    """verts without exact consecutive repeats (a Polyline forbids zero-length segments)."""
-    if verts.shape[0] < 2:
-        return verts
-    keep = [verts[0]]
-    for v in verts[1:]:
-        if np.linalg.norm(v - keep[-1]) > 0.0:
-            keep.append(v)
-    return np.array(keep)
+def merge_vertices(verts: np.ndarray, eps: float) -> np.ndarray:
+    """verts with consecutive vertices within eps merged to their midpoint.
 
-
-def merge_vertices(c: Polyline, eps_merge: float) -> Polyline:
-    """Collapse consecutive vertices within eps_merge to their midpoint.
-
-    Repeats until no consecutive pair is within eps_merge. A Polyline has no
-    zero-length segment, so eps_merge = 0 returns the curve unchanged.
+    Each pass merges disjoint close pairs from the left: the pairs at even
+    offsets within each run of close pairs. Passes repeat until no pair is
+    close. At eps = 0 this drops exact repeats, which a Polyline forbids.
     """
-    if eps_merge < 0:
-        raise PencurveError("eps_merge must be >= 0")
-    verts = [row for row in np.asarray(c.vertices, dtype=float)]
-    changed = True
-    while changed and len(verts) > 1:
-        changed = False
-        out = []
-        i = 0
-        while i < len(verts):
-            if i + 1 < len(verts) and np.linalg.norm(verts[i + 1] - verts[i]) <= eps_merge:
-                out.append(0.5 * (verts[i] + verts[i + 1]))
-                i += 2
-                changed = True
-            else:
-                out.append(verts[i])
-                i += 1
-        verts = out
-    return Polyline(np.array(verts))
+    if eps < 0:
+        raise PencurveError("eps must be >= 0")
+    verts = np.array(verts, dtype=float)
+    while len(verts) > 1:
+        close = row_norms(np.diff(verts, axis=0)) <= eps
+        if not close.any():
+            break
+        idx = np.arange(len(close))
+        run_start = np.maximum.accumulate(np.where(close & ~np.r_[False, close[:-1]], idx, 0))
+        first = idx[close & ((idx - run_start) % 2 == 0)]
+        verts[first] = 0.5 * (verts[first] + verts[first + 1])
+        verts = np.delete(verts, first + 1, axis=0)
+    return verts

@@ -10,7 +10,7 @@ import numpy as np
 from .curve import Polyline
 from .errors import ConfigError, NonSmoothPointError
 from .measure import DiscreteMeasure, diameter, tie_tolerance
-from .projection import TransportPlan, VertexClassification, build_plan
+from .projection import TransportPlan, build_plan
 
 
 def validate_params(p: float, lam: float) -> None:
@@ -56,7 +56,8 @@ def energy(
 def _entry_offsets(V: np.ndarray, plan: TransportPlan, X: np.ndarray):
     """Per plan entry: barycentric weights (1-t, t), offset x - y and its length r.
 
-    y = (1-t) V[ia] + t V[ib] is the entry's target, held affine in V.
+    y = (1-t) V[ia] + t V[ib] is the entry's target, held affine in V. The
+    entry's atom sits on its target when r <= the measure's tie tolerance.
     """
     wa, wb = 1.0 - plan.t, plan.t
     y = wa[:, None] * V[plan.ia] + wb[:, None] * V[plan.ib]
@@ -112,12 +113,18 @@ def _first_variation(V: np.ndarray, plan: TransportPlan, wa: np.ndarray, wb: np.
     return grad
 
 
-def _tied_mass(plan: TransportPlan, r: np.ndarray, eps_clamp: float, m: int) -> np.ndarray:
-    """Per vertex: mass of the vertex entries whose atom lies within eps_clamp."""
-    tied_mass = np.zeros(m)
-    sel = (r <= eps_clamp) & (plan.ia == plan.ib)
-    np.add.at(tied_mass, plan.ia[sel], plan.mass[sel])
-    return tied_mass
+def _ties(plan: TransportPlan, r: np.ndarray, eps: float, pull: np.ndarray):
+    """Vertex ties: the entries whose atom sits on their vertex (r <= eps, ia == ib).
+
+    Returns that entry mask and, per vertex, the mass sitting on it and the
+    length of its pull (first variation without those atoms). At p = 1 a
+    vertex with atoms on it is stationary when its pull is at most that
+    mass; the difference is its slack.
+    """
+    on = (r <= eps) & (plan.ia == plan.ib)
+    tied_mass = np.zeros(len(pull))
+    np.add.at(tied_mass, plan.ia[on], plan.mass[on])
+    return on, tied_mass, np.linalg.norm(pull, axis=1)
 
 
 def fixed_plan_value_grad(
@@ -150,13 +157,11 @@ def fixed_plan_value_grad(
     kern = _entry_kernel(r, mass, p, eps_clamp)
     grad = _first_variation(V, plan, wa, wb, diff, kern, lam)
     if p == 1.0 and np.any(r <= eps_clamp):
-        tied_mass = _tied_mass(plan, r, eps_clamp, m)
-        norms = np.linalg.norm(grad, axis=1)
-        for j in np.nonzero(tied_mass > 0)[0]:
-            if norms[j] <= tied_mass[j]:
-                grad[j] = 0.0
-            else:
-                grad[j] *= 1.0 - tied_mass[j] / norms[j]
+        _, tied_mass, norms = _ties(plan, r, eps_clamp, grad)
+        j = np.nonzero(tied_mass > 0)[0]
+        tm, nj = tied_mass[j], norms[j]
+        grad[j] = np.where((nj <= tm)[:, None], 0.0,
+                           (1.0 - tm / np.maximum(nj, tm))[:, None] * grad[j])
     return value, grad
 
 
@@ -186,12 +191,11 @@ def fixed_plan_majoriser(
     ia, ib = plan.ia, plan.ib
     wa, wb, diff, r = _entry_offsets(V, plan, X)
     w = _entry_weight(r, plan.mass, p, eps_clamp)
-    tied = (r <= eps_clamp) & (ia == ib)
-    if p == 1.0 and np.any(tied):
+    if p == 1.0 and np.any(r <= eps_clamp):
         pull = _first_variation(V, plan, wa, wb, diff,
                                 _entry_kernel(r, plan.mass, p, eps_clamp), lam)
-        leave = np.linalg.norm(pull, axis=1) > _tied_mass(plan, r, eps_clamp, m)
-        w = np.where(tied & leave[ia], 0.0, w)
+        on, tied_mass, norms = _ties(plan, r, eps_clamp, pull)
+        w = np.where(on & (norms > tied_mass)[ia], 0.0, w)
     k = np.arange(m - 1)
     seg_len = np.linalg.norm(np.diff(V, axis=0), axis=1)
     c = lam / np.maximum(seg_len, eps_clamp)
@@ -255,17 +259,18 @@ def gradient(
 
     The assignment is held fixed (it is locally constant away from ties,
     so this is the true gradient at smooth points). Raises at a p = 1 kink
-    where an atom coincides with its target.
+    where an atom sits on its target.
     """
     validate_params(p, lam)
     eps_tie = tie_tolerance(diameter(mu))
     if plan is None:
         plan, _ = build_plan(mu, c)
-    if p == 1.0 and np.any(plan.dist <= eps_tie):
+    V = np.array(c.vertices)
+    if p == 1.0 and np.any(_entry_offsets(V, plan, mu.positions)[3] <= eps_tie):
         raise NonSmoothPointError(
             "p=1 gradient at a coincident atom-target pair; use stationarity_report"
         )
-    _, grad = fixed_plan_value_grad(np.array(c.vertices), plan, mu.positions, p, lam, eps_tie)
+    _, grad = fixed_plan_value_grad(V, plan, mu.positions, p, lam, eps_tie)
     return grad
 
 
@@ -334,7 +339,6 @@ def stationarity_report(
     p: float,
     lam: float,
     plan: TransportPlan | None = None,
-    classification: VertexClassification | None = None,
 ) -> StationarityReport:
     """Evaluate the first-variation conditions on every vertex.
 
@@ -342,25 +346,30 @@ def stationarity_report(
     p * mass * |x - y|^(p-2) * (x - y), split onto the segment's vertices by
     the barycentric weights; each vertex adds lambda times the unit vectors
     toward its neighbours. The residual is therefore minus the fixed-plan
-    gradient, equal to -gradient() wherever that is defined. For p = 1 the
-    pulls of atoms within the tie tolerance are left out, and a tied vertex reports
+    gradient, equal to -gradient() wherever that is defined. A vertex is
+    tied when an atom sits on it (within the tie tolerance); its tied atom
+    is the nearest such atom, the first on ties. For p = 1 the pulls of
+    atoms within the tie tolerance are left out, and a tied vertex reports
     slack = tied mass - |residual| instead of a free residual.
     """
     validate_params(p, lam)
-    if plan is None or classification is None:
-        plan, classification = build_plan(mu, c)
+    if plan is None:
+        plan, _ = build_plan(mu, c)
     eps_tie = tie_tolerance(diameter(mu))
     m = c.n_vertices
     wa, wb, diff, r = _entry_offsets(c.vertices, plan, mu.positions)
     kern = _entry_kernel(r, plan.mass, p, eps_tie)
     residual = -_first_variation(c.vertices, plan, wa, wb, diff, kern, lam)
-    norms = np.linalg.norm(residual, axis=1)
-    tied_mass = _tied_mass(plan, r, eps_tie, m)
+    on, tied_mass, norms = _ties(plan, r, eps_tie, residual)
+    tied_atoms: list[int | None] = [None] * m
+    sitting = np.nonzero(on)[0]
+    for k in reversed(sitting[np.argsort(r[sitting], kind="stable")].tolist()):
+        tied_atoms[plan.ia[k]] = k  # the last write per vertex is its nearest atom
 
     rows = []
     for j in range(m):
         kind = "interior" if 0 < j < m - 1 else "endpoint"
-        tied_atom = classification.tied_atom[j]
+        tied_atom = tied_atoms[j]
         status = "tied" if tied_atom is not None else "free"
         slack = float(tied_mass[j] - norms[j]) if p == 1.0 and tied_atom is not None else None
         rows.append(VertexResidual(j, kind, status, tied_atom, residual[j], float(norms[j]), slack))

@@ -19,13 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import (
-    Polyline,
-    collapse_duplicates,
-    merge_vertices,
-    self_intersections_2d,
-    turning_angles,
-)
+from .curve import Polyline, merge_vertices, self_intersections_2d, turning_angles
 from .diagnostics import TheoryReport, full_report, project_to_hull
 from .energy import (
     EnergyBreakdown,
@@ -165,7 +159,7 @@ def init_curve(mu: DiscreteMeasure, cfg: FitConfig, restart: int = 0) -> Polylin
         if mu.dim == 2:
             hull = convex_hull_2d(mu)
             verts = np.array([project_to_hull(v, hull) for v in verts])
-    return Polyline(collapse_duplicates(verts))
+    return Polyline(merge_vertices(verts, 0.0))
 
 
 def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> Polyline:
@@ -208,12 +202,12 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
         val, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps)
         if drop <= TOL_ENERGY_REL * abs(val):
             break
-    return Polyline(collapse_duplicates(V))
+    return Polyline(merge_vertices(V, 0.0))
 
 
 @dataclass(frozen=True)
 class _State:
-    """A curve evaluated once: its nearest-point plan, vertex classes and true energy."""
+    """A curve evaluated once: its nearest-point plan, talking sets and true energy."""
 
     curve: Polyline
     plan: TransportPlan
@@ -222,8 +216,8 @@ class _State:
 
 
 def _evaluate(mu: DiscreteMeasure, verts: np.ndarray, cfg: FitConfig) -> _State:
-    """The curve through verts, exact duplicates collapsed, with its plan and energy."""
-    curve = Polyline(collapse_duplicates(verts))
+    """The curve through verts, exact repeats dropped, with its plan and energy."""
+    curve = Polyline(merge_vertices(verts, 0.0))
     plan, cls = build_plan(mu, curve)
     return _State(curve, plan, cls, energy(mu, curve, cfg.p, cfg.lam, plan=plan))
 
@@ -246,9 +240,9 @@ def _manage_vertices(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig) -> _State
     the idle endpoints, the traced energy and the next fixed-plan solve.
     """
     state = None
-    merged = merge_vertices(c, tie_tolerance(diameter(mu)))
-    if merged.n_vertices < c.n_vertices:
-        state = _gate(_evaluate(mu, merged.vertices, cfg), _evaluate(mu, c.vertices, cfg))
+    merged = merge_vertices(c.vertices, tie_tolerance(diameter(mu)))
+    if len(merged) < c.n_vertices:
+        state = _gate(_evaluate(mu, merged, cfg), _evaluate(mu, c.vertices, cfg))
         c = state.curve
 
     while c.n_vertices < cfg.m_max and c.n_vertices > 1:
@@ -369,9 +363,9 @@ def _finalize(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> _State:
     last (at p = 1 an atom on the curve is a kink of the energy, and the
     frozen Hessian is singular along every offset).
     """
-    merged = merge_vertices(state.curve, 1e-6 * max(diameter(mu), 1e-12))
-    if merged.n_vertices < state.curve.n_vertices:
-        state = _gate(_evaluate(mu, merged.vertices, cfg), state)
+    merged = merge_vertices(state.curve.vertices, 1e-6 * max(diameter(mu), 1e-12))
+    if len(merged) < state.curve.n_vertices:
+        state = _gate(_evaluate(mu, merged, cfg), state)
     straight = np.nonzero(turning_angles(state.curve) <= 1e-9)[0] + 1
     if straight.size:
         cand = np.delete(state.curve.vertices, straight, axis=0)
@@ -399,8 +393,7 @@ def fit(mu: DiscreteMeasure, cfg: FitConfig) -> FitResult:
         if best is None or e < best[0].energy.total - 1e-12 * abs(best[0].energy.total):
             best = run
     state, trace, iterations, status, r = best
-    stat = stationarity_report(mu, state.curve, cfg.p, cfg.lam, plan=state.plan,
-                               classification=state.classification)
+    stat = stationarity_report(mu, state.curve, cfg.p, cfg.lam, plan=state.plan)
     if stat.passes(cfg.tol_stationarity):
         status = "converged"
     theory = full_report(mu, state.curve, cfg.p, cfg.lam)

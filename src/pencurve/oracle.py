@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Polyline, collapse_duplicates
+from .curve import Polyline, merge_vertices
 from .energy import energy, validate_params
 from .errors import BudgetExceededError, ConfigError, PencurveError
 from .measure import DiscreteMeasure, diameter
@@ -233,7 +233,7 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     verts = P[list(best_tuple)]
     if tuple(map(tuple, verts[::-1])) < tuple(map(tuple, verts)):
         verts = verts[::-1]  # reversal symmetry: keep the lexicographically smaller form
-    return Polyline(collapse_duplicates(verts)), best_energy
+    return Polyline(merge_vertices(verts, 0.0)), best_energy
 
 
 CERTIFY_TOL = 1e-6  # absolute energy slack of certify_fit, on top of the grid slack

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Polyline
+from .curve import Polyline, row_norms
 from .errors import DimensionMismatchError
 from .measure import DiscreteMeasure, diameter, tie_tolerance
 
@@ -18,9 +18,10 @@ CHUNK = 512  # atoms per block of the nearest-foot pass: O(CHUNK * m) temporarie
 class TransportPlan:
     """Atom-to-curve mass assignment in entry columns; first marginal is the measure.
 
-    Entry k is atom k: it sends mass[k] to point[k] = (1-t[k]) V[ia[k]] + t[k] V[ib[k]]
+    Entry k is atom k: it sends mass[k] to its target (1-t[k]) V[ia[k]] + t[k] V[ib[k]]
     (vertex targets: ia == ib, t == 0), the atom's first nearest target
-    along the curve, so dist[k] is d(x_k, curve).
+    along the curve; dist[k] is d(x_k, curve), measured to the foot before
+    snapping. energy._entry_offsets gives each entry's offset to its target.
     """
 
     mass: np.ndarray
@@ -28,7 +29,6 @@ class TransportPlan:
     ia: np.ndarray
     ib: np.ndarray
     t: np.ndarray
-    point: np.ndarray
     n_vertices: int
 
     @property
@@ -39,19 +39,13 @@ class TransportPlan:
 
 @dataclass(frozen=True)
 class VertexClassification:
-    """Free/tied status and talking set for every curve vertex.
+    """Talking sets: talking[j] lists the atoms with a plan entry at vertex j."""
 
-    A vertex is tied when an atom sits on it (within the measure's tie
-    tolerance) and sends its full mass there; talking[j] lists atoms with a
-    plan entry at vertex j.
-    """
-
-    tied_atom: tuple  # per vertex: atom index or None
     talking: tuple  # per vertex: tuple of atom indices
 
 
 def _snap_targets(c: Polyline, seg: np.ndarray, t: np.ndarray, snap: float):
-    """Columns (ia, ib, t, point) of the feet at parameters t on segments seg.
+    """Columns (ia, ib, t) of the feet at parameters t on segments seg.
 
     A foot within snap (in length) of its segment's start or end is
     reported as that vertex, with ia == ib and t == 0.
@@ -62,9 +56,7 @@ def _snap_targets(c: Polyline, seg: np.ndarray, t: np.ndarray, snap: float):
     inner = ~(lo | hi)
     ia = seg + hi
     ib = np.where(inner, seg + 1, ia)
-    point = np.where(inner[:, None], c.vertices[seg] + t[:, None] * c.segment_vectors[seg],
-                     c.vertices[ia])
-    return ia, ib, np.where(inner, t, 0.0), point
+    return ia, ib, np.where(inner, t, 0.0)
 
 
 def _nearest_feet(X: np.ndarray, c: Polyline, eps_abs: float):
@@ -98,37 +90,26 @@ def _nearest_feet(X: np.ndarray, c: Polyline, eps_abs: float):
 def build_plan(mu: DiscreteMeasure, c: Polyline):
     """Send every atom's mass to its first nearest curve target.
 
-    Returns the plan and the per-vertex free/tied classification, with
-    feet and ties decided at tie_tolerance(diameter(mu)). Costs O(n m)
-    time and O(CHUNK m) memory.
+    Returns the plan and each vertex's talking set. Feet within
+    tie_tolerance(diameter(mu)) of a vertex snap to it. Costs O(n m) time
+    and O(CHUNK m) memory.
     """
     if mu.dim != c.dim:
         raise DimensionMismatchError(f"measure dim {mu.dim} vs curve dim {c.dim}")
     diam = diameter(mu)
-    eps_tie = tie_tolerance(diam)
-
     X = mu.positions
     n = mu.n_atoms
     m = c.n_vertices
     if m == 1:
-        v0 = c.vertices[0]
-        rel = X - v0  # row products as a matmul: its rounding, not a coordinate sum's
-        dist = np.sqrt((rel[:, None, :] @ rel[:, :, None])[:, 0, 0])
         zero = np.zeros(n, dtype=np.int64)
-        cols = [dist, zero, zero, np.zeros(n), np.repeat(v0[None, :], n, axis=0)]
+        cols = [row_norms(X - c.vertices[0]), zero, zero, np.zeros(n)]
     else:
         dist, seg, t = _nearest_feet(X, c, EPS_PROJ * diam)
-        cols = [dist, *_snap_targets(c, seg, t, eps_tie)]
+        cols = [dist, *_snap_targets(c, seg, t, tie_tolerance(diam))]
     plan = TransportPlan(mu.masses, *cols, n_vertices=m)
 
-    dist, ia = plan.dist, plan.ia
+    ia = plan.ia
     at_vertex = np.nonzero(ia == plan.ib)[0]
     groups = np.cumsum(np.bincount(ia[at_vertex], minlength=m))[:-1]
     talking = np.split(at_vertex[np.argsort(ia[at_vertex], kind="stable")], groups)
-    tied: list[int | None] = [None] * m
-    tied_dist = np.full(m, np.inf)
-    for k in at_vertex[dist[at_vertex] <= eps_tie]:
-        if dist[k] < tied_dist[ia[k]]:
-            tied[ia[k]], tied_dist[ia[k]] = int(k), dist[k]
-    classification = VertexClassification(tuple(tied), tuple(tuple(g.tolist()) for g in talking))
-    return plan, classification
+    return plan, VertexClassification(tuple(tuple(g.tolist()) for g in talking))

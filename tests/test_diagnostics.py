@@ -3,6 +3,8 @@ import pytest
 
 from pencurve.curve import Polyline, length, turning_angles
 from pencurve.diagnostics import (
+    _entry_sides,
+    _running,
     _window_mass_prefixes,
     check_hull_containment,
     check_injectivity,
@@ -14,7 +16,13 @@ from pencurve.diagnostics import (
     singleton_best_energy,
     turn_direction_sweep,
 )
-from pencurve.measure import DiscreteMeasure, convex_hull_2d, diameter, synth_measure
+from pencurve.measure import (
+    DiscreteMeasure,
+    convex_hull_2d,
+    diameter,
+    synth_measure,
+    tie_tolerance,
+)
 from pencurve.projection import build_plan
 
 TWO_ATOMS = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
@@ -215,6 +223,97 @@ def test_turn_direction_skips_big_tv():
     assert chk.detail.startswith("2 eligible windows")  # (0, 1) and (1, 2); (0, 2) excluded
 
 
+def _turn_direction_loop(mu, c, p, lam):
+    """Reference for turn_direction_sweep: every end b in turn for each start a.
+
+    Returns (worst violation, its first window, eligible windows checked).
+    """
+    plan, _ = build_plan(mu, c)
+    m = c.n_vertices
+    key = plan.ia + plan.ib
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    sides = [(np.where(side, plan.mass, 0.0)[order], np.where(side, plan.dist, 0.0)[order])
+             for side in _entry_sides(mu, c, plan, tie_tolerance(diameter(mu)))]
+    angles = turning_angles(c)
+    seg_unit = c.segment_vectors / c.segment_lengths[:, None]
+    coef = p / lam
+    worst = (-np.inf, None)
+    checked = 0
+    for a in range(m - 1):
+        first = np.searchsorted(key, 2 * a)
+        ends = np.searchsorted(key, 2 * np.arange(a, m), side="right") - first
+        (mass_below, d_below), (mass_above, d_above) = (
+            (_running(np.add, ms[first:])[ends].tolist(),
+             _running(np.maximum, ds[first:])[ends].tolist())
+            for ms, ds in sides)
+        t0 = seg_unit[a]
+        sup_up = sup_down = 0.0
+        tv = 0.0
+        for b in range(a + 1, m):
+            if b >= a + 2:
+                tv += angles[b - 2]
+                if tv >= 0.5:
+                    break
+            tk = seg_unit[b - 1]
+            sine = t0[0] * tk[1] - t0[1] * tk[0]
+            sup_up = max(sup_up, sine)
+            sup_down = max(sup_down, -sine)
+            k = b - a
+            viol = max(sup_up - coef * d_below[k] ** (p - 1.0) * mass_below[k],
+                       sup_down - coef * d_above[k] ** (p - 1.0) * mass_above[k])
+            checked += 1
+            if viol > worst[0]:
+                worst = (viol, (a, b))
+    return worst[0], worst[1], checked
+
+
+def _assert_turn_matches_loop(mu, c, p, lam):
+    chk = turn_direction_sweep(mu, c, p, lam)
+    viol, window, checked = _turn_direction_loop(mu, c, p, lam)
+    assert chk.observed == viol and str(chk.observed) == str(viol)  # -0.0 differs in str
+    assert chk.detail == f"{checked} eligible windows; worst {window} at violation {viol:.3g}"
+    return window
+
+
+def test_turn_direction_matches_the_window_loop():
+    rng = np.random.default_rng(9)
+    for _ in range(25):
+        mu = synth_measure("uniform_square", int(rng.integers(3, 40)),
+                           seed=int(rng.integers(1000)))
+        m = int(rng.integers(2, 30))
+        # random walks with small turns, so that the TV cutoff falls inside the curve
+        heading = np.cumsum(rng.normal(0.0, float(rng.choice([0.05, 0.2, 2.0])), m - 1))
+        steps = rng.uniform(0.02, 0.1, m - 1)[:, None] * np.stack(
+            [np.cos(heading), np.sin(heading)], axis=1)
+        c = Polyline(np.concatenate([[rng.uniform(0, 1, 2)], rng.uniform(0, 1, 2) + np.cumsum(
+            steps, axis=0)]))
+        for p, lam in ((1.0, 0.1), (1.5, 2.0), (2.0, 0.05), (3.0, 0.3)):
+            _assert_turn_matches_loop(mu, c, p, lam)
+    # one segment: each side's violation is -coef d^(p-1) mass, so the power's
+    # rounding shows
+    seg = P((0.0, 0.0), (1.0, 0.0))
+    for _ in range(100):
+        mu = DiscreteMeasure(rng.uniform(-1.0, 1.0, (5, 2)), rng.uniform(0.2, 1.0, 5))
+        for p in (1.3, 2.7):
+            _assert_turn_matches_loop(mu, seg, p, 0.1)
+
+
+def test_turn_direction_tied_windows_and_cutoff_match_the_loop():
+    # straight curve over symmetric atoms: every sine is 0, so windows tie for
+    # the worst violation and the first is kept
+    mu = DiscreteMeasure(np.array([[0.25, 0.5], [0.25, -0.5], [0.75, 0.5], [0.75, -0.5]]),
+                         np.full(4, 0.25))
+    straight = P((0, 0), (0.25, 0), (0.5, 0), (0.75, 0), (1, 0))
+    assert _assert_turn_matches_loop(mu, straight, 2.0, 0.2) == (0, 1)
+    # equal turns of 0.25 rad: the TV reaches 1/2 at the second turn of a window
+    th = np.concatenate([[0.0], np.cumsum(np.full(5, 0.25))])
+    arc = Polyline(np.concatenate([[[0.0, 0.0]], np.cumsum(
+        np.stack([np.cos(th), np.sin(th)], axis=1), axis=0)]))
+    for p in (1.0, 2.0):
+        _assert_turn_matches_loop(mu, arc, p, 0.2)
+
+
 def test_injectivity_reports():
     arc = P((0.0, 0.0), (0.5, 0.2), (1.0, 0.0))
     assert check_injectivity(arc, TWO_ATOMS, 2.0).passed
@@ -229,6 +328,18 @@ def test_full_report_optimum_all_pass():
     rep = full_report(TWO_ATOMS, OPTIMAL, p=2.0, lam=0.2)
     assert rep.overall
     assert all(c.passed is not False for c in rep.checks)
+
+
+def test_full_report_overall_fails_with_a_failing_certificate():
+    # two heavy far atoms and two light ones: only tv_local fails
+    mu = DiscreteMeasure(np.array([[-2.0, 0.0], [5.0, 1.0], [0.0, 2.0], [3.0, -1.0]]),
+                         np.array([0.5, 0.5, 1e-3, 1e-3]))
+    c = P((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (2.0, 1.0), (3.0, 1.0))
+    rep = full_report(mu, c, p=2.0, lam=0.2)
+    assert [ch.name for ch in rep.checks if ch.status == "FAIL"] == ["tv_local"]
+    assert all(ch.passed is None or type(ch.passed) is bool for ch in rep.checks)
+    assert rep.overall is False
+    assert rep.to_dict()["overall"] == "FAIL"
 
 
 def test_full_report_flags_bad_curve():

@@ -185,6 +185,23 @@ def test_stationarity_p1_tied_slack():
     assert rep.min_tied_slack == pytest.approx(0.2, abs=1e-12)
 
 
+def test_stationarity_p1_ties_use_the_target_offset():
+    # atom 0 is 1.64e-9 from vertex 0, beyond the tie tolerance (1.41e-9), though
+    # its foot before snapping is only 1e-9 away
+    mu = DiscreteMeasure(np.array([[1.3e-9, 1.0e-9], [1.0, 0.0], [1.0, 1.0]]),
+                         np.array([0.2, 0.4, 0.4]))
+    c = P((0, 0), (1, 0), (1, 1))
+    tol = tie_tolerance(diameter(mu))
+    rep = stationarity_report(mu, c, p=1.0, lam=0.05)
+    near = np.linalg.norm(mu.positions[:, None, :] - c.vertices[None, :, :], axis=2) <= tol
+    assert [v.status for v in rep.vertices] == ["free", "tied", "tied"]
+    for j, v in enumerate(rep.vertices):
+        if v.status == "tied":
+            assert np.linalg.norm(mu.positions[v.tied_atom] - c.vertices[j]) <= tol
+            assert v.slack == float(np.sum(mu.masses[near[:, j]])) - v.residual_norm
+    assert rep.min_tied_slack > 0.0
+
+
 def test_energy_rigid_invariance():
     rng = np.random.default_rng(13)
     mu = synth_measure("noisy_circle", 30, seed=2)

@@ -140,8 +140,8 @@ def test_fixed_plan_solve_moves_vertex_off_atom_with_negative_slack():
     mu = DiscreteMeasure(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
                          np.array([0.1, 0.6, 0.3]))
     c = Polyline(np.array([[0.0, 0.0], [1.0, 0.0]]))
-    plan, cls = build_plan(mu, c)
-    stat = stationarity_report(mu, c, 1.0, 0.05, plan=plan, classification=cls)
+    plan, _ = build_plan(mu, c)
+    stat = stationarity_report(mu, c, 1.0, 0.05, plan=plan)
     assert stat.vertices[0].status == "tied" and stat.vertices[0].slack < 0.0
     out = fixed_plan_solve(mu, c, plan, FitConfig(p=1.0, lam=0.05))
     assert np.linalg.norm(out.vertices[0]) > 0.5

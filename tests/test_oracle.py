@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pencurve import oracle
-from pencurve.curve import Polyline
-from pencurve.energy import stationarity_report
+from pencurve.curve import Polyline, merge_vertices
+from pencurve.energy import energy, stationarity_report
 from pencurve.errors import BudgetExceededError, ConfigError
 from pencurve.measure import DiscreteMeasure, diameter
 from pencurve.oracle import (
@@ -196,3 +196,20 @@ def test_oracle_config_validation():
         brute_force_min(TWO_ATOMS, OracleConfig(m=5, h=0.01, p=2.0, lam=0.2))
     with pytest.raises(ConfigError):
         brute_force_min(TWO_ATOMS, OracleConfig(m=2, h=-0.1, p=2.0, lam=0.2))
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_brute_force_min_equals_tuple_enumeration(m):
+    # h = 0.5 over a box of side < 1: at most 3 x 3 grid points, so all G^m
+    # tuples can be scored by energy(); m = 4 runs the chain program
+    rng = np.random.default_rng(m)
+    for p, lam in ((1.0, 0.05), (2.0, 0.2)):
+        mu = DiscreteMeasure(rng.uniform(0.0, 1.0, (3, 2)), rng.uniform(0.2, 1.0, 3))
+        ocfg = OracleConfig(m=m, h=0.5, p=p, lam=lam)
+        grid = _grid_points(mu, ocfg.h)
+        assert len(grid) <= 9
+        best = min(energy(mu, Polyline(merge_vertices(grid[list(idx)], 0.0)), p, lam).total
+                   for idx in np.ndindex(*(len(grid),) * m))
+        curve, value = brute_force_min(mu, ocfg)
+        assert value == pytest.approx(best, rel=1e-12)
+        assert energy(mu, curve, p, lam).total == pytest.approx(value, rel=1e-12)

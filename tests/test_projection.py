@@ -5,7 +5,8 @@ import pytest
 
 from pencurve.curve import Polyline
 from pencurve.diagnostics import _window_mass_prefixes
-from pencurve.measure import DiscreteMeasure, diameter, synth_measure
+from pencurve.energy import _entry_offsets
+from pencurve.measure import DiscreteMeasure, diameter, synth_measure, tie_tolerance
 from pencurve.projection import CHUNK, EPS_PROJ, build_plan
 
 
@@ -20,14 +21,14 @@ def sigma_mass(plan, a, b):
 
 
 def nearest_targets(x, c, eps_abs, snap):
-    """Per-atom reference: d(x, c) and its nearest targets (ia, ib, t, arc, point) by arc.
+    """Per-atom reference: d(x, c) and its nearest targets (ia, ib, t, arc) by arc.
 
     Every segment's foot is computed for x alone; the segments within eps_abs
     of the minimum are kept, a foot within snap of a segment end becomes
     that vertex, and duplicate vertex targets are listed once.
     """
     if c.n_vertices == 1:
-        return float(np.linalg.norm(x - c.vertices[0])), [(0, 0, 0.0, 0.0, c.vertices[0])]
+        return float(np.linalg.norm(x - c.vertices[0])), [(0, 0, 0.0, 0.0)]
     a, vec = c.vertices[:-1], c.segment_vectors
     t = np.clip(np.einsum("ij,ij->i", x[None, :] - a, vec) / np.einsum("ij,ij->i", vec, vec),
                 0.0, 1.0)
@@ -38,10 +39,10 @@ def nearest_targets(x, c, eps_abs, snap):
         ln = c.segment_lengths[k]
         if t[k] * ln <= snap or (1.0 - t[k]) * ln <= snap:
             j = k + (t[k] * ln > snap)
-            targets.setdefault(("v", j), (j, j, 0.0, c.cumulative_lengths[j], c.vertices[j]))
+            targets.setdefault(("v", j), (j, j, 0.0, c.cumulative_lengths[j]))
         else:
             arc = c.cumulative_lengths[k] + t[k] * ln
-            targets.setdefault(("s", k), (k, k + 1, t[k], arc, c.vertices[k] + t[k] * vec[k]))
+            targets.setdefault(("s", k), (k, k + 1, t[k], arc))
     return dmin, sorted(targets.values(), key=lambda g: g[3])
 
 
@@ -60,10 +61,9 @@ def assert_plan_matches_reference(mu, c):
         unsnapped = nearest_targets(x, c, EPS_PROJ * diam, 0.0)[1]
         snapped += targets[0][0] == targets[0][1] and unsnapped[0][0] != unsnapped[0][1]
         ridges += len(targets) > 1
-        ia, ib, t, _, point = targets[0]
+        ia, ib, t, _ = targets[0]
         assert plan.dist[i] == d
         assert (plan.ia[i], plan.ib[i], plan.t[i]) == (ia, ib, t)
-        assert np.array_equal(plan.point[i], point)
     at_vertex = plan.ia == plan.ib
     for j in range(c.n_vertices):
         assert cls.talking[j] == tuple(np.nonzero(at_vertex & (plan.ia == j))[0].tolist())
@@ -101,8 +101,10 @@ def test_build_plan_symmetric_atoms():
 
 def test_build_plan_tied_vertex():
     mu = DiscreteMeasure(np.array([[0.0, 0.0], [0.7, 0.9]]), np.array([0.5, 0.5]))
-    plan, cls = build_plan(mu, P((0, 0), (1, 0)))
-    assert cls.tied_atom[0] == 0
+    c = P((0, 0), (1, 0))
+    plan, cls = build_plan(mu, c)
+    r = _entry_offsets(c.vertices, plan, mu.positions)[3]
+    assert plan.ia[0] == plan.ib[0] == 0 and r[0] <= tie_tolerance(diameter(mu))
     assert 0 in cls.talking[0]
     assert plan.dist[0] == 0.0
     assert plan.mass[0] == pytest.approx(0.5)  # full mass at the tied vertex
