@@ -21,7 +21,6 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     NumericError,
-    ParseError,
     PencurveError,
 )
 from .measure import DiscreteMeasure, load_measure
@@ -228,10 +227,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERR
-    except (ConfigError, ParseError, DimensionMismatchError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERR
-    except PencurveError as exc:
+    except (PencurveError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERR
 

@@ -248,13 +248,7 @@ def fixed_plan_hessian(
     return H.transpose(0, 2, 1, 3).reshape(m * d, m * d)
 
 
-def gradient(
-    mu: DiscreteMeasure,
-    c: Polyline,
-    p: float,
-    lam: float,
-    plan: TransportPlan | None = None,
-) -> np.ndarray:
+def gradient(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -> np.ndarray:
     """Gradient of the total energy with respect to each vertex.
 
     The assignment is held fixed (it is locally constant away from ties,
@@ -263,8 +257,7 @@ def gradient(
     """
     validate_params(p, lam)
     eps_tie = tie_tolerance(diameter(mu))
-    if plan is None:
-        plan, _ = build_plan(mu, c)
+    plan, _ = build_plan(mu, c)
     V = np.array(c.vertices)
     if p == 1.0 and np.any(_entry_offsets(V, plan, mu.positions)[3] <= eps_tie):
         raise NonSmoothPointError(

@@ -8,7 +8,6 @@ h-dependent error bound against the continuous optimum.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -40,6 +39,8 @@ class OracleConfig:
             raise ConfigError(f"oracle supports 1 <= m <= 4, got {self.m}")
         if not self.h > 0:
             raise ConfigError("h must be > 0")
+        if not self.budget > 0:
+            raise ConfigError(f"budget must be > 0, got {self.budget}")
         validate_params(self.p, self.lam)
 
 
@@ -102,83 +103,55 @@ def _pair_blocks(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float):
         yield slice(a0, a0 + step), lam * np.sqrt(den), costs
 
 
-def _min_three_vertices(atom_costs: list[np.ndarray], lencost: np.ndarray, G: int):
-    """Exact 3-vertex minimum via subset decomposition.
+def _extend(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float, H=None):
+    """One subset pass over the pair blocks: every prefix gains one segment.
 
-    For middle vertex b and atom subset S sent to the first segment,
-    F[S][b] = min_a (len[a,b] + sum_{i in S} cost_i[a,b]); by symmetry of
-    the pair arrays the second segment gives F[S^c][b], so the optimum is
-    min over (S, b) of F[S][b] + F[S^c][b]. Subsets are visited in Gray
-    code order so each step updates the accumulator by one atom.
+    H[S][b] is the cheapest prefix that ends at grid point b and serves atom
+    subset S; None is the empty prefix (0 at S = {}, +inf elsewhere), whose
+    zero is never added. Returns E[T][c] = min over S <= T and b of
+    H[S][b] + lam |P_b P_c| + sum_{i in T - S} cost_i[b, c], and the
+    back-pointers S * G + b. In each block the added atoms T - S run in Gray
+    code order, one atom's costs added or removed per step; column minima
+    fold into running minima with a strict <, so the first (S, b) wins ties,
+    across blocks too.
     """
-    n = len(atom_costs)
-    nsub = 1 << n
-    F = np.empty((nsub, G))
-    R = np.empty((nsub, G), dtype=np.int64)
-    acc = lencost.copy()
+    G, nsub = P.shape[0], 1 << mu.n_atoms
+    starts = [[0] if H is None else [S for S in range(nsub) if not S & U] for U in range(nsub)]
+    E = np.full((nsub, G), np.inf)
+    back = np.zeros((nsub, G), dtype=np.int64)
     cols = np.arange(G)
-    state = 0
-    R[0] = np.argmin(acc, axis=0)
-    F[0] = acc[R[0], cols]
-    for step in range(1, nsub):
-        j = (step & -step).bit_length() - 1  # Gray code: flip lowest set bit of step
-        if state & (1 << j):
-            acc -= atom_costs[j]
-        else:
-            acc += atom_costs[j]
-        state ^= 1 << j
-        R[state] = np.argmin(acc, axis=0)
-        F[state] = acc[R[state], cols]
-    comp = (nsub - 1) ^ np.arange(nsub)
-    totals = F + F[comp]
-    flat = int(np.argmin(totals))
-    s, b = flat // G, flat % G
-    return float(totals.flat[flat]), (int(R[s][b]), int(b), int(R[comp[s]][b]))
-
-
-def _min_chain(atom_costs: list[np.ndarray], lencost: np.ndarray, G: int, m: int):
-    """Chain dynamic program over every atom-to-segment assignment."""
-    n = len(atom_costs)
-    nseg = m - 1
-    best_energy = np.inf
-    best_tuple: tuple[int, ...] | None = None
-    for assign in itertools.product(range(nseg), repeat=n):
-        seg_costs = []
-        for k in range(nseg):
-            ck = lencost.copy()
-            for i in range(n):
-                if assign[i] == k:
-                    ck += atom_costs[i]
-            seg_costs.append(ck)
-        g = np.zeros(G)
-        bps = []
-        for ck in seg_costs:
-            stacked = g[:, None] + ck
-            bp = np.argmin(stacked, axis=0)
-            g = stacked[bp, np.arange(G)]
-            bps.append(bp)
-        end = int(np.argmin(g))
-        value = float(g[end])
-        if value < best_energy:
-            idx = [end]
-            for bp in reversed(bps):
-                idx.append(int(bp[idx[-1]]))
-            idx.reverse()
-            best_energy = value
-            best_tuple = tuple(idx)
-    return best_energy, best_tuple
+    for rows, acc, costs in _pair_blocks(P, mu, p, lam):
+        cand, added = np.empty_like(acc), 0
+        for step in range(nsub):
+            if step:
+                j = (step & -step).bit_length() - 1  # Gray code: flip lowest set bit of step
+                if added & (1 << j):
+                    acc -= costs[j]
+                else:
+                    acc += costs[j]
+                added ^= 1 << j
+            for S in starts[added]:
+                block = acc if H is None else np.add(acc, H[S, rows, None], out=cand)
+                r = np.argmin(block, axis=0)
+                v, T = block[r, cols], S | added
+                better = v < E[T]
+                np.copyto(E[T], v, where=better)
+                np.copyto(back[T], r + (S * G + rows.start), where=better)
+    return E, back
 
 
 def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     """Exact minimum of the discrete energy over all m-tuples of grid points.
 
-    The search decomposes over atom-to-segment assignments: for a fixed
-    assignment the energy is a sum of consecutive-pair costs, minimized
-    exactly by a chain dynamic program, and minimizing over all (m-1)^n
-    assignments recovers the pointwise min over segments. This equals the
-    naive enumeration of all G^m tuples at a fraction of the cost. Returns
-    (curve, energy); the true continuous optimum is at least
-    energy - lipschitz_constant(...) * h.
+    Each atom is served by its nearest segment, so the energy of a tuple is
+    the minimum over atom-to-segment assignments of a sum of per-segment
+    costs. At m = 2 a running minimum over the pair blocks finds it. At
+    m >= 3 a subset dynamic program does: m - 2 passes of _extend grow the
+    prefixes, and by the symmetry of the pair costs the last segment, serving
+    the atoms not in T from grid point c, costs F[~T][c] with F the first
+    pass. This equals the naive enumeration of all G^m tuples at a fraction
+    of the cost. Returns (curve, energy); the true continuous optimum is at
+    least energy - lipschitz_constant(...) * h.
     """
     ocfg.validate()
     if mu.dim != 2:
@@ -187,32 +160,31 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     G = P.shape[0]
     n = mu.n_atoms
     m = ocfg.m
-    # work in pair-cost evaluations; rows_held: rows of G floats per cost array alive at once
+    # work in pair-cost evaluations; rows_held: rows of G floats per cost array alive at once;
+    # from m = 3 on, each pass also keeps 2^n x G subset rows of floats and of back-pointers
     if m == 1:
         work, rows_held = n * G, 1
-    elif m == 2:
-        work, rows_held = (n + 1) * G * G, min(G, max(1, PAIR_BLOCK // G))
-    elif m == 3:
-        work, rows_held = (n + 2 ** (n + 1)) * G * G, G
     else:
-        work, rows_held = (n + ((m - 1) ** n) * (m - 1)) * G * G, G
+        work, rows_held = (n + (m - 1) ** (n + 1)) * G * G, min(G, max(1, PAIR_BLOCK // G))
+    subset_bytes = 16 * (m - 2) * 2**n * G if m > 2 else 0
     if work > ocfg.budget:
         raise BudgetExceededError(
-            f"oracle needs ~{work:.3g} pair-cost evaluations over {G} grid points and"
-            f" ~{8 * (n + 1) * rows_held * G:.3g} bytes of cost arrays, budget is {ocfg.budget:.3g}",
+            f"oracle needs ~{work:.3g} pair-cost evaluations over {G} grid points,"
+            f" ~{8 * (n + 1) * rows_held * G:.3g} bytes of cost arrays and"
+            f" ~{subset_bytes:.3g} bytes of subset rows, budget is {ocfg.budget:.3g}",
             required=work,
         )
 
     if m == 1:
-        d = np.linalg.norm(mu.positions[:, None, :] - P[None, :, :], axis=-1)
-        totals = np.sum(mu.masses[:, None] * d**ocfg.p, axis=0)
+        totals = np.zeros(G)
+        for x, mass in zip(mu.positions, mu.masses):
+            totals += mass * np.linalg.norm(x - P, axis=-1) ** ocfg.p
         k = int(np.argmin(totals))
         return Polyline(P[k][None, :]), float(totals[k])
 
-    blocks = _pair_blocks(P, mu, ocfg.p, ocfg.lam)
     if m == 2:
         best_energy, best_tuple = np.inf, (0, 0)  # running first-index minimum
-        for rows, total, costs in blocks:
+        for rows, total, costs in _pair_blocks(P, mu, ocfg.p, ocfg.lam):
             for ci in costs:
                 total += ci
             flat = int(np.argmin(total))
@@ -220,15 +192,21 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
                 best_energy = float(total.flat[flat])
                 best_tuple = (rows.start + flat // G, flat % G)
     else:
-        lencost, atom_costs = np.empty((G, G)), [np.empty((G, G)) for _ in range(n)]
-        for rows, lengths, costs in blocks:
-            lencost[rows] = lengths
-            for table, ci in zip(atom_costs, costs):
-                table[rows] = ci
-        if m == 3:
-            best_energy, best_tuple = _min_three_vertices(atom_costs, lencost, G)
-        else:
-            best_energy, best_tuple = _min_chain(atom_costs, lencost, G, m)
+        first, back = _extend(P, mu, ocfg.p, ocfg.lam)
+        H, backs = first, [back]
+        for _ in range(m - 3):
+            H, back = _extend(P, mu, ocfg.p, ocfg.lam, H)
+            backs.append(back)
+        comp = (len(first) - 1) ^ np.arange(len(first))
+        totals = H + first[comp]
+        flat = int(np.argmin(totals))
+        best_energy = float(totals.flat[flat])
+        T, c = divmod(flat, G)
+        best_tuple = [int(backs[0][comp[T], c]), c]  # the last segment, read backwards
+        for back in reversed(backs):
+            T, c = divmod(int(back[T, c]), G)
+            best_tuple.append(c)
+        best_tuple.reverse()
 
     verts = P[list(best_tuple)]
     if tuple(map(tuple, verts[::-1])) < tuple(map(tuple, verts)):

@@ -29,7 +29,6 @@ class TransportPlan:
     ia: np.ndarray
     ib: np.ndarray
     t: np.ndarray
-    n_vertices: int
 
     @property
     def entries(self) -> range:
@@ -106,7 +105,7 @@ def build_plan(mu: DiscreteMeasure, c: Polyline):
     else:
         dist, seg, t = _nearest_feet(X, c, EPS_PROJ * diam)
         cols = [dist, *_snap_targets(c, seg, t, tie_tolerance(diam))]
-    plan = TransportPlan(mu.masses, *cols, n_vertices=m)
+    plan = TransportPlan(mu.masses, *cols)
 
     ia = plan.ia
     at_vertex = np.nonzero(ia == plan.ib)[0]

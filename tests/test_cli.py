@@ -134,6 +134,15 @@ def test_oracle_refusal_states_its_size(two_atoms_csv, tmp_path, capsys):
     assert not (tmp_path / "oracle.json").exists()
 
 
+
+@pytest.mark.parametrize("budget", ["nan", "0", "-1"])
+def test_oracle_rejects_a_budget_that_is_not_positive(two_atoms_csv, tmp_path, budget):
+    out = tmp_path / "oracle.json"
+    rc = cli.main(["oracle", str(two_atoms_csv), "--m", "2", "--h", "0.05", "--p", "2",
+                   "--lambda", "0.2", "--budget", budget, "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+
 def test_plot_svg(two_atoms_csv, tmp_path):
     out = tmp_path / "plot.svg"
     rc = cli.main(["plot", str(two_atoms_csv), "--out", str(out)])

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -26,6 +27,8 @@ TRIANGLE = DiscreteMeasure(
 # frozen from the first oracle run (m=2, h=0.01): the best curve degenerates
 # to a single point, the equal-weight geometric median at distance 1/sqrt(3)
 TRIANGLE_GOLDEN_H01 = 0.5773502691896257
+# the same point on the coarser grid (h=0.025) that the benchmark's triangle uses
+TRIANGLE_GOLDEN_H025 = 0.5773795158203555
 
 
 def test_two_atom_oracle_matches_closed_form():
@@ -92,10 +95,11 @@ def test_budget_refusal_with_estimate():
     msg = str(exc.value)
     assert f"~{exc.value.required:.3g} pair-cost evaluations" in msg
     assert f"{G} grid points" in msg
-    assert f"~{8 * 3 * G * G:.3g} bytes" in msg  # n + 1 = 3 dense G x G tables
+    rows = oracle.PAIR_BLOCK // G
+    assert f"~{8 * 3 * rows * G:.3g} bytes of cost arrays" in msg  # one block of n + 1 = 3 arrays
+    assert f"~{16 * 2 * 4 * G:.3g} bytes of subset rows" in msg  # 2 passes of 2^n x G rows
     with pytest.raises(BudgetExceededError) as exc:
         brute_force_min(TWO_ATOMS, OracleConfig(m=2, h=1e-4, p=2.0, lam=0.2, budget=1e6))
-    rows = oracle.PAIR_BLOCK // G
     assert f"~{8 * 3 * rows * G:.3g} bytes" in str(exc.value)  # one block of rows
 
 
@@ -196,6 +200,9 @@ def test_oracle_config_validation():
         brute_force_min(TWO_ATOMS, OracleConfig(m=5, h=0.01, p=2.0, lam=0.2))
     with pytest.raises(ConfigError):
         brute_force_min(TWO_ATOMS, OracleConfig(m=2, h=-0.1, p=2.0, lam=0.2))
+    for budget in (float("nan"), 0.0, -1.0):  # NaN would compare False against any work
+        with pytest.raises(ConfigError):
+            brute_force_min(TWO_ATOMS, OracleConfig(m=2, h=0.05, p=2.0, lam=0.2, budget=budget))
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -213,3 +220,116 @@ def test_brute_force_min_equals_tuple_enumeration(m):
         curve, value = brute_force_min(mu, ocfg)
         assert value == pytest.approx(best, rel=1e-12)
         assert energy(mu, curve, p, lam).total == pytest.approx(value, rel=1e-12)
+
+
+def reference_min_three_vertices(atom_costs, lencost, G):
+    """The m = 3 search over n + 1 dense G x G tables, the reference the subset pass matches.
+
+    F[S][b] = min_a (len[a,b] + sum_{i in S} cost_i[a,b]), with subsets in
+    Gray code order; the optimum is min over (S, b) of F[S][b] + F[S^c][b].
+    """
+    n = len(atom_costs)
+    nsub = 1 << n
+    F = np.empty((nsub, G))
+    R = np.empty((nsub, G), dtype=np.int64)
+    acc = lencost.copy()
+    cols = np.arange(G)
+    state = 0
+    R[0] = np.argmin(acc, axis=0)
+    F[0] = acc[R[0], cols]
+    for step in range(1, nsub):
+        j = (step & -step).bit_length() - 1
+        if state & (1 << j):
+            acc -= atom_costs[j]
+        else:
+            acc += atom_costs[j]
+        state ^= 1 << j
+        R[state] = np.argmin(acc, axis=0)
+        F[state] = acc[R[state], cols]
+    comp = (nsub - 1) ^ np.arange(nsub)
+    totals = F + F[comp]
+    flat = int(np.argmin(totals))
+    s, b = flat // G, flat % G
+    return float(totals.flat[flat]), (int(R[s][b]), int(b), int(R[comp[s]][b]))
+
+
+def reference_min_chain(atom_costs, lencost, G, m):
+    """Chain dynamic program over every atom-to-segment assignment, (m-1)^n of them."""
+    best_energy, best_tuple = np.inf, None
+    for assign in itertools.product(range(m - 1), repeat=len(atom_costs)):
+        g, bps = np.zeros(G), []
+        for k in range(m - 1):
+            ck = lencost.copy()
+            for i, c in enumerate(atom_costs):
+                if assign[i] == k:
+                    ck += c
+            stacked = g[:, None] + ck
+            bps.append(np.argmin(stacked, axis=0))
+            g = stacked[bps[-1], np.arange(G)]
+        end = int(np.argmin(g))
+        if g[end] < best_energy:
+            idx = [end]
+            for bp in reversed(bps):
+                idx.append(int(bp[idx[-1]]))
+            best_energy, best_tuple = float(g[end]), tuple(reversed(idx))
+    return best_energy, best_tuple
+
+
+def reference_min(mu, ocfg):
+    """(vertices, energy) of the table searches, in brute_force_min's canonical form."""
+    P = _grid_points(mu, ocfg.h)
+    lengths, costs = kernel_tables(P, mu, ocfg.p, ocfg.lam)
+    if ocfg.m == 3:
+        E, idx = reference_min_three_vertices(costs, lengths, len(P))
+    else:
+        E, idx = reference_min_chain(costs, lengths, len(P), ocfg.m)
+    verts = P[list(idx)]
+    if tuple(map(tuple, verts[::-1])) < tuple(map(tuple, verts)):
+        verts = verts[::-1]
+    return merge_vertices(verts, 0.0), E
+
+
+@pytest.mark.parametrize("pair_block", [None, 1, 150])
+def test_m3_subset_search_equals_table_reference(monkeypatch, pair_block):
+    if pair_block is not None:
+        monkeypatch.setattr(oracle, "PAIR_BLOCK", pair_block)
+    for mu, h, p in _table_cases():
+        for lam in (0.05, 0.7):
+            ocfg = OracleConfig(m=3, h=h, p=p, lam=lam)
+            curve, E = brute_force_min(mu, ocfg)
+            ref_verts, ref_E = reference_min(mu, ocfg)
+            assert E == ref_E
+            assert np.array_equal(curve.vertices, ref_verts)
+
+
+def test_m3_ties_across_blocks_keep_the_first_tuple(monkeypatch):
+    # p = 1, lam = 0.5: every monotone tuple on [0, 1] x {0} costs exactly 0.5; the
+    # last segment from grid point 0 ties over its three first ends, one block each
+    monkeypatch.setattr(oracle, "PAIR_BLOCK", 1)
+    curve, E = brute_force_min(TWO_ATOMS, OracleConfig(m=3, h=0.5, p=1.0, lam=0.5))
+    assert E == 0.5
+    assert curve.vertices.tolist() == [[0.0, 0.0]]
+
+
+def test_m4_subset_search_matches_chain_reference():
+    rng = np.random.default_rng(11)
+    for k in range(8):
+        n = 2 + k % 3
+        p, lam = (1.0, 1.5, 2.0, 3.0)[k % 4], (0.05, 0.2)[k % 2]
+        mu = DiscreteMeasure(rng.uniform(0.0, 1.0, (n, 2)), rng.uniform(0.2, 1.0, n))
+        ocfg = OracleConfig(m=4, h=0.1, p=p, lam=lam)
+        curve, E = brute_force_min(mu, ocfg)
+        assert E == pytest.approx(reference_min(mu, ocfg)[1], rel=1e-12)
+        assert energy(mu, curve, p, lam).total == pytest.approx(E, rel=1e-12)
+
+
+def test_m3_triangle_holds_no_table():
+    tracemalloc.start()
+    try:
+        curve, E = brute_force_min(TRIANGLE, OracleConfig(m=3, h=0.025, p=1.0, lam=1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20  # one block plus 2^n x G subset rows; the G x G tables took 101 MB
+    assert E == TRIANGLE_GOLDEN_H025
+    assert len(curve.vertices) == 1

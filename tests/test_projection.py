@@ -14,9 +14,9 @@ def P(*pts):
     return Polyline(np.array(pts, dtype=float))
 
 
-def sigma_mass(plan, a, b):
+def sigma_mass(plan, c, a, b):
     """Mass projected onto vertices a..b and the segments between them, as tv_local reads it."""
-    pv, ps = _window_mass_prefixes(plan, plan.n_vertices)
+    pv, ps = _window_mass_prefixes(plan, c.n_vertices)
     return (pv[b + 1] - pv[a]) + (ps[b] - ps[a])
 
 
@@ -123,9 +123,9 @@ def test_sigma_mass_windows():
     mu = DiscreteMeasure(np.array([[0.1, 1.0], [1.9, -1.0]]), np.array([0.3, 0.7]))
     c = P((0, 0), (1, 0), (2, 0))
     plan, _ = build_plan(mu, c)
-    assert sigma_mass(plan, 0, 2) == pytest.approx(1.0)
-    assert sigma_mass(plan, 0, 1) == pytest.approx(0.3)
-    assert sigma_mass(plan, 1, 2) == pytest.approx(0.7)
+    assert sigma_mass(plan, c, 0, 2) == pytest.approx(1.0)
+    assert sigma_mass(plan, c, 0, 1) == pytest.approx(0.3)
+    assert sigma_mass(plan, c, 1, 2) == pytest.approx(0.7)
 
 
 def test_marginal_consistency_and_partition():
@@ -135,7 +135,7 @@ def test_marginal_consistency_and_partition():
     plan, _ = build_plan(mu, c)
     assert float(np.sum(plan.mass)) == pytest.approx(mu.total_mass, abs=1e-12)
     k = 3
-    total = sigma_mass(plan, 0, k) + sigma_mass(plan, k, 6) - sigma_mass(plan, k, k)
+    total = sigma_mass(plan, c, 0, k) + sigma_mass(plan, c, k, 6) - sigma_mass(plan, c, k, k)
     assert total == pytest.approx(mu.total_mass, abs=1e-12)
 
 
