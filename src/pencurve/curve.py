@@ -28,15 +28,11 @@ class Polyline:
             raise PencurveError("polyline needs an (m, d) vertex array with m >= 1")
         if not np.all(np.isfinite(v)):
             raise PencurveError("non-finite vertex coordinate")
-        if v.shape[0] > 1:
-            seg = np.linalg.norm(np.diff(v, axis=0), axis=1)
-            if np.any(seg == 0.0):
-                raise PencurveError(
-                    "zero-length segment at vertex %d; run merge_vertices first"
-                    % int(np.argmin(seg))
-                )
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
+        if np.any(self.segment_lengths == 0.0):
+            raise PencurveError("zero-length segment at vertex %d; run merge_vertices first"
+                                % int(np.argmin(self.segment_lengths)))
 
     @property
     def n_vertices(self) -> int:
@@ -48,13 +44,11 @@ class Polyline:
 
     @cached_property
     def segment_vectors(self) -> np.ndarray:
-        return np.diff(self.vertices, axis=0)
+        return self.vertices[1:] - self.vertices[:-1]
 
     @cached_property
     def segment_lengths(self) -> np.ndarray:
-        if self.n_vertices == 1:
-            return np.zeros(0)
-        return np.linalg.norm(self.segment_vectors, axis=1)
+        return axis_norms(self.segment_vectors)
 
     @cached_property
     def cumulative_lengths(self) -> np.ndarray:
@@ -86,6 +80,11 @@ class Polyline:
 def length(c: Polyline) -> float:
     """Total arc length; 0 iff the curve is a single vertex."""
     return c.total_length
+
+
+def axis_norms(x: np.ndarray) -> np.ndarray:
+    """Row norms of a 2-D array: np.linalg.norm(x, axis=1)'s own sum, without its checks."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
 
 
 def row_norms(x: np.ndarray) -> np.ndarray:
@@ -196,7 +195,7 @@ def merge_vertices(verts: np.ndarray, eps: float) -> np.ndarray:
         raise PencurveError("eps must be >= 0")
     verts = np.array(verts, dtype=float)
     while len(verts) > 1:
-        close = row_norms(np.diff(verts, axis=0)) <= eps
+        close = row_norms(verts[1:] - verts[:-1]) <= eps
         if not close.any():
             break
         idx = np.arange(len(close))

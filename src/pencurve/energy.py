@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Polyline
+from .curve import Polyline, axis_norms
 from .errors import ConfigError, NonSmoothPointError
 from .measure import DiscreteMeasure, diameter, tie_tolerance
 from .projection import TransportPlan, build_plan
@@ -58,11 +58,13 @@ def _entry_offsets(V: np.ndarray, plan: TransportPlan, X: np.ndarray):
 
     y = (1-t) V[ia] + t V[ib] is the entry's target, held affine in V. The
     entry's atom sits on its target when r <= the measure's tie tolerance.
+    The fixed-plan kernels take them as offsets (computed when None), so
+    that each point of a solver computes them once.
     """
-    wa, wb = 1.0 - plan.t, plan.t
+    wa, wb = plan.weights
     y = wa[:, None] * V[plan.ia] + wb[:, None] * V[plan.ib]
     diff = X - y
-    return wa, wb, diff, np.linalg.norm(diff, axis=1)
+    return wa, wb, diff, axis_norms(diff)
 
 
 def _entry_weight(r: np.ndarray, mass: np.ndarray, p: float, eps_clamp: float) -> np.ndarray:
@@ -96,21 +98,22 @@ def _first_variation(V: np.ndarray, plan: TransportPlan, wa: np.ndarray, wb: np.
     Each entry's pull kernel * (x - y) at its target y enters with a minus
     sign, split onto the segment's vertices by the barycentric weights;
     each segment adds lambda times its unit tangent at its end, minus that
-    at its start.
+    at its start. A bincount per coordinate adds each vertex's terms in
+    that order, as np.add.at would.
     """
     m = V.shape[0]
-    grad = np.zeros_like(V)
-    g_y = -kern[:, None] * diff
-    np.add.at(grad, plan.ia, wa[:, None] * g_y)
-    np.add.at(grad, plan.ib, wb[:, None] * g_y)
-    if m > 1:
-        seg = np.diff(V, axis=0)
-        seg_len = np.linalg.norm(seg, axis=1)
-        unit = seg / np.maximum(seg_len, 1e-300)[:, None]
-        unit[seg_len == 0.0] = 0.0
-        np.subtract.at(grad, np.arange(m - 1), lam * unit)
-        np.add.at(grad, np.arange(1, m), lam * unit)
-    return grad
+    k = np.arange(m - 1)
+    seg = V[1:] - V[:-1]
+    seg_len = axis_norms(seg)
+    unit = seg / np.maximum(seg_len, 1e-300)[:, None]
+    unit[seg_len == 0.0] = 0.0
+    ends = np.concatenate((plan.ia, plan.ib, k, k + 1))
+    cols = []
+    for q in range(V.shape[1]):
+        g_y, tangent = -kern * diff[:, q], lam * unit[:, q]
+        cols.append(np.bincount(ends, np.concatenate((wa * g_y, wb * g_y, -tangent, tangent)),
+                                minlength=m))
+    return np.stack(cols, axis=1)
 
 
 def _ties(plan: TransportPlan, r: np.ndarray, eps: float, pull: np.ndarray):
@@ -122,9 +125,8 @@ def _ties(plan: TransportPlan, r: np.ndarray, eps: float, pull: np.ndarray):
     mass; the difference is its slack.
     """
     on = (r <= eps) & (plan.ia == plan.ib)
-    tied_mass = np.zeros(len(pull))
-    np.add.at(tied_mass, plan.ia[on], plan.mass[on])
-    return on, tied_mass, np.linalg.norm(pull, axis=1)
+    tied_mass = np.bincount(plan.ia[on], plan.mass[on], minlength=len(pull))
+    return on, tied_mass, axis_norms(pull)
 
 
 def fixed_plan_value_grad(
@@ -135,6 +137,7 @@ def fixed_plan_value_grad(
     lam: float,
     eps_clamp: float,
     want_grad: bool = True,
+    offsets: tuple | None = None,
 ):
     """Value and vertex gradient of the fixed-plan objective.
 
@@ -145,16 +148,13 @@ def fixed_plan_value_grad(
     gradient is shrunk by the tied mass, which is the exact steepest
     descent direction of the nonsmooth convex objective.
     """
-    m = V.shape[0]
-    mass = plan.mass
-    wa, wb, diff, r = _entry_offsets(V, plan, X)
-    value = float(np.sum(mass * r**p))
-    seg_len = np.linalg.norm(np.diff(V, axis=0), axis=1) if m > 1 else np.zeros(0)
-    value += lam * float(np.sum(seg_len))
+    wa, wb, diff, r = _entry_offsets(V, plan, X) if offsets is None else offsets
+    value = float(np.sum(plan.mass * r**p))
+    value += lam * float(np.sum(axis_norms(V[1:] - V[:-1])))
     if not want_grad:
         return value, None
 
-    kern = _entry_kernel(r, mass, p, eps_clamp)
+    kern = _entry_kernel(r, plan.mass, p, eps_clamp)
     grad = _first_variation(V, plan, wa, wb, diff, kern, lam)
     if p == 1.0 and np.any(r <= eps_clamp):
         _, tied_mass, norms = _ties(plan, r, eps_clamp, grad)
@@ -172,6 +172,7 @@ def fixed_plan_majoriser(
     p: float,
     lam: float,
     eps_clamp: float,
+    offsets: tuple | None = None,
 ):
     """Quadratic model of the fixed-plan objective at V, as the system A V* = B.
 
@@ -189,7 +190,7 @@ def fixed_plan_majoriser(
     """
     m = V.shape[0]
     ia, ib = plan.ia, plan.ib
-    wa, wb, diff, r = _entry_offsets(V, plan, X)
+    wa, wb, diff, r = _entry_offsets(V, plan, X) if offsets is None else offsets
     w = _entry_weight(r, plan.mass, p, eps_clamp)
     if p == 1.0 and np.any(r <= eps_clamp):
         pull = _first_variation(V, plan, wa, wb, diff,
@@ -197,8 +198,7 @@ def fixed_plan_majoriser(
         on, tied_mass, norms = _ties(plan, r, eps_clamp, pull)
         w = np.where(on & (norms > tied_mass)[ia], 0.0, w)
     k = np.arange(m - 1)
-    seg_len = np.linalg.norm(np.diff(V, axis=0), axis=1)
-    c = lam / np.maximum(seg_len, eps_clamp)
+    c = lam / np.maximum(axis_norms(V[1:] - V[:-1]), eps_clamp)
     rows = np.concatenate((ia, ib, ia, ib, k, k + 1, k, k + 1))
     cols = np.concatenate((ia, ib, ib, ia, k, k + 1, k + 1, k))
     vals = np.concatenate((w * wa * wa, w * wb * wb, w * wa * wb, w * wa * wb, c, c, -c, -c))
@@ -218,34 +218,35 @@ def fixed_plan_hessian(
     p: float,
     lam: float,
     eps_clamp: float,
+    offsets: tuple | None = None,
 ) -> np.ndarray:
     """Dense Hessian of the fixed-plan objective, stacked over vertices.
 
     Fidelity blocks are w * p * r^(p-2) (I + (p-2) u u^T) pushed through the
     barycentric target map; each segment contributes the usual
     lam / |s| (I - s s^T / |s|^2) curvature. Positive semidefinite since the
-    objective is convex; p = 1 kinks are clamped like the gradient.
+    objective is convex; p = 1 kinks are clamped like the gradient. A
+    bincount per coordinate pair adds each block's terms in the order below.
     """
     m, d = V.shape
-    wa, wb, diff, r = _entry_offsets(V, plan, X)
+    wa, wb, diff, r = _entry_offsets(V, plan, X) if offsets is None else offsets
     kern = _entry_kernel(r, plan.mass, p, eps_clamp)
     u = diff / np.maximum(r, eps_clamp)[:, None]
-    hy = kern[:, None, None] * (np.eye(d) + (p - 2.0) * u[:, :, None] * u[:, None, :])
-    ends = ((plan.ia, wa), (plan.ib, wb))
-    H = np.zeros((m, m, d, d))  # H[i, j] is the d x d block of vertices i and j
-    for i, wi in ends:
-        for j, wj in ends:
-            np.add.at(H, (i, j), (wi * wj)[:, None, None] * hy)
-    if m > 1:
-        s = np.diff(V, axis=0)
-        ln = np.linalg.norm(s, axis=1)
-        inv = np.divide(1.0, ln, out=np.zeros_like(ln), where=ln > 0.0)
-        u = s * inv[:, None]
-        hseg = (lam * inv)[:, None, None] * (np.eye(d) - u[:, :, None] * u[:, None, :])
-        k = np.arange(m - 1)
-        for i, j, sign in ((k, k, 1.0), (k + 1, k + 1, 1.0), (k, k + 1, -1.0), (k + 1, k, -1.0)):
-            H[i, j] += sign * hseg
-    return H.transpose(0, 2, 1, 3).reshape(m * d, m * d)
+    s = V[1:] - V[:-1]
+    ln = axis_norms(s)
+    inv = np.divide(1.0, ln, out=np.zeros_like(ln), where=ln > 0.0)
+    us = s * inv[:, None]
+    diag, ends = np.arange(m - 1) * (m + 1), ((plan.ia, wa), (plan.ib, wb))
+    blocks = [(i * m + j, wi * wj) for i, wi in ends for j, wj in ends]
+    # entry blocks (i, j) for i, j in (ia, ib); segments (k, k), (k+1, k+1), (k, k+1), (k+1, k)
+    cells = np.concatenate([ij for ij, _ in blocks] + [diag, diag + m + 1, diag + 1, diag + m])
+    H = np.empty((d, d, m * m))  # H[a, b, i * m + j]: coordinates a, b of vertices i, j
+    for a, b in np.ndindex(d, d):
+        hy = kern * (float(a == b) + (p - 2.0) * u[:, a] * u[:, b])
+        hseg = lam * inv * (float(a == b) - us[:, a] * us[:, b])
+        terms = [w * hy for _, w in blocks] + [hseg, hseg, -hseg, -hseg]
+        H[a, b] = np.bincount(cells, np.concatenate(terms), minlength=m * m)
+    return H.reshape(d, d, m, m).transpose(2, 0, 3, 1).reshape(m * d, m * d)
 
 
 def gradient(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -> np.ndarray:
@@ -259,11 +260,12 @@ def gradient(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -> np.ndarr
     eps_tie = tie_tolerance(diameter(mu))
     plan, _ = build_plan(mu, c)
     V = np.array(c.vertices)
-    if p == 1.0 and np.any(_entry_offsets(V, plan, mu.positions)[3] <= eps_tie):
+    offsets = _entry_offsets(V, plan, mu.positions)
+    if p == 1.0 and np.any(offsets[3] <= eps_tie):
         raise NonSmoothPointError(
             "p=1 gradient at a coincident atom-target pair; use stationarity_report"
         )
-    _, grad = fixed_plan_value_grad(V, plan, mu.positions, p, lam, eps_tie)
+    _, grad = fixed_plan_value_grad(V, plan, mu.positions, p, lam, eps_tie, offsets=offsets)
     return grad
 
 

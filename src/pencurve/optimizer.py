@@ -19,11 +19,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import Polyline, merge_vertices, self_intersections_2d, turning_angles
+from .curve import Polyline, axis_norms, merge_vertices, self_intersections_2d, turning_angles
 from .diagnostics import TheoryReport, full_report, project_to_hull
 from .energy import (
     EnergyBreakdown,
     StationarityReport,
+    _entry_offsets,
     energy,
     fixed_plan_hessian,
     fixed_plan_majoriser,
@@ -33,7 +34,7 @@ from .energy import (
 )
 from .errors import ConfigError, NumericError
 from .measure import DiscreteMeasure, convex_hull_2d, diameter, tie_tolerance
-from .projection import TransportPlan, VertexClassification, build_plan
+from .projection import TransportPlan, build_plan
 
 INNER_MAX_STEPS = 10  # majorise-minimise steps per fixed-plan solve
 TOL_ENERGY_REL = 1e-8  # relative energy drop that ends a solve and the outer loop
@@ -174,32 +175,35 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
     clamped the first trial passes. Stops on the gradient tolerance, on a
     relative drop below TOL_ENERGY_REL, or when no trial decreases the
     objective, so the fixed-plan objective and hence the true energy cannot
-    go up.
+    go up. A point's entry offsets serve its trial, gradient and next model.
     """
     V = np.array(c.vertices)
     X = mu.positions
     p, lam, eps = cfg.p, cfg.lam, tie_tolerance(diameter(mu))
-    val, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps)
+    off = _entry_offsets(V, plan, X)
+    val, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps, True, off)
     if not np.isfinite(val):
         raise NumericError("non-finite fixed-plan objective at start")
     for _ in range(INNER_MAX_STEPS):
-        if float(np.max(np.linalg.norm(grad, axis=1))) <= cfg.tol_stationarity:
+        if float(np.max(axis_norms(grad))) <= cfg.tol_stationarity:
             break
-        A, B = fixed_plan_majoriser(V, plan, X, p, lam, eps)
+        A, B = fixed_plan_majoriser(V, plan, X, p, lam, eps, off)
         try:
             step = np.linalg.solve(A, B) - V
         except np.linalg.LinAlgError:
             break
         for _ in range(30):
-            cand_val, _ = fixed_plan_value_grad(V + step, plan, X, p, lam, eps, want_grad=False)
+            W = V + step
+            off = _entry_offsets(W, plan, X)
+            cand_val, _ = fixed_plan_value_grad(W, plan, X, p, lam, eps, False, off)
             if cand_val < val:  # False for NaN too
                 break
             step *= 0.5
         else:
             break
         drop = val - cand_val
-        V = V + step
-        val, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps)
+        V = W
+        val, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps, True, off)
         if drop <= TOL_ENERGY_REL * abs(val):
             break
     return Polyline(merge_vertices(V, 0.0))
@@ -207,19 +211,18 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
 
 @dataclass(frozen=True)
 class _State:
-    """A curve evaluated once: its nearest-point plan, talking sets and true energy."""
+    """A curve evaluated once: its nearest-point plan and true energy."""
 
     curve: Polyline
     plan: TransportPlan
-    classification: VertexClassification
     energy: EnergyBreakdown
 
 
 def _evaluate(mu: DiscreteMeasure, verts: np.ndarray, cfg: FitConfig) -> _State:
     """The curve through verts, exact repeats dropped, with its plan and energy."""
     curve = Polyline(merge_vertices(verts, 0.0))
-    plan, cls = build_plan(mu, curve)
-    return _State(curve, plan, cls, energy(mu, curve, cfg.p, cfg.lam, plan=plan))
+    plan, _ = build_plan(mu, curve)
+    return _State(curve, plan, energy(mu, curve, cfg.p, cfg.lam, plan=plan))
 
 
 def _gate(cand: _State, current: _State) -> _State:
@@ -258,9 +261,10 @@ def _manage_vertices(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig) -> _State
     dropped = True
     while dropped and state.curve.n_vertices > 1:
         dropped = False
-        talking, verts = state.classification.talking, state.curve.vertices
-        for atoms, keep in ((talking[0], verts[1:]), (talking[-1], verts[:-1])):
-            if not atoms:
+        plan, verts = state.plan, state.curve.vertices
+        # a target at vertex 0 has ib == 0, one at the last vertex ia == m - 1
+        for busy, keep in ((plan.ib == 0, verts[1:]), (plan.ia == len(verts) - 1, verts[:-1])):
+            if not busy.any():
                 cand = _gate(_evaluate(mu, keep, cfg), state)
                 if cand is not state:
                     state, dropped = cand, True
@@ -310,13 +314,14 @@ def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> 
     """
     X, p, lam, eps = mu.positions, cfg.p, cfg.lam, tie_tolerance(diameter(mu))
     V = state.curve.vertices
-    _, grad = fixed_plan_value_grad(V, state.plan, X, p, lam, eps)
+    off = _entry_offsets(V, state.plan, X)  # shared by the gradient and the Hessian at V
+    _, grad = fixed_plan_value_grad(V, state.plan, X, p, lam, eps, True, off)
     pairs = []
     for _ in range(FINISH_MAX_STEPS):
-        if float(np.max(np.linalg.norm(grad, axis=1))) <= cfg.tol_stationarity:
+        if float(np.max(axis_norms(grad))) <= cfg.tol_stationarity:
             break
         m, d = V.shape
-        H = fixed_plan_hessian(V, state.plan, X, p, lam, eps)
+        H = fixed_plan_hessian(V, state.plan, X, p, lam, eps, off)
         H[np.diag_indices(m * d)] += 1e-12 * (np.trace(H) / (m * d) + lam)
         q = grad.reshape(-1).copy()  # L-BFGS two-loop recursion around H
         alphas = []
@@ -332,7 +337,7 @@ def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> 
         step = -q.reshape(m, d)
         for _ in range(30):
             cand = V + step
-            flip = np.nonzero(np.sum(np.diff(cand, axis=0) * np.diff(V, axis=0), axis=1) <= 0)[0]
+            flip = np.nonzero(np.sum((cand[1:] - cand[:-1]) * (V[1:] - V[:-1]), axis=1) <= 0)[0]
             cand[flip] = cand[flip + 1] = 0.5 * (cand[flip] + cand[flip + 1])
             trial = _evaluate(mu, cand, cfg)
             if trial.energy.total < state.energy.total:  # False for NaN too
@@ -341,7 +346,8 @@ def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> 
         else:
             break
         W = trial.curve.vertices
-        _, trial_grad = fixed_plan_value_grad(W, trial.plan, X, p, lam, eps)
+        off = _entry_offsets(W, trial.plan, X)
+        _, trial_grad = fixed_plan_value_grad(W, trial.plan, X, p, lam, eps, True, off)
         if W.shape != V.shape:
             pairs = []
         else:

@@ -140,6 +140,12 @@ def _extend(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float, H=None):
     return E, back
 
 
+def _approx(count: int) -> str:
+    """f"{count:.3g}" for an int of any size; the float form overflows past 1.8e308."""
+    from decimal import Decimal  # only a refusal past the float range needs it
+    return f"{count:.3g}" if count < 1e308 else f"{Decimal(count):.3g}"
+
+
 def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     """Exact minimum of the discrete energy over all m-tuples of grid points.
 
@@ -169,9 +175,9 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     subset_bytes = 16 * (m - 2) * 2**n * G if m > 2 else 0
     if work > ocfg.budget:
         raise BudgetExceededError(
-            f"oracle needs ~{work:.3g} pair-cost evaluations over {G} grid points,"
-            f" ~{8 * (n + 1) * rows_held * G:.3g} bytes of cost arrays and"
-            f" ~{subset_bytes:.3g} bytes of subset rows, budget is {ocfg.budget:.3g}",
+            f"oracle needs ~{_approx(work)} pair-cost evaluations over {G} grid points,"
+            f" ~{_approx(8 * (n + 1) * rows_held * G)} bytes of cost arrays and"
+            f" ~{_approx(subset_bytes)} bytes of subset rows, budget is {ocfg.budget:.3g}",
             required=work,
         )
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,12 +36,24 @@ class TransportPlan:
         """Entry indices; len() is the entry count."""
         return range(len(self.mass))
 
+    @cached_property
+    def weights(self) -> tuple:
+        """Barycentric weights (1 - t, t) of every entry's target."""
+        return 1.0 - self.t, self.t
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class VertexClassification:
-    """Talking sets: talking[j] lists the atoms with a plan entry at vertex j."""
+    """Talking sets, built on first read: talking[j] lists the atoms with an entry at vertex j."""
 
-    talking: tuple  # per vertex: tuple of atom indices
+    plan: TransportPlan
+    n_vertices: int
+
+    @cached_property
+    def talking(self) -> tuple:
+        ia, at_vertex = self.plan.ia, self.plan.ia == self.plan.ib
+        return tuple(tuple(np.nonzero(at_vertex & (ia == j))[0].tolist())
+                     for j in range(self.n_vertices))
 
 
 def _snap_targets(c: Polyline, seg: np.ndarray, t: np.ndarray, snap: float):
@@ -64,21 +77,30 @@ def _nearest_feet(X: np.ndarray, c: Polyline, eps_abs: float):
     Atoms are taken in blocks of CHUNK rows. A segment is nearest when its
     distance is within eps_abs of the minimum; the first such segment has
     the smallest arc length, since arc length grows with the segment index.
+    A block works in place on a few (rows, m - 1) arrays. Its dot products add
+    the coordinates as einsum does (checked to d = 7): (p0 + p2 + ...) + (p1 + p3 + ...).
     """
     a = c.vertices[:-1]
     vec = c.segment_vectors
     denom = np.einsum("ij,ij->i", vec, vec)
-    n = len(X)
+    n, d = X.shape
     dist, seg, t = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)
     for lo in range(0, n, CHUNK):
         Xb = X[lo:lo + CHUNK]
-        T = np.clip(np.einsum("nkj,kj->nk", Xb[:, None, :] - a[None, :, :], vec) / denom,
-                    0.0, 1.0)
-        sq = np.zeros(T.shape)
-        for q in range(X.shape[1]):  # coordinate order: np.linalg.norm's sum of squares
-            off = Xb[:, q, None] - (a[:, q] + T * vec[:, q])
-            sq += off * off
-        D = np.sqrt(sq)
+        prods = [(Xb[:, q, None] - a[:, q]) * vec[:, q] for q in range(d)]
+        for q in range(2, d):  # einsum's two accumulators: even and odd coordinates
+            prods[q % 2] += prods[q]
+        T = prods[0] if d == 1 else np.add(prods[0], prods[1], out=prods[0])
+        del prods  # the odd lane is not needed in the distance pass
+        np.clip(np.divide(T, denom, out=T), 0.0, 1.0, out=T)
+        D = np.zeros(T.shape)
+        for q in range(d):  # coordinate order: np.linalg.norm's sum of squares
+            off = T * vec[:, q]
+            off += a[:, q]
+            np.subtract(Xb[:, q, None], off, out=off)
+            off *= off
+            D += off
+        np.sqrt(D, out=D)
         dmin = np.min(D, axis=1)
         first = np.argmax(D <= (dmin[:, None] + eps_abs), axis=1)
         rows = slice(lo, lo + CHUNK)
@@ -89,7 +111,7 @@ def _nearest_feet(X: np.ndarray, c: Polyline, eps_abs: float):
 def build_plan(mu: DiscreteMeasure, c: Polyline):
     """Send every atom's mass to its first nearest curve target.
 
-    Returns the plan and each vertex's talking set. Feet within
+    Returns the plan and its vertices' talking sets. Feet within
     tie_tolerance(diameter(mu)) of a vertex snap to it. Costs O(n m) time
     and O(CHUNK m) memory.
     """
@@ -106,9 +128,4 @@ def build_plan(mu: DiscreteMeasure, c: Polyline):
         dist, seg, t = _nearest_feet(X, c, EPS_PROJ * diam)
         cols = [dist, *_snap_targets(c, seg, t, tie_tolerance(diam))]
     plan = TransportPlan(mu.masses, *cols)
-
-    ia = plan.ia
-    at_vertex = np.nonzero(ia == plan.ib)[0]
-    groups = np.cumsum(np.bincount(ia[at_vertex], minlength=m))[:-1]
-    talking = np.split(at_vertex[np.argsort(ia[at_vertex], kind="stable")], groups)
-    return plan, VertexClassification(tuple(tuple(g.tolist()) for g in talking))
+    return plan, VertexClassification(plan, m)

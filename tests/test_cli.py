@@ -135,6 +135,18 @@ def test_oracle_refusal_states_its_size(two_atoms_csv, tmp_path, capsys):
 
 
 
+def test_oracle_refuses_a_search_past_the_float_range(tmp_path, capsys):
+    # m = 3 over 1100 atoms needs ~2^1101 pair-cost evaluations, above any float
+    atoms = tmp_path / "atoms.csv"
+    np.savetxt(atoms, np.random.default_rng(0).uniform(0.0, 1.0, (1100, 2)), delimiter=",")
+    out = tmp_path / "oracle.json"
+    rc = cli.main(["oracle", str(atoms), "--m", "3", "--h", "0.5", "--p", "2",
+                   "--lambda", "0.2", "--out", str(out)])
+    assert rc == 3
+    assert "~2.20e+333 pair-cost evaluations" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("budget", ["nan", "0", "-1"])
 def test_oracle_rejects_a_budget_that_is_not_positive(two_atoms_csv, tmp_path, budget):
     out = tmp_path / "oracle.json"

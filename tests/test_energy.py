@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from pencurve.curve import Polyline
 from pencurve.energy import (
     energy,
     fixed_plan_hessian,
+    fixed_plan_majoriser,
     fixed_plan_value_grad,
     gradient,
     stationarity_report,
@@ -13,6 +16,7 @@ from pencurve.errors import ConfigError, NonSmoothPointError
 from pencurve.measure import DiscreteMeasure, diameter, synth_measure, tie_tolerance
 from pencurve.projection import build_plan
 
+energy_module = sys.modules["pencurve.energy"]  # the package exports the function energy
 TWO_ATOMS = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
 
 
@@ -229,3 +233,153 @@ def test_fixed_plan_objective_midpoint_convexity():
             fm, _ = fixed_plan_value_grad(0.5 * (V1 + V2), plan, mu.positions, p, 0.2, 0.0,
                                           want_grad=False)
             assert fm <= 0.5 * (f1 + f2) + 1e-12 * max(1.0, abs(f1) + abs(f2))
+
+
+# Reference kernels: the np.add.at forms that each recompute the entry offsets,
+# against which the bincount kernels and shared offsets must agree bit for bit.
+
+def reference_offsets(V, plan, X):
+    wa, wb = 1.0 - plan.t, plan.t
+    diff = X - (wa[:, None] * V[plan.ia] + wb[:, None] * V[plan.ib])
+    return wa, wb, diff, np.linalg.norm(diff, axis=1)
+
+
+def reference_first_variation(V, plan, wa, wb, diff, kern, lam):
+    m = V.shape[0]
+    grad = np.zeros_like(V)
+    g_y = -kern[:, None] * diff
+    np.add.at(grad, plan.ia, wa[:, None] * g_y)
+    np.add.at(grad, plan.ib, wb[:, None] * g_y)
+    if m > 1:
+        seg = np.diff(V, axis=0)
+        seg_len = np.linalg.norm(seg, axis=1)
+        unit = seg / np.maximum(seg_len, 1e-300)[:, None]
+        unit[seg_len == 0.0] = 0.0
+        np.subtract.at(grad, np.arange(m - 1), lam * unit)
+        np.add.at(grad, np.arange(1, m), lam * unit)
+    return grad
+
+
+def reference_ties(plan, r, eps, pull):
+    on = (r <= eps) & (plan.ia == plan.ib)
+    tied_mass = np.zeros(len(pull))
+    np.add.at(tied_mass, plan.ia[on], plan.mass[on])
+    return on, tied_mass, np.linalg.norm(pull, axis=1)
+
+
+def reference_value_grad(V, plan, X, p, lam, eps):
+    m = V.shape[0]
+    wa, wb, diff, r = reference_offsets(V, plan, X)
+    value = float(np.sum(plan.mass * r**p))
+    seg_len = np.linalg.norm(np.diff(V, axis=0), axis=1) if m > 1 else np.zeros(0)
+    value += lam * float(np.sum(seg_len))
+    kern = energy_module._entry_kernel(r, plan.mass, p, eps)
+    grad = reference_first_variation(V, plan, wa, wb, diff, kern, lam)
+    if p == 1.0 and np.any(r <= eps):
+        _, tied_mass, norms = reference_ties(plan, r, eps, grad)
+        j = np.nonzero(tied_mass > 0)[0]
+        tm, nj = tied_mass[j], norms[j]
+        grad[j] = np.where((nj <= tm)[:, None], 0.0,
+                           (1.0 - tm / np.maximum(nj, tm))[:, None] * grad[j])
+    return value, grad
+
+
+def reference_majoriser(V, plan, X, p, lam, eps):
+    m = V.shape[0]
+    ia, ib = plan.ia, plan.ib
+    wa, wb, diff, r = reference_offsets(V, plan, X)
+    w = energy_module._entry_weight(r, plan.mass, p, eps)
+    if p == 1.0 and np.any(r <= eps):
+        pull = reference_first_variation(V, plan, wa, wb, diff,
+                                         energy_module._entry_kernel(r, plan.mass, p, eps), lam)
+        on, tied_mass, norms = reference_ties(plan, r, eps, pull)
+        w = np.where(on & (norms > tied_mass)[ia], 0.0, w)
+    k = np.arange(m - 1)
+    c = lam / np.maximum(np.linalg.norm(np.diff(V, axis=0), axis=1), eps)
+    rows = np.concatenate((ia, ib, ia, ib, k, k + 1, k, k + 1))
+    cols = np.concatenate((ia, ib, ib, ia, k, k + 1, k + 1, k))
+    vals = np.concatenate((w * wa * wa, w * wb * wb, w * wa * wb, w * wa * wb, c, c, -c, -c))
+    A = np.bincount(rows * m + cols, vals, minlength=m * m).reshape(m, m)
+    ends = np.concatenate((ia, ib))
+    pull = np.concatenate((w * wa, w * wb))
+    Xe = np.concatenate((X, X))
+    B = np.stack([np.bincount(ends, pull * Xe[:, q], minlength=m) for q in range(X.shape[1])],
+                 axis=1)
+    return A, B
+
+
+def reference_hessian(V, plan, X, p, lam, eps):
+    m, d = V.shape
+    wa, wb, diff, r = reference_offsets(V, plan, X)
+    kern = energy_module._entry_kernel(r, plan.mass, p, eps)
+    u = diff / np.maximum(r, eps)[:, None]
+    hy = kern[:, None, None] * (np.eye(d) + (p - 2.0) * u[:, :, None] * u[:, None, :])
+    ends = ((plan.ia, wa), (plan.ib, wb))
+    H = np.zeros((m, m, d, d))
+    for i, wi in ends:
+        for j, wj in ends:
+            np.add.at(H, (i, j), (wi * wj)[:, None, None] * hy)
+    if m > 1:
+        s = np.diff(V, axis=0)
+        ln = np.linalg.norm(s, axis=1)
+        inv = np.divide(1.0, ln, out=np.zeros_like(ln), where=ln > 0.0)
+        u = s * inv[:, None]
+        hseg = (lam * inv)[:, None, None] * (np.eye(d) - u[:, :, None] * u[:, None, :])
+        k = np.arange(m - 1)
+        for i, j, sign in ((k, k, 1.0), (k + 1, k + 1, 1.0), (k, k + 1, -1.0), (k + 1, k, -1.0)):
+            H[i, j] += sign * hseg
+    return H.transpose(0, 2, 1, 3).reshape(m * d, m * d)
+
+
+def _kernel_cases():
+    """(mu, curve, V) in d = 2, 3 with m = 1, 2 and >= 20 vertices.
+
+    Every other case puts atoms on vertices (four on vertex 0) and within
+    the tie tolerance of segment interiors, and evaluates at the curve
+    itself, where p = 1 ties take effect; the others evaluate at jittered
+    vertices V.
+    """
+    rng = np.random.default_rng(55)
+    for d in (2, 3):
+        for m in (1, 2, 20, 37):
+            for ties in (False, True):
+                n = m + int(rng.integers(5, 40))
+                V = np.cumsum(rng.uniform(0.02, 0.1, (m, d)), axis=0)
+                X = rng.uniform(-0.1, 0.1, (n, d)) + V[rng.integers(0, m, n)]
+                if ties:
+                    X[:m // 2 + 1] = V[:m // 2 + 1]
+                    X[-3:] = V[0]  # four atoms on vertex 0: their tied mass sums in order
+                    for i in range(m // 2 + 1, m // 2 + 1 + (m > 1) * max(1, m // 2)):
+                        k = int(rng.integers(0, m - 1))
+                        e = rng.normal(size=d)
+                        X[i] = V[k] + rng.uniform(0.2, 0.8) * (V[k + 1] - V[k]) + 1e-12 * e
+                mu = DiscreteMeasure(X, rng.uniform(0.1, 1.0, n))
+                c = Polyline(V)
+                yield mu, c, (V if ties else V + rng.normal(0.0, 0.01, V.shape))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_kernels_match_add_at_references_bitwise(p):
+    lam, on_vertex, on_segment = 0.05, 0, 0
+    for mu, c, V in _kernel_cases():
+        plan, _ = build_plan(mu, c)
+        X, eps = mu.positions, tie_tolerance(diameter(mu))
+        off = energy_module._entry_offsets(V, plan, X)
+        ref_off = reference_offsets(V, plan, X)
+        assert all(np.array_equal(a, b) for a, b in zip(off, ref_off))
+        on_vertex += int(np.sum((off[3] <= eps) & (plan.ia == plan.ib)))
+        on_segment += int(np.sum((off[3] <= eps) & (plan.ia != plan.ib)))
+        kern = energy_module._entry_kernel(off[3], plan.mass, p, eps)
+        assert np.array_equal(energy_module._first_variation(V, plan, *off[:3], kern, lam),
+                              reference_first_variation(V, plan, *off[:3], kern, lam))
+        ref_val, ref_grad = reference_value_grad(V, plan, X, p, lam, eps)
+        for given in (None, off):
+            val, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps, True, given)
+            assert val == ref_val and np.array_equal(grad, ref_grad)
+            assert fixed_plan_value_grad(V, plan, X, p, lam, eps, False, given) == (val, None)
+            for got, ref in zip(fixed_plan_majoriser(V, plan, X, p, lam, eps, given),
+                                reference_majoriser(V, plan, X, p, lam, eps)):
+                assert np.array_equal(got, ref)
+            assert np.array_equal(fixed_plan_hessian(V, plan, X, p, lam, eps, given),
+                                  reference_hessian(V, plan, X, p, lam, eps))
+    assert on_vertex and on_segment  # p = 1 reaches the tie branches

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -266,3 +268,29 @@ def test_finalize_drops_all_straight_vertices_in_one_gated_step(monkeypatch):
     assert calls == [3]
     assert np.array_equal(out.curve.vertices, [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0]])
     assert out.energy.total <= state.energy.total * (1.0 + 1e-13)
+
+
+# Final energy (float.hex) and SHA-256 of the little-endian vertex bytes of
+# capped noisy_segment fits at lambda = 0.01, max_outer_iters = 6, recorded
+# before the fixed-plan kernels moved to shared offsets and bincount sums:
+# (p, n, seed) -> (energy, vertices, status)
+RECORDED_FITS = {
+    (1.0, 150, 1): ("0x1.4e64e70e1b97bp-5",
+                    "9cd525dcc05eb475b9d48f8f08b71d3183cc88c71c19947429d5e48cccd8795c", "max_iters"),
+    (1.5, 120, 2): ("0x1.385450985ff0ep-6",
+                    "8c1043c4eb2187100927a0fee480ef4b4b008c28ee669fdc97a26f20f52d9397", "converged"),
+    (2.0, 120, 3): ("0x1.681fbfbc576f8p-7",
+                    "50b518526a122adef81dfa927d02f63825b751e60c4aa2d521bcbd5b9fed1110", "converged"),
+    (3.0, 100, 4): ("0x1.d7e4ca7d7463ap-8",
+                    "3d8c10765d52953722449f88634aea0b1333aaf0be01605d2ccc8a5102f9fd95", "converged"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(RECORDED_FITS))
+def test_fit_matches_recorded_output_bitwise(key):
+    p, n, seed = key
+    res = fit(synth_measure("noisy_segment", n, seed=seed),
+              FitConfig(p=p, lam=0.01, max_outer_iters=6))
+    verts = np.ascontiguousarray(res.curve.vertices, dtype="<f8").tobytes()
+    assert (res.breakdown.total.hex(), hashlib.sha256(verts).hexdigest(),
+            res.status) == RECORDED_FITS[key]
