@@ -70,11 +70,11 @@ def cmd_fit(args) -> int:
     cfg = FitConfig(
         p=args.p, lam=args.lam, m_init=args.m_init, m_max=args.m_max,
         restarts=args.restarts, seed=args.seed,
-    )
+    ).resolved(mu)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)  # bad settings and a bad --out fail before the fit
     result = fit(mu, cfg)
     manifest = _manifest("fit", args, [args.measure])
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     _dump_json(out / "curve.json", {"manifest": manifest, **result.curve.to_dict()})
     _dump_json(out / "result.json", {"manifest": manifest, **result.to_dict()})
     _dump_json(out / "report.json", {"manifest": manifest, **result.theory.to_dict()})
@@ -227,7 +227,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERR
-    except (PencurveError, FileNotFoundError) as exc:
+    except (PencurveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERR
 

@@ -174,7 +174,7 @@ def fixed_plan_majoriser(
     eps_clamp: float,
     offsets: tuple | None = None,
 ):
-    """Quadratic model of the fixed-plan objective at V, as the system A V* = B.
+    """Quadratic model of the fixed-plan objective at V, as bands of the system A V* = B.
 
     Each entry's mass * r^p becomes (w / 2) |x - y|^2 with w the entry
     weight at the current r (clamped below eps_clamp). A tied p = 1 entry
@@ -186,7 +186,9 @@ def fixed_plan_majoriser(
     p <= 2 the model also lies above the objective, so its minimiser V*
     cannot raise it. An entry couples only vertices ia and ib = ia or ia + 1
     and a segment only its two ends, so the model is isotropic with one
-    symmetric tridiagonal m x m matrix A shared by all d coordinates.
+    symmetric tridiagonal matrix A shared by all d coordinates. Returns
+    (diag, upper, B): A's diagonal and superdiagonal and the (m, d) right
+    side; a vertex target's off-diagonal term, w * 1 * 0, is left out.
     """
     m = V.shape[0]
     ia, ib = plan.ia, plan.ib
@@ -199,16 +201,17 @@ def fixed_plan_majoriser(
         w = np.where(on & (norms > tied_mass)[ia], 0.0, w)
     k = np.arange(m - 1)
     c = lam / np.maximum(axis_norms(V[1:] - V[:-1]), eps_clamp)
-    rows = np.concatenate((ia, ib, ia, ib, k, k + 1, k, k + 1))
-    cols = np.concatenate((ia, ib, ib, ia, k, k + 1, k + 1, k))
-    vals = np.concatenate((w * wa * wa, w * wb * wb, w * wa * wb, w * wa * wb, c, c, -c, -c))
-    A = np.bincount(rows * m + cols, vals, minlength=m * m).reshape(m, m)
+    diag = np.bincount(np.concatenate((ia, ib, k, k + 1)),
+                       np.concatenate((w * wa * wa, w * wb * wb, c, c)), minlength=m)
+    inner = ib == ia + 1
+    upper = np.bincount(np.concatenate((ia[inner], k)),
+                        np.concatenate(((w * wa * wb)[inner], -c)), minlength=m - 1)
     ends = np.concatenate((ia, ib))
     pull = np.concatenate((w * wa, w * wb))
     Xe = np.concatenate((X, X))
     B = np.stack([np.bincount(ends, pull * Xe[:, q], minlength=m) for q in range(X.shape[1])],
                  axis=1)
-    return A, B
+    return diag, upper, B
 
 
 def fixed_plan_hessian(

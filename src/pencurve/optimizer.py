@@ -3,13 +3,14 @@
 Each curve is evaluated once into a state (plan, vertex classes, true
 energy), whose plan serves the energy, the vertex edits and the next
 fixed-plan solve. An outer iteration lowers the convex fixed-plan
-objective by majorise-minimise steps (one m x m tridiagonal solve each,
-decrease-only), then merges, splits and drops vertices, each edit passing
-one energy gate. For p > 1 a quasi-Newton finish then drives the curve to
-the stationarity tolerance, accepting only energy decreases, so the energy
-trace is non-increasing. The status is "converged" only when the final
-curve passes the stationarity check, else "plateau" (an outer iteration's
-relative drop fell below TOL_ENERGY_REL) or "max_iters".
+objective by majorise-minimise steps (one O(m) LDL^T sweep of a
+tridiagonal system each, decrease-only), then merges, splits and drops
+vertices, each edit passing one energy gate. For p > 1 a quasi-Newton
+finish then drives the curve to the stationarity tolerance, accepting
+only energy decreases, so the energy trace is non-increasing. The status
+is "converged" only when the final curve passes the stationarity check,
+else "plateau" (an outer iteration's relative drop fell below
+TOL_ENERGY_REL) or "max_iters".
 """
 
 from __future__ import annotations
@@ -163,6 +164,31 @@ def init_curve(mu: DiscreteMeasure, cfg: FitConfig, restart: int = 0) -> Polylin
     return Polyline(merge_vertices(verts, 0.0))
 
 
+def _solve_tridiagonal(diag: np.ndarray, upper: np.ndarray, B: np.ndarray):
+    """Solve A X = B for the symmetric tridiagonal A with these bands, or None.
+
+    One LDL^T factorisation without pivoting, then one forward and one back
+    substitution per column of B, in Python floats: O(m) time and memory.
+    A pivot that is not > 0 (A singular or indefinite, or a NaN) gives None.
+    """
+    up, piv, mult = upper.tolist(), [], []
+    for i, a in enumerate(diag.tolist()):
+        if i:
+            mult.append(up[i - 1] / piv[-1])
+            a -= mult[-1] * up[i - 1]
+        if not a > 0.0:
+            return None
+        piv.append(a)
+    cols = B.T.tolist()
+    for x in cols:
+        for i in range(1, len(x)):
+            x[i] -= mult[i - 1] * x[i - 1]
+        x[-1] /= piv[-1]
+        for i in range(len(x) - 2, -1, -1):
+            x[i] = x[i] / piv[i] - mult[i] * x[i + 1]
+    return np.array(cols).T
+
+
 def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> Polyline:
     """Majorise-minimise the fixed-plan objective; returns the new curve.
 
@@ -187,11 +213,10 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
     for _ in range(INNER_MAX_STEPS):
         if float(np.max(axis_norms(grad))) <= cfg.tol_stationarity:
             break
-        A, B = fixed_plan_majoriser(V, plan, X, p, lam, eps, off)
-        try:
-            step = np.linalg.solve(A, B) - V
-        except np.linalg.LinAlgError:
+        minimiser = _solve_tridiagonal(*fixed_plan_majoriser(V, plan, X, p, lam, eps, off))
+        if minimiser is None:
             break
+        step = minimiser - V
         for _ in range(30):
             W = V + step
             off = _entry_offsets(W, plan, X)

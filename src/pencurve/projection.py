@@ -77,25 +77,32 @@ def _nearest_feet(X: np.ndarray, c: Polyline, eps_abs: float):
     Atoms are taken in blocks of CHUNK rows. A segment is nearest when its
     distance is within eps_abs of the minimum; the first such segment has
     the smallest arc length, since arc length grows with the segment index.
-    A block works in place on a few (rows, m - 1) arrays. Its dot products add
-    the coordinates as einsum does (checked to d = 7): (p0 + p2 + ...) + (p1 + p3 + ...).
+    Every block works in one (4, rows, m - 1) array allocated per call: the
+    foot parameter T, the odd-coordinate lane, the distance D and one
+    offset. Its dot products add the coordinates as einsum does (checked to
+    d = 7): (p0 + p2 + ...) + (p1 + p3 + ...).
     """
     a = c.vertices[:-1]
     vec = c.segment_vectors
     denom = np.einsum("ij,ij->i", vec, vec)
     n, d = X.shape
     dist, seg, t = np.empty(n), np.empty(n, dtype=np.int64), np.empty(n)
+    work = np.empty((4, min(CHUNK, n), len(vec)))
     for lo in range(0, n, CHUNK):
         Xb = X[lo:lo + CHUNK]
-        prods = [(Xb[:, q, None] - a[:, q]) * vec[:, q] for q in range(d)]
-        for q in range(2, d):  # einsum's two accumulators: even and odd coordinates
-            prods[q % 2] += prods[q]
-        T = prods[0] if d == 1 else np.add(prods[0], prods[1], out=prods[0])
-        del prods  # the odd lane is not needed in the distance pass
+        T, odd, D, off = block = work[:, :len(Xb)]
+        for q in range(d):  # einsum's two accumulators: even coordinates in T, odd in odd
+            prod = block[q] if q < 2 else off
+            np.subtract(Xb[:, q, None], a[:, q], out=prod)
+            prod *= vec[:, q]
+            if q >= 2:
+                block[q % 2] += off
+        if d > 1:
+            T += odd
         np.clip(np.divide(T, denom, out=T), 0.0, 1.0, out=T)
-        D = np.zeros(T.shape)
+        D.fill(0.0)
         for q in range(d):  # coordinate order: np.linalg.norm's sum of squares
-            off = T * vec[:, q]
+            np.multiply(T, vec[:, q], out=off)
             off += a[:, q]
             np.subtract(Xb[:, q, None], off, out=off)
             off *= off

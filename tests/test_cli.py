@@ -73,6 +73,30 @@ def test_fit_missing_file(tmp_path):
     assert rc == 2
 
 
+def test_fit_out_that_is_a_file_exit_2_before_fitting(two_atoms_csv, tmp_path, capsys,
+                                                       monkeypatch):
+    out = tmp_path / "taken"
+    out.write_text("keep\n")
+    monkeypatch.setattr(cli, "fit", lambda *a: pytest.fail("fit ran before --out was made"))
+    rc = cli.main(["fit", str(two_atoms_csv), "--p", "2", "--lambda", "0.1", "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out.read_text() == "keep\n"
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["atoms.csv", "taken"]
+
+
+def test_check_measure_that_is_a_directory_exit_2(tmp_path, capsys):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"dim": 2, "vertices": [[0.2, 0.0], [0.8, 0.0]]}))
+    rc = cli.main(["check", str(tmp_path), str(curve), "--p", "2", "--lambda", "0.1",
+                   "--out", str(tmp_path / "report.json")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["curve.json"]
+
+
 def test_check_theory_failure_still_exit_zero(two_atoms_csv, tmp_path):
     fig8 = tmp_path / "fig8.json"
     fig8.write_text(json.dumps({"dim": 2, "vertices": [[0, 0], [1, 1], [1, 0], [0, 1]]}))

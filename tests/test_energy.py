@@ -377,9 +377,12 @@ def test_kernels_match_add_at_references_bitwise(p):
             val, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps, True, given)
             assert val == ref_val and np.array_equal(grad, ref_grad)
             assert fixed_plan_value_grad(V, plan, X, p, lam, eps, False, given) == (val, None)
-            for got, ref in zip(fixed_plan_majoriser(V, plan, X, p, lam, eps, given),
-                                reference_majoriser(V, plan, X, p, lam, eps)):
-                assert np.array_equal(got, ref)
+            diag, upper, B = fixed_plan_majoriser(V, plan, X, p, lam, eps, given)
+            ref_A, ref_B = reference_majoriser(V, plan, X, p, lam, eps)
+            assert np.array_equal(diag, np.diag(ref_A)) and np.array_equal(B, ref_B)
+            assert np.array_equal(upper, np.diag(ref_A, 1))
+            assert np.array_equal(upper, np.diag(ref_A, -1))
+            assert not np.any(np.triu(ref_A, 2)) and not np.any(np.tril(ref_A, -2))
             assert np.array_equal(fixed_plan_hessian(V, plan, X, p, lam, eps, given),
                                   reference_hessian(V, plan, X, p, lam, eps))
     assert on_vertex and on_segment  # p = 1 reaches the tie branches

@@ -1,4 +1,9 @@
 import hashlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,9 +129,12 @@ def test_majorise_minimise_step_never_raises_objective(p):
         V, X, eps = np.array(c.vertices), mu.positions, tie_tolerance(diameter(mu))
         assert np.all(plan.dist > eps) and np.all(c.segment_lengths > eps)  # nothing clamped
         before, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps)
-        A, B = fixed_plan_majoriser(V, plan, X, p, lam, eps)
-        assert np.allclose(A @ V - B, grad, rtol=0.0, atol=1e-12 * np.max(np.abs(B)))
-        step = np.linalg.solve(A, B) - V
+        diag, upper, B = fixed_plan_majoriser(V, plan, X, p, lam, eps)
+        AV = diag[:, None] * V
+        AV[:-1] += upper[:, None] * V[1:]
+        AV[1:] += upper[:, None] * V[:-1]
+        assert np.allclose(AV - B, grad, rtol=0.0, atol=1e-12 * np.max(np.abs(B)))
+        step = optimizer._solve_tridiagonal(diag, upper, B) - V
         for _ in range(30 if p > 2.0 else 0):
             if fixed_plan_value_grad(V + step, plan, X, p, lam, eps,
                                      want_grad=False)[0] < before:
@@ -134,6 +142,55 @@ def test_majorise_minimise_step_never_raises_objective(p):
             step *= 0.5
         after, _ = fixed_plan_value_grad(V + step, plan, X, p, lam, eps, want_grad=False)
         assert after <= before
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 57, 400])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_solve_tridiagonal_matches_dense_solve(m, d):
+    rng = np.random.default_rng([m, d])
+    upper = -rng.uniform(0.1, 2.0, m - 1)
+    diag = rng.uniform(0.0, 1.0, m)
+    diag[:-1] -= upper
+    diag[1:] -= upper  # a chain Laplacian plus a positive diagonal: positive definite
+    B = rng.normal(size=(m, d))
+    A = np.diag(diag) + np.diag(upper, 1) + np.diag(upper, -1)
+    got = optimizer._solve_tridiagonal(diag, upper, B)
+    ref = np.linalg.solve(A, B)
+    assert got.shape == (m, d)
+    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_solve_tridiagonal_refuses_singular_and_nan_systems():
+    m = 6
+    diag = np.full(m, 2.0)
+    diag[[0, -1]] = 1.0  # the chain Laplacian of unit segments with no entries: singular
+    upper, B = -np.ones(m - 1), np.ones((m, 2))
+    assert optimizer._solve_tridiagonal(diag, upper, B) is None
+    shifted = diag + 1.0
+    assert optimizer._solve_tridiagonal(shifted, upper, B) is not None
+    shifted[2] = np.nan
+    assert optimizer._solve_tridiagonal(shifted, upper, B) is None
+
+
+def test_fit_report_and_oracle_import_no_scipy():
+    # the runtime is numpy-only; scipy is often installed beside it, so an
+    # import of it would otherwise pass unnoticed
+    code = textwrap.dedent("""
+        import sys
+        import numpy as np
+        from pencurve import (DiscreteMeasure, FitConfig, OracleConfig, brute_force_min, fit,
+                              full_report)
+        mu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.2], [2.0, 0.0], [1.0, 1.0]]),
+                             np.full(4, 0.25))
+        res = fit(mu, FitConfig(p=2.0, lam=0.1, m_init=3))  # p > 1: the finish runs too
+        full_report(mu, res.curve, 2.0, 0.1)
+        brute_force_min(mu, OracleConfig(m=3, h=0.5, p=2.0, lam=0.1))
+        print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 def test_fixed_plan_solve_moves_vertex_off_atom_with_negative_slack():
@@ -272,17 +329,34 @@ def test_finalize_drops_all_straight_vertices_in_one_gated_step(monkeypatch):
 
 # Final energy (float.hex) and SHA-256 of the little-endian vertex bytes of
 # capped noisy_segment fits at lambda = 0.01, max_outer_iters = 6, recorded
-# before the fixed-plan kernels moved to shared offsets and bincount sums:
+# with each majorise-minimise system solved by one banded LDL^T sweep:
 # (p, n, seed) -> (energy, vertices, status)
 RECORDED_FITS = {
-    (1.0, 150, 1): ("0x1.4e64e70e1b97bp-5",
-                    "9cd525dcc05eb475b9d48f8f08b71d3183cc88c71c19947429d5e48cccd8795c", "max_iters"),
-    (1.5, 120, 2): ("0x1.385450985ff0ep-6",
-                    "8c1043c4eb2187100927a0fee480ef4b4b008c28ee669fdc97a26f20f52d9397", "converged"),
+    (1.0, 150, 1): ("0x1.4e64e70e27f51p-5",
+                    "9926075aaa812c6da4530fbe37bb7152d5a80f144e703767e64d68eed5be6524", "max_iters"),
+    (1.5, 120, 2): ("0x1.385450985ff30p-6",
+                    "6ba24b37c3e0dd7e544995329d1671aef200287740183f77dffe6484502d2005", "converged"),
     (2.0, 120, 3): ("0x1.681fbfbc576f8p-7",
-                    "50b518526a122adef81dfa927d02f63825b751e60c4aa2d521bcbd5b9fed1110", "converged"),
+                    "dd66bd385ede3a19b7661e2b0352f68dd40d1758c6c0e1309f85b28cd7df4981", "converged"),
+    (3.0, 100, 4): ("0x1.d7e4ca7d73edep-8",
+                    "5f0fef0c3f5de8ec0630359edf0bcf142a67c88fd3313eff1fd11f0fe2cf52eb", "converged"),
+}
+
+# The same fits recorded when each system was a dense m x m LAPACK solve,
+# with their vertex counts: the banded solve moves only the last bits.
+PREVIOUS_FITS = {
+    (1.0, 150, 1): ("0x1.4e64e70e1b97bp-5",
+                    "9cd525dcc05eb475b9d48f8f08b71d3183cc88c71c19947429d5e48cccd8795c", "max_iters",
+                    18),
+    (1.5, 120, 2): ("0x1.385450985ff0ep-6",
+                    "8c1043c4eb2187100927a0fee480ef4b4b008c28ee669fdc97a26f20f52d9397", "converged",
+                    15),
+    (2.0, 120, 3): ("0x1.681fbfbc576f8p-7",
+                    "50b518526a122adef81dfa927d02f63825b751e60c4aa2d521bcbd5b9fed1110", "converged",
+                    14),
     (3.0, 100, 4): ("0x1.d7e4ca7d7463ap-8",
-                    "3d8c10765d52953722449f88634aea0b1333aaf0be01605d2ccc8a5102f9fd95", "converged"),
+                    "3d8c10765d52953722449f88634aea0b1333aaf0be01605d2ccc8a5102f9fd95", "converged",
+                    10),
 }
 
 
@@ -291,6 +365,9 @@ def test_fit_matches_recorded_output_bitwise(key):
     p, n, seed = key
     res = fit(synth_measure("noisy_segment", n, seed=seed),
               FitConfig(p=p, lam=0.01, max_outer_iters=6))
+    old_energy, _, old_status, old_m = PREVIOUS_FITS[key]
+    assert res.breakdown.total == pytest.approx(float.fromhex(old_energy), rel=1e-10, abs=0.0)
+    assert (res.status, res.curve.n_vertices) == (old_status, old_m)
     verts = np.ascontiguousarray(res.curve.vertices, dtype="<f8").tobytes()
     assert (res.breakdown.total.hex(), hashlib.sha256(verts).hexdigest(),
             res.status) == RECORDED_FITS[key]

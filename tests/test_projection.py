@@ -7,7 +7,7 @@ from pencurve.curve import Polyline
 from pencurve.diagnostics import _window_mass_prefixes
 from pencurve.energy import _entry_offsets
 from pencurve.measure import DiscreteMeasure, diameter, synth_measure, tie_tolerance
-from pencurve.projection import CHUNK, EPS_PROJ, build_plan
+from pencurve.projection import CHUNK, EPS_PROJ, _nearest_feet, _snap_targets, build_plan
 
 
 def P(*pts):
@@ -186,17 +186,20 @@ def _plan_cases():
 
 
 def _block_cases():
-    """Clouds of n atoms around 511, 512, 513 and 1300 in d = 2 and 3.
+    """(atoms, masses, vertices) of clouds that span CHUNK boundaries.
 
-    On each side of every CHUNK boundary, and at both ends of the cloud,
-    the three rows nearest to it hold, from the boundary outwards: a ridge
-    atom on a vertex's angle bisector; an atom whose foot lies 1e-13 of a
-    segment length past vertex 0, so that it is snapped onto it; an atom
-    on a vertex.
+    n is 511, 512, 513 and 1300 in d = 2, 3 and 4, then 1300 in d = 1,
+    which the foot search takes though a measure does not. On each side of
+    every CHUNK boundary, and at both ends of the cloud, the three rows
+    nearest to it hold, from the boundary outwards: a ridge atom on a
+    vertex's angle bisector; an atom whose foot lies 1e-13 of a segment
+    length past vertex 0, so that it is snapped onto it; an atom on a
+    vertex. In d = 1 there is no perpendicular, so the cloud keeps only
+    the atoms on vertices.
     """
     rng = np.random.default_rng(33)
-    for d in (2, 3):
-        for n in (511, 512, 513, 1300):
+    for d in (2, 3, 4, 1):
+        for n in (1300,) if d == 1 else (511, 512, 513, 1300):
             m = int(rng.integers(4, 12))
             V = rng.uniform(0.0, 1.0, (m, d))
             X = rng.uniform(-0.2, 1.2, (n, d))
@@ -208,12 +211,16 @@ def _block_cases():
             bisector = u / np.linalg.norm(u) + w / np.linalg.norm(w)
             for b in [0, n, *range(CHUNK, n, CHUNK)]:
                 for r in range(b - 3, b + 3):
-                    if 0 <= r < n:  # a different atom in every row
-                        h = 0.01 * (1.0 + r / n)
+                    k = max(r - b, b - 1 - r)  # 0, 1, 2 outwards from the boundary
+                    if not 0 <= r < n:
+                        continue
+                    if k == 2:
+                        X[r] = V[r % m]
+                    elif d > 1:
+                        h = 0.01 * (1.0 + r / n)  # a different atom in every row
                         X[r] = [V[j] + h * bisector,
-                                V[0] + 1e-13 * s + h * perp / np.linalg.norm(perp),
-                                V[r % m]][max(r - b, b - 1 - r)]
-            yield DiscreteMeasure(X, rng.uniform(0.1, 1.0, n)), Polyline(V)
+                                V[0] + 1e-13 * s + h * perp / np.linalg.norm(perp)][k]
+            yield X, rng.uniform(0.1, 1.0, n), V
 
 
 def test_plan_matches_per_atom_reference():
@@ -224,11 +231,23 @@ def test_plan_matches_per_atom_reference():
     assert snapped and ridges  # the cases reach both special paths
 
 
-@pytest.mark.parametrize("case", range(8))
+@pytest.mark.parametrize("case", range(12))
 def test_plan_matches_reference_across_blocks(case):
-    mu, c = list(_block_cases())[case]
-    snapped, ridges = assert_plan_matches_reference(mu, c)
+    X, masses, V = list(_block_cases())[case]
+    snapped, ridges = assert_plan_matches_reference(DiscreteMeasure(X, masses), Polyline(V))
     assert snapped and ridges
+
+
+def test_feet_match_reference_across_blocks_in_one_dimension():
+    X, _, V = list(_block_cases())[12]  # no odd einsum lane
+    assert X.shape == (1300, 1)
+    c, diam = Polyline(V), float(np.ptp(X))
+    dist, seg, t = _nearest_feet(X, c, EPS_PROJ * diam)
+    cols = _snap_targets(c, seg, t, tie_tolerance(diam))
+    for i, x in enumerate(X):
+        d, targets = nearest_targets(x, c, EPS_PROJ * diam, tie_tolerance(diam))
+        assert dist[i] == d
+        assert tuple(col[i] for col in cols) == targets[0][:3]
 
 
 def test_plan_memory_is_bounded_by_the_block():
