@@ -9,7 +9,7 @@ on a bad run: that flags the fit as non-minimal, not the check as broken.
 
 from pathlib import Path
 
-from pencurve import FitConfig, fit, synth_measure
+from pencurve import FitConfig, fit, full_report, synth_measure
 from pencurve.svgplot import render_svg
 
 OUT = Path(__file__).parent / "out"
@@ -25,10 +25,11 @@ RUNS = [
 for family, n, lam, params in RUNS:
     mu = synth_measure(family, n, seed=13, **params)
     res = fit(mu, FitConfig(p=2.0, lam=lam, seed=1, restarts=4))
+    report = full_report(mu, res.curve, p=2.0, lam=lam)
     path = OUT / f"{family}.svg"
     path.write_text(render_svg(mu, res.curve))
     print(f"{family:18s} n={n:4d} lam={lam:5.2f} -> energy {res.breakdown.total:.5f}, "
           f"{res.curve.n_vertices:3d} vertices, length {res.curve.total_length:.3f}  "
           f"[{path.name}]")
     print(f"{'':18s} certificates: "
-          + ", ".join(f"{c.name}={c.status}" for c in res.theory.checks))
+          + ", ".join(f"{c.name}={c.status}" for c in report.checks))

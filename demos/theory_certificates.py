@@ -18,7 +18,7 @@ mu = synth_measure("noisy_segment", 200, seed=5, noise=0.05)
 
 print("== fitted curve (should pass everything) ==")
 res = fit(mu, FitConfig(p=2.0, lam=0.05, seed=0))
-print(res.theory.table())
+print(full_report(mu, res.curve, p=2.0, lam=0.05).table())
 
 print("\n== hand-made zig-zag (flagged as non-minimal) ==")
 xs = np.linspace(0, 1, 12)

@@ -74,17 +74,18 @@ def cmd_fit(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)  # bad settings and a bad --out fail before the fit
     result = fit(mu, cfg)
+    report = full_report(mu, result.curve, cfg.p, cfg.lam)
     manifest = _manifest("fit", args, [args.measure])
     _dump_json(out / "curve.json", {"manifest": manifest, **result.curve.to_dict()})
     _dump_json(out / "result.json", {"manifest": manifest, **result.to_dict()})
-    _dump_json(out / "report.json", {"manifest": manifest, **result.theory.to_dict()})
+    _dump_json(out / "report.json", {"manifest": manifest, **report.to_dict()})
     if args.svg:
         svg = render_svg(mu, result.curve,
                          comment=json.dumps(manifest, sort_keys=True))
         (out / "plot.svg").write_text(svg)
     print(f"energy {result.breakdown.total:.9g}  length {result.curve.total_length:.9g}  "
           f"vertices {result.curve.n_vertices}  status {result.status}")
-    print(result.theory.table())
+    print(report.table())
     return 0
 
 

@@ -152,7 +152,7 @@ def check_length_bound(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -
     """lambda * L(curve) must not exceed the best singleton competitor's energy."""
     bound = singleton_best_energy(mu, p)
     observed = lam * length(c)
-    tol = 1e-9 * max(1.0, bound)
+    tol = 1e-9 * bound
     raw = diameter(mu) ** p * mu.total_mass
     return TheoryCheck(
         "length_bound", observed <= bound + tol, bound, observed, tol,
@@ -164,7 +164,7 @@ def check_hull_containment(mu: DiscreteMeasure, c: Polyline) -> TheoryCheck:
     """Every curve vertex must lie inside the convex hull of the atoms."""
     if mu.dim != 2 or c.dim != 2:
         return TheoryCheck("hull_containment", None, None, None, None, "needs d=2")
-    tol = HULL_TOL_REL * max(diameter(mu), 1e-300)
+    tol = HULL_TOL_REL * diameter(mu)
     viol = hull_edge_violations(c.vertices, convex_hull_2d(mu))
     worst = int(np.argmax(viol))
     observed = float(max(viol[worst], 0.0))

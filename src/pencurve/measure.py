@@ -179,10 +179,10 @@ def diameter(mu: DiscreteMeasure) -> float:
 def tie_tolerance(diam: float) -> float:
     """Length below which two points count as one: 1e-9 of the diameter.
 
-    The diameter is floored at 1e-12, so a one-point measure keeps a
-    positive tolerance. Ties, merges, turn sides and contacts all use it.
+    A measure whose atoms all coincide has no length scale, so its diameter
+    0 counts as 1. Ties, merges, turn sides and contacts all use it.
     """
-    return 1e-9 * max(diam, 1e-12)
+    return 1e-9 * (diam or 1.0)
 
 
 def _max_pair_distance(pos: np.ndarray) -> float:

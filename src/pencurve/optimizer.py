@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curve import Polyline, axis_norms, merge_vertices, self_intersections_2d, turning_angles
-from .diagnostics import TheoryReport, full_report, project_to_hull
+# full_report is unused here but stays bound: bench/worker.py traces optimizer.full_report
+from .diagnostics import full_report, project_to_hull  # noqa: F401
 from .energy import (
     EnergyBreakdown,
     StationarityReport,
@@ -87,7 +88,6 @@ class FitResult:
     energy_trace: np.ndarray  # total energy after each outer iteration, [0] = init
     breakdown: EnergyBreakdown
     stationarity: StationarityReport
-    theory: TheoryReport
     iterations: int
     restart_index: int
     status: str  # "converged" (stationarity passes), else "plateau" or "max_iters"
@@ -98,7 +98,6 @@ class FitResult:
             "energy_trace": [float(e) for e in self.energy_trace],
             "energy": self.breakdown.to_dict(),
             "stationarity": self.stationarity.to_dict(),
-            "theory": self.theory.to_dict(),
             "iterations": self.iterations,
             "restart_index": self.restart_index,
             "status": self.status,
@@ -117,14 +116,15 @@ def _principal_frame(mu: DiscreteMeasure):
     X = mu.positions
     w = mu.masses / mu.total_mass
     mean = w @ X
-    centered = X - mean
+    e = math.frexp(np.max(np.abs(X - mean)))[1]
+    centered = np.ldexp(X - mean, -e)  # offsets below 1 by an exact 2^-e: no moment overflows
     cov = (centered * w[:, None]).T @ centered
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = evecs[:, order]
-    scale = math.sqrt(max(evals[0], 1e-300))
-    if len(evals) > 1 and evals[0] - evals[1] <= 1e-12 * max(evals[0], 1e-300):
+    scale = math.sqrt(evals[0])
+    if len(evals) > 1 and evals[0] - evals[1] <= 1e-12 * evals[0]:
         evecs = np.eye(mu.dim)
     for k in range(evecs.shape[1]):
         axis = evecs[:, k]
@@ -136,7 +136,7 @@ def _principal_frame(mu: DiscreteMeasure):
             lead = np.argmax(np.abs(axis))
             if axis[lead] < 0:
                 evecs[:, k] = -axis
-    return mean, evals, evecs
+    return mean, np.ldexp(evals, 2 * e), evecs
 
 
 def init_curve(mu: DiscreteMeasure, cfg: FitConfig, restart: int = 0) -> Polyline:
@@ -255,7 +255,7 @@ def _gate(cand: _State, current: _State) -> _State:
 
     The slack lets an edit that keeps the image survive re-evaluation.
     """
-    if cand.energy.total <= current.energy.total * (1.0 + 1e-13) + 1e-300:
+    if cand.energy.total <= current.energy.total * (1.0 + 1e-13):
         return cand
     return current
 
@@ -311,9 +311,9 @@ def _fit_single(mu: DiscreteMeasure, cfg: FitConfig, restart: int):
         if not np.isfinite(new.energy.total):
             raise NumericError(f"non-finite energy at outer iteration {iterations}")
         trace.append(new.energy.total)
-        rel_drop = (state.energy.total - new.energy.total) / max(abs(state.energy.total), 1e-300)
+        plateau = state.energy.total - new.energy.total <= TOL_ENERGY_REL * state.energy.total
         state = new
-        if rel_drop < TOL_ENERGY_REL:
+        if plateau:  # a relative drop below TOL_ENERGY_REL, or E = 0
             status = "plateau"
             break
     state = _finalize(mu, state, cfg)
@@ -347,7 +347,7 @@ def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> 
             break
         m, d = V.shape
         H = fixed_plan_hessian(V, state.plan, X, p, lam, eps, off)
-        H[np.diag_indices(m * d)] += 1e-12 * (np.trace(H) / (m * d) + lam)
+        H[np.diag_indices(m * d)] += 1e-12 * np.trace(H) / (m * d)
         q = grad.reshape(-1).copy()  # L-BFGS two-loop recursion around H
         alphas = []
         for s, y in reversed(pairs):
@@ -394,7 +394,7 @@ def _finalize(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> _State:
     last (at p = 1 an atom on the curve is a kink of the energy, and the
     frozen Hessian is singular along every offset).
     """
-    merged = merge_vertices(state.curve.vertices, 1e-6 * max(diameter(mu), 1e-12))
+    merged = merge_vertices(state.curve.vertices, 1e-6 * diameter(mu))
     if len(merged) < state.curve.n_vertices:
         state = _gate(_evaluate(mu, merged, cfg), state)
     straight = np.nonzero(turning_angles(state.curve) <= 1e-9)[0] + 1
@@ -427,8 +427,7 @@ def fit(mu: DiscreteMeasure, cfg: FitConfig) -> FitResult:
     stat = stationarity_report(mu, state.curve, cfg.p, cfg.lam, plan=state.plan)
     if stat.passes(cfg.tol_stationarity):
         status = "converged"
-    theory = full_report(mu, state.curve, cfg.p, cfg.lam)
-    return FitResult(state.curve, trace, state.energy, stat, theory, iterations, r, status)
+    return FitResult(state.curve, trace, state.energy, stat, iterations, r, status)
 
 
 def conjecture_search(p: float, budget: int = 20, seed: int = 0,

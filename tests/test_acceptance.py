@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from pencurve.curve import Polyline, length
-from pencurve.diagnostics import convex_clip
+from pencurve.diagnostics import convex_clip, full_report
 from pencurve.energy import energy, gradient
 from pencurve.measure import DiscreteMeasure, convex_hull_2d, diameter, synth_measure
 from pencurve.optimizer import FitConfig, conjecture_search, fit
@@ -125,8 +125,9 @@ def test_criterion_4_geometric_invariants_on_fits(family, n, lam):
     mu = synth_measure(family, n, seed=42)
     t0 = time.perf_counter()
     res = _record(f"c4[{family},{lam}]", fit(mu, FitConfig(p=2.0, lam=lam, seed=3)))
+    report = full_report(mu, res.curve, 2.0, lam)
     elapsed = time.perf_counter() - t0
-    by_name = {c.name: c for c in res.theory.checks}
+    by_name = {c.name: c for c in report.checks}
     for name in ("hull_containment", "tv_global", "tv_local", "turn_direction",
                  "injectivity"):
         chk = by_name[name]

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pencurve import cli
+from pencurve import cli, synth_measure
 
 
 @pytest.fixture()
@@ -37,6 +37,35 @@ def test_fit_reruns_are_byte_identical(two_atoms_csv, tmp_path):
     assert cli.main(args) == 0
     for n, blob in first.items():
         assert (out / n).read_bytes() == blob
+
+
+def _write_csv(path, positions):
+    path.write_text("".join(f"{float(x)!r},{float(y)!r}\n" for x, y in positions))
+    return path
+
+
+def test_fit_artifacts_report_equals_check_and_result_has_no_report(tmp_path):
+    atoms = _write_csv(tmp_path / "atoms.csv", synth_measure("noisy_circle", 80, seed=2).positions)
+    out = tmp_path / "run"
+    assert cli.main(["fit", str(atoms), "--p", "2", "--lambda", "0.05", "--out", str(out)]) == 0
+    checked = tmp_path / "checked.json"
+    assert cli.main(["check", str(atoms), str(out / "curve.json"), "--p", "2", "--lambda", "0.05",
+                     "--out", str(checked)]) == 0
+    fitted, rechecked = (json.loads(f.read_text()) for f in (out / "report.json", checked))
+    del fitted["manifest"], rechecked["manifest"]
+    assert fitted == rechecked
+    result = json.loads((out / "result.json").read_text())
+    assert set(result) == {"manifest", "curve", "energy_trace", "energy", "stationarity",
+                           "iterations", "restart_index", "status"}
+
+
+def test_fit_on_huge_coordinates_exit_zero(tmp_path):
+    mu = synth_measure("noisy_segment", 200, seed=0)
+    atoms = _write_csv(tmp_path / "atoms.csv", 1e150 * mu.positions)
+    out = tmp_path / "run"
+    assert cli.main(["fit", str(atoms), "--p", "1", "--lambda", "0.05", "--out", str(out)]) == 0
+    for name in ("curve.json", "result.json", "report.json"):
+        assert (out / name).exists()
 
 
 def test_fit_rejects_bad_p(two_atoms_csv, tmp_path):
