@@ -212,9 +212,18 @@ def convex_hull_2d(mu: DiscreteMeasure) -> np.ndarray:
     return mu._hull
 
 
+def _sorted_unique(positions: np.ndarray) -> np.ndarray:
+    """Distinct 2-D rows sorted by x, then y: one stable sort, repeats dropped.
+
+    Of rows equal up to the sign of a zero coordinate, the first in row
+    order keeps its bits.
+    """
+    pts = positions[np.lexsort((positions[:, 1], positions[:, 0]))]
+    return pts[np.concatenate([[True], np.any(pts[1:] != pts[:-1], axis=1)])]
+
+
 def _monotone_chain(positions: np.ndarray) -> np.ndarray:
-    pts = np.unique(positions, axis=0)
-    pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    pts = _sorted_unique(positions)
     if len(pts) > 1:
         pts = pts.tolist()  # python floats: the same IEEE arithmetic, without numpy scalar overhead
         lower: list = []

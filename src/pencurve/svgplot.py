@@ -16,16 +16,17 @@ def render_svg(mu: DiscreteMeasure, curve: Polyline | None = None,
                comment: str | None = None, size: float = 640.0) -> str:
     """SVG scene: atoms as area-proportional dots, hull dashed, curve solid.
 
-    The viewBox is the hull bounding box padded by 5%; all coordinates are
-    emitted with fixed precision so identical inputs give identical bytes.
+    The viewBox is the hull bounding box padded by 5% of its larger side, so
+    scaling the scene by a power of two leaves the bytes unchanged; all
+    coordinates are emitted with fixed precision so identical inputs give
+    identical bytes.
     """
     if mu.dim != 2:
         raise ValueError("SVG plotting needs d=2")
     hull = convex_hull_2d(mu)
     lo = np.min(hull, axis=0)
     hi = np.max(hull, axis=0)
-    span = np.maximum(hi - lo, 1e-9)
-    pad = 0.05 * float(np.max(span))
+    pad = 0.05 * (float(np.max(hi - lo)) or 1.0)  # a single point gets a unit span
     lo = lo - pad
     hi = hi + pad
     w, h = hi - lo

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,8 @@ from pencurve.measure import (
 )
 from pencurve.projection import build_plan
 
+diag_mod = importlib.import_module("pencurve.diagnostics")
+
 TWO_ATOMS = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
 OPTIMAL = Polyline(np.array([[0.2, 0.0], [0.8, 0.0]]))
 
@@ -46,20 +50,66 @@ def test_length_bound_singleton_and_violation():
     assert not check_length_bound(TWO_ATOMS, long_curve, p=2.0, lam=0.2).passed
 
 
+def _per_candidate_minima(mu, ps):
+    """min over the atoms and the weighted mean of sum(masses * |X - z|^p), one z at a time."""
+    X = mu.positions
+    mean = (mu.masses / mu.total_mass) @ X
+    norms = [np.linalg.norm(X - z, axis=1) for z in [*X, mean]]
+    return [min(float(np.sum(mu.masses * r ** p)) for r in norms) for p in ps]
+
+
 def test_singleton_best_energy_equals_per_candidate_loop():
-    # blocks of 16 candidates must not change a bit of the per-candidate sums
+    # scoring 16 candidates at a time, in cell order, and pruning whole cells
+    # must not change a bit of the minimum over the per-candidate sums
     rng = np.random.default_rng(8)
-    measures = [(synth_measure(fam, n, seed=11), p) for fam in
-                ("uniform_square", "gaussian_clusters", "noisy_circle", "noisy_segment")
-                for n, p in ((350, 2.0), (100, 1.0), (77, 1.5), (20, 3.0))]
-    measures += [(DiscreteMeasure(rng.normal(size=(n, d)), rng.uniform(0.1, 1.0, n)), p)
-                 for d in (2, 3, 5) for n in (1, 16, 45) for p in (1.0, 1.5, 2.0, 3.0)]
-    for mu, p in measures:
-        X = mu.positions
-        mean = (mu.masses / mu.total_mass) @ X
-        loop = min(float(np.sum(mu.masses * np.linalg.norm(X - z, axis=1) ** p))
-                   for z in [*X, mean])
-        assert singleton_best_energy(mu, p) == loop
+    cases = [(synth_measure(fam, n, seed=11), (p,)) for fam in
+             ("uniform_square", "gaussian_clusters", "noisy_circle", "noisy_segment")
+             for n, p in ((350, 2.0), (100, 1.0), (77, 1.5), (20, 3.0))]
+    cases += [(DiscreteMeasure(rng.normal(size=(n, d)), rng.uniform(0.1, 1.0, n)),
+               (1.0, 1.5, 2.0, 3.0)) for d in (2, 3, 5) for n in (1, 16, 45)]
+    # the pruning regime: thousands of atoms, most cells never scored
+    cases += [(synth_measure(fam, 3500, seed=5), (1.0, 2.0))
+              for fam in ("uniform_square", "gaussian_clusters")]
+    lattice = np.stack(np.meshgrid(np.arange(13.0), np.arange(7.0)), axis=-1).reshape(-1, 2)
+    cases.append((DiscreteMeasure(lattice, rng.uniform(0.1, 1.0, 91)), (1.0, 2.0)))  # on cell edges
+    cases.append((DiscreteMeasure(np.full((50, 2), 0.3), rng.uniform(0.1, 1.0, 50)), (1.0, 2.0)))
+    cases.append((DiscreteMeasure([[0.3, -2.0]], [0.7]), (1.0, 2.0)))
+    # an atom exactly at the weighted mean: dyadic offsets, total mass 512
+    offsets = rng.integers(-512, 512, (200, 2)) / 1024.0
+    center = np.array([0.5, 0.25])
+    mirrored = np.concatenate([center + offsets, center - offsets, [center]])
+    mu = DiscreteMeasure(mirrored, np.concatenate([np.ones(400), [112.0]]))
+    assert np.array_equal((mu.masses / mu.total_mass) @ mu.positions, center)
+    cases.append((mu, (1.0, 2.0)))
+    line = np.stack([rng.uniform(-1.0, 1.0, 600), np.zeros(600)], axis=1)  # a 1-D cloud
+    cases.append((DiscreteMeasure(line, rng.uniform(0.1, 1.0, 600)), (1.0, 2.0)))
+    cases.append((DiscreteMeasure(rng.normal(size=(600, 3)), rng.uniform(0.1, 1.0, 600)),
+                  (1.0, 2.0)))
+    # two tight clusters: the heavy one's cell bound is within 1e-6 of the best
+    tight = rng.uniform(0.0, 1e-7, (80, 2)) + np.repeat([[0.0, 0.0], [1.0, 0.0]], 40, axis=0)
+    cases.append((DiscreteMeasure(tight, np.repeat([1.0, 0.5], 40)), (1.0, 2.0)))
+    segment = synth_measure("noisy_segment", 1000, seed=2)
+    cases += [(DiscreteMeasure(segment.positions * s, segment.masses), (1.0, 2.0))
+              for s in (1e-150, 1e150)]
+    for mu, ps in cases:
+        for p, loop in zip(ps, _per_candidate_minima(mu, ps)):
+            assert singleton_best_energy(mu, p) == loop
+    # a span past the float range: one cell, every energy inf, no NaN
+    huge = DiscreteMeasure(rng.uniform(-1.0, 1.0, (40, 2)) * 1e308, np.ones(40))
+    with np.errstate(over="ignore"):
+        assert singleton_best_energy(huge, 1.0) == _per_candidate_minima(huge, (1.0,))[0]
+
+
+def test_singleton_search_prunes_the_full_scan(monkeypatch):
+    # on a noisy circle at p = 2 the weighted mean beats every atom by far:
+    # a silent fall back to scoring every candidate fails here
+    scored = []
+    inner = diag_mod._candidate_energies
+    monkeypatch.setattr(diag_mod, "_candidate_energies",
+                        lambda mu, Z, *args: scored.append(len(Z)) or inner(mu, Z, *args))
+    mu = synth_measure("noisy_circle", 3500, seed=0)
+    singleton_best_energy(mu, 2.0)
+    assert 1 <= sum(scored) <= 0.01 * (mu.n_atoms + 1)
 
 
 def test_hull_containment():

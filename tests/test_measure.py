@@ -206,6 +206,29 @@ def test_hull_degenerate():
     assert single.tolist() == [[0.0, 0.0]]
 
 
+@pytest.mark.parametrize("family", SYNTH_FAMILIES)
+def test_hull_dedupe_by_one_sort_keeps_every_bit(family):
+    # the one-sort dedupe gives np.unique's rows bit for bit, so the chain
+    # built on them is the hull the unique-then-sort dedupe gave
+    rng = np.random.default_rng(4)
+    for n in (10, 3500, 100_000):
+        pos = synth_measure(family, n, seed=n).positions
+        dup = np.concatenate([pos, pos[rng.integers(0, n, n // 2)]])[rng.permutation(n + n // 2)]
+        for x in (pos, dup):
+            assert measure_mod._sorted_unique(x).tobytes() == np.unique(x, axis=0).tobytes()
+            if n <= 3500:
+                hull = measure_mod._monotone_chain(x)
+                assert hull.tobytes() == measure_mod._monotone_chain(np.unique(x, axis=0)).tobytes()
+
+
+def test_hull_dedupe_keeps_the_first_signed_zero():
+    rest = [[1.0, 0.0], [0.0, 1.0]]
+    for first, sign in ((-0.0, True), (0.0, False)):
+        hull = measure_mod._monotone_chain(np.array([[first, 0.0], [-first, 0.0], *rest]))
+        assert hull.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+        assert np.signbit(hull[0, 0]) == sign
+
+
 def test_hull_contains_all_atoms():
     from pencurve.diagnostics import hull_edge_violations
 
