@@ -434,10 +434,6 @@ def turn_direction_sweep(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
     key = key[order]
     sides = [(np.where(side, plan.mass, 0.0)[order], np.where(side, plan.dist, 0.0)[order])
              for side in _entry_sides(mu, c, plan, tie_tolerance(diameter(mu)))]
-    # d^(p-1) by Python's pow, for every distance a window can hold (np.power rounds
-    # differently)
-    levels = np.unique(np.concatenate([[0.0], plan.dist]))
-    powers = np.array([d ** (p - 1.0) for d in levels.tolist()])
     angles = turning_angles(c)
     seg_unit = c.segment_vectors / c.segment_lengths[:, None]
     coef = p / lam
@@ -457,7 +453,9 @@ def turn_direction_sweep(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
             sup = np.where(run > 0.0, run, 0.0)  # from +0.0, which a -0.0 must not replace
             mass = _running(np.add, ms[first:first + ends[-1]])[ends]
             dist = _running(np.maximum, ds[first:first + ends[-1]])[ends]
-            terms.append(sup - coef * powers[np.searchsorted(levels, dist)] * mass)
+            # d^(p-1) by Python's pow (np.power rounds differently)
+            power = np.array([d ** (p - 1.0) for d in dist.tolist()])
+            terms.append(sup - coef * power * mass)
         viol = np.maximum(*terms)
         k = int(np.argmax(viol))
         checked += n

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,24 @@ def test_fit_on_huge_coordinates_exit_zero(tmp_path):
     assert cli.main(["fit", str(atoms), "--p", "1", "--lambda", "0.05", "--out", str(out)]) == 0
     for name in ("curve.json", "result.json", "report.json"):
         assert (out / name).exists()
+
+
+@pytest.mark.parametrize("scale", [2e154, 1e200, 1e-200])
+def test_coordinates_out_of_range_exit_two_with_one_line(tmp_path, scale):
+    mu = synth_measure("noisy_circle", 300, seed=1)
+    atoms = _write_csv(tmp_path / "atoms.csv", scale * mu.positions)
+    theta = np.linspace(0.0, 1.5 * np.pi, 12)
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"dim": 2, "vertices": (0.5 + 0.35 * np.stack(
+        [np.cos(theta), np.sin(theta)], axis=1)).tolist()}))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for argv in (["check", str(atoms), str(curve), "--out", str(tmp_path / "report.json")],
+                 ["fit", str(atoms), "--out", str(tmp_path / "run")]):
+        run = subprocess.run([sys.executable, "-m", "pencurve.cli", *argv, "--p", "2",
+                              "--lambda", "0.01"], capture_output=True, text=True, env=env)
+        assert run.returncode == 2
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: coordinates out of the supported")
 
 
 def test_fit_rejects_bad_p(two_atoms_csv, tmp_path):

@@ -1,6 +1,7 @@
 import importlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -47,6 +48,64 @@ def test_csv_malformed_and_nonpositive_mass():
         load_measure("0,zero\n", "csv")
     with pytest.raises(ParseError):
         load_measure("0,0,0.5\n1,0,-1\n", "csv")
+
+
+CSV_CASES = [
+    # (text, ([positions], [masses]) or (error type, exact message, line))
+    ("0,0\r\n1,2\r\n", ([[0.0, 0.0], [1.0, 2.0]], [0.5, 0.5])),
+    ("\n0,0\n \t \n\n1,2", ([[0.0, 0.0], [1.0, 2.0]], [0.5, 0.5])),
+    ("0,0\n1,2\n\n", ([[0.0, 0.0], [1.0, 2.0]], [0.5, 0.5])),
+    ("\ufeff0,0\n1,2", (ParseError, r"malformed row '\ufeff0,0' (line 1)", 1)),
+    (" 1 , 2 \n\t3,4\t", ([[1.0, 2.0], [3.0, 4.0]], [0.5, 0.5])),
+    ("+1,-2\n1_000,0.1", ([[1.0, -2.0], [1000.0, 0.1]], [0.5, 0.5])),
+    ("nan,0\n1,2", (PencurveError, "non-finite atom position or mass", None)),
+    ("0,-inf\n1,2", (PencurveError, "non-finite atom position or mass", None)),
+    ("0,0,1\n1,2,nan", (ParseError, "non-positive mass nan (line 2)", 2)),
+    ("0,0,inf\n1,2,1", (PencurveError, "non-finite atom position or mass", None)),
+    ("0,,1\n1,2,1", (ParseError, "malformed row '0,,1' (line 1)", 1)),
+    ("5\n6", (ParseError, "need at least 2 coordinates per atom (line 1)", 1)),
+    ("\n5\nx", (ParseError, "need at least 2 coordinates per atom (line 2)", 2)),
+    ("1,2\n3,4,5", (ParseError, "inconsistent dimension: expected 2 fields, got 3 (line 2)", 2)),
+    ("1,2,3\n4,5", (ParseError, "inconsistent dimension: expected 3 fields, got 2 (line 2)", 2)),
+    ("1,2,3,0.25\n4,5,6,0.75", ([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]], [0.25, 0.75])),
+    ("0,0,1\n\n1,1,0\n2,2,-1", (ParseError, "non-positive mass 0.0 (line 3)", 3)),
+    ("0,0,1\n1,1,2\n\n2,2,-1.5", (ParseError, "non-positive mass -1.5 (line 4)", 4)),
+    ("0,0,-1\n1,x,1", (ParseError, "malformed row '1,x,1' (line 2)", 2)),
+    ("", (ParseError, "no atoms in CSV input", None)),
+    (" \n\t\n", (ParseError, "no atoms in CSV input", None)),
+    # malformed before inconsistent, in file order and within a line
+    ("1,2\n1,x\n1,2,3", (ParseError, "malformed row '1,x' (line 2)", 2)),
+    ("1,2\n1,2,x", (ParseError, "malformed row '1,2,x' (line 2)", 2)),
+    ("1,2\n1,2,3\n1,x", (ParseError, "inconsistent dimension: expected 2 fields, got 3 (line 2)",
+                         2)),
+]
+
+
+@pytest.mark.parametrize("text,expected", CSV_CASES)
+def test_csv_parity_table(text, expected):
+    if isinstance(expected[0], type):
+        kind, message, line = expected
+        with pytest.raises(PencurveError) as exc:
+            load_measure(text.encode("utf-8"), "csv")
+        assert type(exc.value) is kind and str(exc.value) == message
+        assert getattr(exc.value, "line", None) == line
+    else:
+        mu = load_measure(text.encode("utf-8"), "csv")
+        assert mu.positions.tobytes() == np.array(expected[0]).tobytes()
+        assert mu.masses.tobytes() == np.array(expected[1]).tobytes()
+
+
+def test_csv_one_call_parse_keeps_every_bit():
+    # shortest repr, 17 digits, 5 digits and 25 digits over the whole exponent range
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(3000, 3)) * 10.0 ** rng.integers(-300, 150, (3000, 3))
+    x[:, 2] = np.abs(x[:, 2]) + 1e-300
+    for fmt in ("{!r}", "{:.17g}", "{:.5g}", "{:.25g}"):
+        text = "\n".join(",".join(fmt.format(float(v)) for v in row) for row in x)
+        mu = load_measure(text, "csv")
+        rows = [[float(f) for f in line.split(",")] for line in text.splitlines()]
+        assert mu.positions.tobytes() == np.array([r[:2] for r in rows]).tobytes()
+        assert mu.masses.tobytes() == np.array([r[2] for r in rows]).tobytes()
 
 
 def test_json_roundtrip_and_mixed_mass_error():
@@ -216,9 +275,79 @@ def test_hull_dedupe_by_one_sort_keeps_every_bit(family):
         dup = np.concatenate([pos, pos[rng.integers(0, n, n // 2)]])[rng.permutation(n + n // 2)]
         for x in (pos, dup):
             assert measure_mod._sorted_unique(x).tobytes() == np.unique(x, axis=0).tobytes()
-            if n <= 3500:
-                hull = measure_mod._monotone_chain(x)
-                assert hull.tobytes() == measure_mod._monotone_chain(np.unique(x, axis=0)).tobytes()
+            hull = measure_mod._monotone_chain(x)
+            assert hull.tobytes() == measure_mod._monotone_chain(np.unique(x, axis=0)).tobytes()
+
+
+def _reference_chain(positions):
+    """Andrew's monotone chain on every row, unscaled and unfiltered."""
+    pts = measure_mod._sorted_unique(positions)
+    if len(pts) > 1:
+        pts = pts.tolist()
+        lower, upper = [], []
+        for chain, seq in ((lower, pts), (upper, pts[::-1])):
+            for p in seq:
+                while len(chain) >= 2 and measure_mod._cross2(chain[-2], chain[-1], p) <= 0:
+                    chain.pop()
+                chain.append(p)
+        pts = np.array(lower[:-1] + upper[:-1], dtype=float)
+    return pts
+
+
+def _assert_reference_hull(x):
+    assert measure_mod._monotone_chain(x).tobytes() == _reference_chain(x).tobytes()
+
+
+@pytest.mark.parametrize("family", SYNTH_FAMILIES)
+def test_filtered_hull_equals_the_reference_chain(family):
+    for n in (10, 3500, 100_000):
+        pos = synth_measure(family, n, seed=n + 1).positions
+        _assert_reference_hull(pos)
+    # the filter drops most atoms: about 30 of 3500 on a noisy circle survive
+    pos = synth_measure("noisy_circle", 3500, seed=1).positions
+    assert np.count_nonzero(~measure_mod._deep_interior(pos)) < 100
+
+
+def test_filtered_hull_on_degenerate_sets():
+    rng = np.random.default_rng(12)
+    grid = np.stack(np.meshgrid(np.arange(40.0), np.arange(25.0)), axis=-1).reshape(-1, 2)
+    theta = 2.0 * np.pi * np.arange(1000) / 1000
+    circle = np.stack([np.cos(theta), np.sin(theta)], axis=1)  # rounded off the circle
+    t = rng.uniform(-1.0, 1.0, 500)
+    line = np.stack([0.1 + 0.3 * t, -0.7 + 0.7 * t], axis=1)  # collinear up to rounding
+    cases = [
+        np.array([[0.25, -1.5]]),
+        np.array([[0.25, -1.5], [0.25, -1.5]]),
+        np.array([[0.0, 1.0], [3.0, -2.0]]),
+        np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [1.0, 0.0], [0.0, 1.0], [0.3, 0.3]]),
+        grid, 0.1 * grid, grid[rng.permutation(len(grid))],
+        circle, 0.5 * circle + 0.25, np.concatenate([circle, 0.9 * circle[::7]]),
+        line, np.concatenate([line, line[::3]]),
+        np.concatenate([circle, line]),  # rounded collinear atoms deep inside
+        np.concatenate([grid, grid[rng.integers(0, len(grid), 300)]]),
+        np.concatenate([0.01 * grid, 0.2 + rng.uniform(0.0, 0.01, (2000, 2))]),
+    ]
+    for x in cases:
+        _assert_reference_hull(x)
+    for _ in range(100):  # clouds with collinear hull runs and repeats
+        pts = np.concatenate([rng.integers(-6, 7, (int(rng.integers(3, 300)), 2)) * 0.1,
+                              rng.uniform(-0.6, 0.6, (int(rng.integers(0, 300)), 2))])
+        _assert_reference_hull(pts[rng.permutation(len(pts))])
+
+
+def test_hull_and_diameter_at_every_finite_scale():
+    # exact powers of two far past where squares overflow or underflow; pytest
+    # turns any RuntimeWarning into an error
+    for family in SYNTH_FAMILIES:
+        x = synth_measure(family, 300, seed=2).positions
+        hull, diam = measure_mod._monotone_chain(x), diameter(DiscreteMeasure(x, np.ones(300)))
+        for k in (-700, -500, 0, 500, 700):
+            scaled = DiscreteMeasure(np.ldexp(x, k), np.ones(300))
+            assert convex_hull_2d(scaled).tobytes() == np.ldexp(hull, k).tobytes()
+            assert diameter(scaled) == math.ldexp(diam, k)
+    cloud = np.random.default_rng(6).normal(size=(200, 3))
+    assert measure_mod._max_pair_distance(np.ldexp(cloud, 900)) == math.ldexp(
+        measure_mod._max_pair_distance(cloud), 900)
 
 
 def test_hull_dedupe_keeps_the_first_signed_zero():
