@@ -23,7 +23,7 @@ from .errors import (
     NumericError,
     PencurveError,
 )
-from .measure import DiscreteMeasure, load_measure
+from .measure import DiscreteMeasure, in_range_at, load_measure
 from .optimizer import FitConfig, conjecture_search, fit
 from .oracle import OracleConfig, brute_force_min, certify_fit, golden_record
 from .svgplot import render_svg
@@ -66,7 +66,7 @@ def _read_curve(path: Path) -> Polyline:
 
 
 def cmd_fit(args) -> int:
-    mu = _read_measure(args.measure, args.format)
+    mu = in_range_at(_read_measure(args.measure, args.format), args.p)
     cfg = FitConfig(
         p=args.p, lam=args.lam, m_init=args.m_init, m_max=args.m_max,
         restarts=args.restarts, seed=args.seed,
@@ -90,7 +90,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_check(args) -> int:
-    mu = _read_measure(args.measure, args.format)
+    mu = in_range_at(_read_measure(args.measure, args.format), args.p)
     curve = _read_curve(args.curve)
     if mu.dim != curve.dim:
         raise DimensionMismatchError(f"measure d={mu.dim} vs curve d={curve.dim}")
@@ -105,7 +105,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    mu = _read_measure(args.measure, args.format)
+    mu = in_range_at(_read_measure(args.measure, args.format), args.p)
     ocfg = OracleConfig(m=args.m, h=args.grid_h, p=args.p, lam=args.lam, budget=args.budget)
     curve, energy_val = brute_force_min(mu, ocfg)
     payload = {

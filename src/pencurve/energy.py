@@ -91,23 +91,44 @@ def _entry_kernel(r: np.ndarray, mass: np.ndarray, p: float, eps_clamp: float) -
     return kern
 
 
+def _scatter_ends(plan: TransportPlan, m: int) -> np.ndarray:
+    """The vertex of each entry end and segment end, in the order (ia, ib, k, k+1)."""
+    k = np.arange(m - 1)
+    return np.concatenate((plan.ia, plan.ib, k, k + 1))
+
+
+def _plan_scatter(plan: TransportPlan, X: np.ndarray, m: int):
+    """Per-plan constants of the fixed-plan kernels at m vertices, built once per solve.
+
+    Returns (ends, inner, upper_ends, X_cols): _scatter_ends; the mask of
+    entries with ib = ia + 1; the superdiagonal cell of each such entry and
+    each segment, (ia[inner], k); and per coordinate the atoms once per
+    entry end, (X, X).
+    """
+    inner = plan.ib == plan.ia + 1
+    Xe = np.concatenate((X, X))
+    return (_scatter_ends(plan, m), inner, np.concatenate((plan.ia[inner], np.arange(m - 1))),
+            [Xe[:, q].copy() for q in range(X.shape[1])])
+
+
 def _first_variation(V: np.ndarray, plan: TransportPlan, wa: np.ndarray, wb: np.ndarray,
-                     diff: np.ndarray, kern: np.ndarray, lam: float) -> np.ndarray:
+                     diff: np.ndarray, kern: np.ndarray, lam: float,
+                     ends: np.ndarray | None = None) -> np.ndarray:
     """Vertex gradient of the fixed-plan objective, before any p = 1 shrink.
 
     Each entry's pull kernel * (x - y) at its target y enters with a minus
     sign, split onto the segment's vertices by the barycentric weights;
     each segment adds lambda times its unit tangent at its end, minus that
-    at its start. A bincount per coordinate adds each vertex's terms in
-    that order, as np.add.at would.
+    at its start. A bincount per coordinate over ends, _scatter_ends (built
+    when None), adds each vertex's terms in that order, as np.add.at would.
     """
     m = V.shape[0]
-    k = np.arange(m - 1)
+    if ends is None:
+        ends = _scatter_ends(plan, m)
     seg = V[1:] - V[:-1]
     seg_len = axis_norms(seg)
     unit = seg / np.maximum(seg_len, 1e-300)[:, None]
     unit[seg_len == 0.0] = 0.0
-    ends = np.concatenate((plan.ia, plan.ib, k, k + 1))
     cols = []
     for q in range(V.shape[1]):
         g_y, tangent = -kern * diff[:, q], lam * unit[:, q]
@@ -129,6 +150,30 @@ def _ties(plan: TransportPlan, r: np.ndarray, eps: float, pull: np.ndarray):
     return on, tied_mass, axis_norms(pull)
 
 
+def _fixed_plan_grad(V: np.ndarray, plan: TransportPlan, p: float, lam: float,
+                     eps_clamp: float, offsets: tuple, ends: np.ndarray | None = None):
+    """Vertex gradient of the fixed-plan objective and the p = 1 release mask.
+
+    For p = 1 the pull of a coincident (tied) entry is dropped and the
+    vertex gradient is shrunk by the tied mass. The release mask, None
+    unless p = 1 with an entry within eps_clamp, marks the tied entries
+    whose vertex the other pulls outweigh (negative slack); it is what
+    the next majoriser needs of this point's pull.
+    """
+    wa, wb, diff, r = offsets
+    kern = _entry_kernel(r, plan.mass, p, eps_clamp)
+    grad = _first_variation(V, plan, wa, wb, diff, kern, lam, ends)
+    release = None
+    if p == 1.0 and np.any(r <= eps_clamp):
+        on, tied_mass, norms = _ties(plan, r, eps_clamp, grad)
+        release = on & (norms > tied_mass)[plan.ia]
+        j = np.nonzero(tied_mass > 0)[0]
+        tm, nj = tied_mass[j], norms[j]
+        grad[j] = np.where((nj <= tm)[:, None], 0.0,
+                           (1.0 - tm / np.maximum(nj, tm))[:, None] * grad[j])
+    return grad, release
+
+
 def fixed_plan_value_grad(
     V: np.ndarray,
     plan: TransportPlan,
@@ -148,21 +193,30 @@ def fixed_plan_value_grad(
     gradient is shrunk by the tied mass, which is the exact steepest
     descent direction of the nonsmooth convex objective.
     """
-    wa, wb, diff, r = _entry_offsets(V, plan, X) if offsets is None else offsets
-    value = float(np.sum(plan.mass * r**p))
+    offsets = _entry_offsets(V, plan, X) if offsets is None else offsets
+    value = float(np.sum(plan.mass * offsets[3]**p))
     value += lam * float(np.sum(axis_norms(V[1:] - V[:-1])))
     if not want_grad:
         return value, None
+    return value, _fixed_plan_grad(V, plan, p, lam, eps_clamp, offsets)[0]
 
-    kern = _entry_kernel(r, plan.mass, p, eps_clamp)
-    grad = _first_variation(V, plan, wa, wb, diff, kern, lam)
-    if p == 1.0 and np.any(r <= eps_clamp):
-        _, tied_mass, norms = _ties(plan, r, eps_clamp, grad)
-        j = np.nonzero(tied_mass > 0)[0]
-        tm, nj = tied_mass[j], norms[j]
-        grad[j] = np.where((nj <= tm)[:, None], 0.0,
-                           (1.0 - tm / np.maximum(nj, tm))[:, None] * grad[j])
-    return value, grad
+
+def _majoriser_bands(V: np.ndarray, plan: TransportPlan, p: float, lam: float,
+                     eps_clamp: float, offsets: tuple, release, scatter: tuple):
+    """fixed_plan_majoriser from the point's offsets, release mask and plan scatter."""
+    m = V.shape[0]
+    ends, inner, upper_ends, X_cols = scatter
+    wa, wb, _, r = offsets
+    w = _entry_weight(r, plan.mass, p, eps_clamp)
+    if release is not None:
+        w = np.where(release, 0.0, w)
+    c = lam / np.maximum(axis_norms(V[1:] - V[:-1]), eps_clamp)
+    diag = np.bincount(ends, np.concatenate((w * wa * wa, w * wb * wb, c, c)), minlength=m)
+    upper = np.bincount(upper_ends, np.concatenate(((w * wa * wb)[inner], -c)), minlength=m - 1)
+    entry_ends = ends[: 2 * len(w)]
+    pull = np.concatenate((w * wa, w * wb))
+    B = np.stack([np.bincount(entry_ends, pull * x, minlength=m) for x in X_cols], axis=1)
+    return diag, upper, B
 
 
 def fixed_plan_majoriser(
@@ -190,28 +244,12 @@ def fixed_plan_majoriser(
     (diag, upper, B): A's diagonal and superdiagonal and the (m, d) right
     side; a vertex target's off-diagonal term, w * 1 * 0, is left out.
     """
-    m = V.shape[0]
-    ia, ib = plan.ia, plan.ib
-    wa, wb, diff, r = _entry_offsets(V, plan, X) if offsets is None else offsets
-    w = _entry_weight(r, plan.mass, p, eps_clamp)
-    if p == 1.0 and np.any(r <= eps_clamp):
-        pull = _first_variation(V, plan, wa, wb, diff,
-                                _entry_kernel(r, plan.mass, p, eps_clamp), lam)
-        on, tied_mass, norms = _ties(plan, r, eps_clamp, pull)
-        w = np.where(on & (norms > tied_mass)[ia], 0.0, w)
-    k = np.arange(m - 1)
-    c = lam / np.maximum(axis_norms(V[1:] - V[:-1]), eps_clamp)
-    diag = np.bincount(np.concatenate((ia, ib, k, k + 1)),
-                       np.concatenate((w * wa * wa, w * wb * wb, c, c)), minlength=m)
-    inner = ib == ia + 1
-    upper = np.bincount(np.concatenate((ia[inner], k)),
-                        np.concatenate(((w * wa * wb)[inner], -c)), minlength=m - 1)
-    ends = np.concatenate((ia, ib))
-    pull = np.concatenate((w * wa, w * wb))
-    Xe = np.concatenate((X, X))
-    B = np.stack([np.bincount(ends, pull * Xe[:, q], minlength=m) for q in range(X.shape[1])],
-                 axis=1)
-    return diag, upper, B
+    offsets = _entry_offsets(V, plan, X) if offsets is None else offsets
+    scatter = _plan_scatter(plan, X, V.shape[0])
+    release = None
+    if p == 1.0 and np.any(offsets[3] <= eps_clamp):
+        release = _fixed_plan_grad(V, plan, p, lam, eps_clamp, offsets, scatter[0])[1]
+    return _majoriser_bands(V, plan, p, lam, eps_clamp, offsets, release, scatter)
 
 
 def fixed_plan_hessian(

@@ -15,6 +15,7 @@ from .errors import DimensionMismatchError, ParseError, PencurveError
 SYNTH_FAMILIES = ("uniform_square", "gaussian_clusters", "noisy_circle", "noisy_segment")
 # the coordinate range that load_measure accepts: 2^500 is about 3.27e150
 COORD_MAX, SPAN_MIN = 2.0**500, 2.0**-500
+GRAD_LOG2_MAX = 511  # at p > 2: p * mass * diam^(p-1) at most 2^511, so its square is a float
 
 
 @dataclass(frozen=True)
@@ -121,6 +122,25 @@ def _in_range(mu: DiscreteMeasure) -> DiscreteMeasure:
             f"coordinates out of the supported range: largest |x| {reach:.3g} (at most "
             f"{COORD_MAX:.3g}), bounding-box side {span:.3g} (0 or at least {SPAN_MIN:.3g})"
         )
+    return mu
+
+
+def in_range_at(mu: DiscreteMeasure, p: float) -> DiscreteMeasure:
+    """The measure, if its energy at exponent p stays in the float range.
+
+    The coordinate range of load_measure makes p <= 2 energies normal
+    floats. At a finite p > 2 the first variation's scale
+    p * mass * diam^(p-1) must also be at most 2^GRAD_LOG2_MAX, so that its
+    squares and the energy mass * diam^p are normal floats too.
+    """
+    if 2.0 < p < math.inf and diameter(mu) > 0.0:
+        spare = GRAD_LOG2_MAX - math.log2(p * mu.total_mass)
+        if (p - 1.0) * math.log2(diameter(mu)) > spare:
+            raise PencurveError(
+                f"coordinates out of the supported range at p = {p:g}: diameter "
+                f"{diameter(mu):.3g} (at most {2.0 ** (spare / (p - 1.0)):.3g} at total mass "
+                f"{mu.total_mass:.3g})"
+            )
     return mu
 
 

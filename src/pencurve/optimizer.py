@@ -27,9 +27,11 @@ from .energy import (
     EnergyBreakdown,
     StationarityReport,
     _entry_offsets,
+    _fixed_plan_grad,
+    _majoriser_bands,
+    _plan_scatter,
     energy,
     fixed_plan_hessian,
-    fixed_plan_majoriser,
     fixed_plan_value_grad,
     stationarity_report,
     validate_params,
@@ -193,7 +195,7 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
     """Majorise-minimise the fixed-plan objective; returns the new curve.
 
     Each of at most INNER_MAX_STEPS steps solves the quadratic model of
-    fixed_plan_majoriser at the current vertices V and accepts its
+    energy.fixed_plan_majoriser at the current vertices V and accepts its
     minimiser V* if the fixed-plan objective drops; otherwise it halves the
     step along V* - V, a descent direction because the model's gradient is
     the objective's and its matrix is positive definite. For p <= 2 the
@@ -201,19 +203,24 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
     clamped the first trial passes. Stops on the gradient tolerance, on a
     relative drop below TOL_ENERGY_REL, or when no trial decreases the
     objective, so the fixed-plan objective and hence the true energy cannot
-    go up. A point's entry offsets serve its trial, gradient and next model.
+    go up. A point is evaluated once: its trial's offsets and value, and
+    the pull its gradient builds, serve its next model too; the plan's
+    scatter indices are built once per solve.
     """
     V = np.array(c.vertices)
     X = mu.positions
     p, lam, eps = cfg.p, cfg.lam, tie_tolerance(diameter(mu))
+    scatter = _plan_scatter(plan, X, V.shape[0])
     off = _entry_offsets(V, plan, X)
-    val, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps, True, off)
+    val, _ = fixed_plan_value_grad(V, plan, X, p, lam, eps, False, off)
     if not np.isfinite(val):
         raise NumericError("non-finite fixed-plan objective at start")
+    grad, release = _fixed_plan_grad(V, plan, p, lam, eps, off, scatter[0])
     for _ in range(INNER_MAX_STEPS):
         if float(np.max(axis_norms(grad))) <= cfg.tol_stationarity:
             break
-        minimiser = _solve_tridiagonal(*fixed_plan_majoriser(V, plan, X, p, lam, eps, off))
+        minimiser = _solve_tridiagonal(*_majoriser_bands(V, plan, p, lam, eps, off, release,
+                                                         scatter))
         if minimiser is None:
             break
         step = minimiser - V
@@ -227,8 +234,8 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
         else:
             break
         drop = val - cand_val
-        V = W
-        val, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps, True, off)
+        V, val = W, cand_val
+        grad, release = _fixed_plan_grad(V, plan, p, lam, eps, off, scatter[0])
         if drop <= TOL_ENERGY_REL * abs(val):
             break
     return Polyline(merge_vertices(V, 0.0))

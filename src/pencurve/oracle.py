@@ -74,19 +74,26 @@ PAIR_BLOCK = 1 << 16  # grid-point pairs per block of the pair kernel
 
 
 def _pair_blocks(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float):
-    """Pair costs over grid-point pairs (a, b), in row blocks of ~PAIR_BLOCK pairs.
+    """Pair costs over unordered grid-point pairs, in row blocks of ~PAIR_BLOCK pairs.
 
-    Yields (rows, lam * |P_a P_b|, [mass * dist(x, segment(P_a, P_b))^p per
-    atom]). Each block's segment geometry, one 2-D array per coordinate, is
-    computed once and shared by every atom; the per-atom steps reuse two
-    block buffers, in the operation order of the dense (G, G, 2) arithmetic.
+    Each unordered pair {a, c} is scored once, as the segment from the lower
+    index a to c. Row block [a0, a1) yields (rows, lam * |P_a P_c|, [mass *
+    dist(x, segment(P_a, P_c))^p per atom]) over the columns c >= a0; its
+    cells with c < a, scored in an earlier block, get length +inf. The
+    length is symmetric bit for bit, and so is a full table mirrored from
+    these cells. Each block's segment geometry, one 2-D array per
+    coordinate, is computed once and shared by every atom; the per-atom
+    steps reuse two block buffers, in the operation order of the dense
+    (G, G, 2) arithmetic.
     """
     G = P.shape[0]
-    step = max(1, PAIR_BLOCK // G)
+    step = min(G, max(1, PAIR_BLOCK // G))
     px, py = P[:, 0].copy(), P[:, 1].copy()
+    below = np.tri(step, k=-1, dtype=bool)  # the cells c < a of a block's leading square
     for a0 in range(0, G, step):
-        ax, ay = P[a0 : a0 + step, 0:1], P[a0 : a0 + step, 1:2]
-        w0, w1 = px - ax, py - ay
+        a1 = min(a0 + step, G)
+        ax, ay = P[a0:a1, 0:1], P[a0:a1, 1:2]
+        w0, w1 = px[a0:] - ax, py[a0:] - ay
         den = w0 * w0 + w1 * w1
         seg, t = den > 0, np.zeros_like(den)  # t stays 0 where den is 0
         e0, e1 = np.empty_like(den), np.empty_like(den)
@@ -100,7 +107,9 @@ def _pair_blocks(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float):
             e0 *= e0
             e0 += np.multiply(e1, e1, out=e1)
             costs.append(float(mass) * np.sqrt(e0, out=e0) ** p)
-        yield slice(a0, a0 + step), lam * np.sqrt(den), costs
+        lengths = lam * np.sqrt(den)
+        lengths[:, : a1 - a0][below[: a1 - a0, : a1 - a0]] = np.inf
+        yield slice(a0, a1), lengths, costs
 
 
 def _extend(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float, H=None):
@@ -110,17 +119,21 @@ def _extend(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float, H=None):
     subset S; None is the empty prefix (0 at S = {}, +inf elsewhere), whose
     zero is never added. Returns E[T][c] = min over S <= T and b of
     H[S][b] + lam |P_b P_c| + sum_{i in T - S} cost_i[b, c], and the
-    back-pointers S * G + b. In each block the added atoms T - S run in Gray
-    code order, one atom's costs added or removed per step; column minima
-    fold into running minima with a strict <, so the first (S, b) wins ties,
-    across blocks too.
+    back-pointers S * G + b. The pair kernel scores each unordered pair
+    once, so a block with rows a and columns c >= a serves both ends: its
+    column minima give E[T][c] over b <= c (b the row), its row minima
+    E[T][a] over b >= a (b the column). In each block the added atoms
+    T - S run in Gray code order, one atom's costs added or removed per
+    step; the minima fold into running minima with a strict <, column
+    minima first, so on a tie within a step the smaller b wins.
     """
     G, nsub = P.shape[0], 1 << mu.n_atoms
     starts = [[0] if H is None else [S for S in range(nsub) if not S & U] for U in range(nsub)]
     E = np.full((nsub, G), np.inf)
     back = np.zeros((nsub, G), dtype=np.int64)
-    cols = np.arange(G)
     for rows, acc, costs in _pair_blocks(P, mu, p, lam):
+        a0 = rows.start
+        ri, ci = np.arange(acc.shape[0]), np.arange(acc.shape[1])
         cand, added = np.empty_like(acc), 0
         for step in range(nsub):
             if step:
@@ -131,12 +144,19 @@ def _extend(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float, H=None):
                     acc += costs[j]
                 added ^= 1 << j
             for S in starts[added]:
+                T, base = S | added, S * G + a0
                 block = acc if H is None else np.add(acc, H[S, rows, None], out=cand)
-                r = np.argmin(block, axis=0)
-                v, T = block[r, cols], S | added
-                better = v < E[T]
-                np.copyto(E[T], v, where=better)
-                np.copyto(back[T], r + (S * G + rows.start), where=better)
+                r = np.argmin(block, axis=0)  # column minima: b <= c, b a row
+                v, Ec = block[r, ci], E[T, a0:]
+                better = v < Ec
+                np.copyto(Ec, v, where=better)
+                np.copyto(back[T, a0:], r + base, where=better)
+                block = acc if H is None else np.add(acc, H[S, None, a0:], out=cand)
+                r = np.argmin(block, axis=1)  # row minima: b >= a, b a column
+                v, Er = block[ri, r], E[T, rows]
+                better = v < Er
+                np.copyto(Er, v, where=better)
+                np.copyto(back[T, rows], r + base, where=better)
     return E, back
 
 
@@ -151,13 +171,15 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
 
     Each atom is served by its nearest segment, so the energy of a tuple is
     the minimum over atom-to-segment assignments of a sum of per-segment
-    costs. At m = 2 a running minimum over the pair blocks finds it. At
-    m >= 3 a subset dynamic program does: m - 2 passes of _extend grow the
-    prefixes, and by the symmetry of the pair costs the last segment, serving
-    the atoms not in T from grid point c, costs F[~T][c] with F the first
-    pass. This equals the naive enumeration of all G^m tuples at a fraction
-    of the cost. Returns (curve, energy); the true continuous optimum is at
-    least energy - lipschitz_constant(...) * h.
+    costs. The pair kernel scores each unordered grid pair once, oriented
+    from its lower index, so every cost is symmetric bit for bit. At m = 2
+    a running minimum over the pair blocks finds the minimum; on a tie the
+    first pair (a, b), a <= b, wins. At m >= 3 a subset dynamic program
+    does: m - 2 passes of _extend grow the prefixes, and by that symmetry
+    the last segment, serving the atoms not in T from grid point c, costs
+    F[~T][c] with F the first pass. This equals the naive enumeration of
+    all G^m tuples at a fraction of the cost. Returns (curve, energy); the
+    true continuous optimum is at least energy - lipschitz_constant(...) * h.
     """
     ocfg.validate()
     if mu.dim != 2:
@@ -195,8 +217,8 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
                 total += ci
             flat = int(np.argmin(total))
             if total.flat[flat] < best_energy:
-                best_energy = float(total.flat[flat])
-                best_tuple = (rows.start + flat // G, flat % G)
+                a, c = divmod(flat, total.shape[1])
+                best_energy, best_tuple = float(total.flat[flat]), (rows.start + a, rows.start + c)
     else:
         first, back = _extend(P, mu, ocfg.p, ocfg.lam)
         H, backs = first, [back]

@@ -90,6 +90,32 @@ def test_coordinates_out_of_range_exit_two_with_one_line(tmp_path, scale):
         assert len(lines) == 1 and lines[0].startswith("error: coordinates out of the supported")
 
 
+@pytest.mark.parametrize("scale,code", [(1e150, 2), (1e100, 2), (1e75, 0)])
+def test_p3_energy_in_float_range_or_exit_two_with_one_line(tmp_path, scale, code):
+    # at p = 3 the first variation grows like diam^2: past about 4.7e76 its squares
+    # overflow; inside, check and fit run with every numpy warning raised as an error
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    circle = _write_csv(tmp_path / "circle.csv",
+                        scale * synth_measure("noisy_circle", 300, seed=0).positions)
+    segment = _write_csv(tmp_path / "segment.csv",
+                         scale * synth_measure("noisy_segment", 200, seed=0).positions)
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"dim": 2, "vertices": [[0.2 * scale, 0.5 * scale],
+                                                        [0.8 * scale, 0.5 * scale]]}))
+    for argv in (["check", str(circle), str(curve), "--out", str(tmp_path / "report.json")],
+                 ["fit", str(segment), "--out", str(tmp_path / "run")]):
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "pencurve.cli", *argv,
+                              "--p", "3", "--lambda", "0.05"],
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == code
+        lines = run.stderr.splitlines()
+        if code:
+            assert len(lines) == 1
+            assert lines[0].startswith("error: coordinates out of the supported range at p = 3")
+        else:
+            assert lines == []
+
+
 def test_fit_rejects_bad_p(two_atoms_csv, tmp_path):
     rc = cli.main(["fit", str(two_atoms_csv), "--p", "0.5", "--lambda", "0.2",
                    "--out", str(tmp_path)])

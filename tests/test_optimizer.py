@@ -8,11 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pencurve.curve import Polyline
+from pencurve.curve import Polyline, merge_vertices
 from pencurve.diagnostics import singleton_best_energy
 from pencurve import optimizer
-from pencurve.energy import (energy, fixed_plan_majoriser, fixed_plan_value_grad,
-                             stationarity_report)
+from pencurve.energy import (_entry_offsets, energy, fixed_plan_majoriser,
+                             fixed_plan_value_grad, stationarity_report)
 from pencurve.errors import ConfigError
 from pencurve.measure import DiscreteMeasure, diameter, synth_measure, tie_tolerance
 from pencurve.optimizer import FitConfig, conjecture_search, fit, fixed_plan_solve, init_curve
@@ -204,6 +204,77 @@ def test_fixed_plan_solve_moves_vertex_off_atom_with_negative_slack():
     assert stat.vertices[0].status == "tied" and stat.vertices[0].slack < 0.0
     out = fixed_plan_solve(mu, c, plan, FitConfig(p=1.0, lam=0.05))
     assert np.linalg.norm(out.vertices[0]) > 0.5
+
+
+def reference_fixed_plan_solve(mu, c, plan, cfg, halvings):
+    """The majorise-minimise loop that evaluates each accepted point twice.
+
+    Its value and gradient come from fixed_plan_value_grad and its model
+    from fixed_plan_majoriser, which rebuilds the point's pull at a p = 1
+    tie; appends the halvings of each step to `halvings`.
+    """
+    V = np.array(c.vertices)
+    X = mu.positions
+    p, lam, eps = cfg.p, cfg.lam, tie_tolerance(diameter(mu))
+    off = _entry_offsets(V, plan, X)
+    val, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps, True, off)
+    for _ in range(optimizer.INNER_MAX_STEPS):
+        if float(np.max(np.linalg.norm(grad, axis=1))) <= cfg.tol_stationarity:
+            break
+        minimiser = optimizer._solve_tridiagonal(*fixed_plan_majoriser(V, plan, X, p, lam, eps,
+                                                                       off))
+        if minimiser is None:
+            break
+        step = minimiser - V
+        for k in range(30):
+            W = V + step
+            off = _entry_offsets(W, plan, X)
+            cand_val, _ = fixed_plan_value_grad(W, plan, X, p, lam, eps, False, off)
+            if cand_val < val:
+                break
+            step *= 0.5
+        else:
+            break
+        halvings.append(k)
+        drop = val - cand_val
+        V = W
+        val, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps, True, off)
+        if drop <= optimizer.TOL_ENERGY_REL * abs(val):
+            break
+    return Polyline(merge_vertices(V, 0.0))
+
+
+def _solve_cases():
+    """(mu, curve) pairs: random clouds and curves, atoms on vertices, and a negative slack."""
+    rng = np.random.default_rng(31)
+    for k in range(8):
+        n, m = int(rng.integers(4, 40)), int(rng.integers(2, 9))
+        X = rng.uniform(0.0, 1.0, (n, 2))
+        V = rng.uniform(0.0, 1.0, (m, 2))
+        if k % 2:
+            X[: m // 2 + 1] = V[: m // 2 + 1]  # p = 1 ties on vertices
+        yield DiscreteMeasure(X, rng.uniform(0.1, 1.0, n)), Polyline(V)
+    # vertex 0 sits on a light atom that a heavy atom outweighs: the tie is released
+    yield (DiscreteMeasure(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0]]),
+                           np.array([0.1, 0.6, 0.3])),
+           Polyline(np.array([[0.0, 0.0], [1.0, 0.0]])))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_fixed_plan_solve_equals_two_evaluation_reference(p):
+    halvings, released = [], 0
+    for mu, c in _solve_cases():
+        plan, _ = build_plan(mu, c)
+        cfg = FitConfig(p=p, lam=0.05)
+        if p == 1.0:
+            stat = stationarity_report(mu, c, p, cfg.lam, plan=plan)
+            released += any(v.slack is not None and v.slack < 0.0 for v in stat.vertices)
+        got = fixed_plan_solve(mu, c, plan, cfg)
+        ref = reference_fixed_plan_solve(mu, c, plan, cfg, halvings)
+        assert np.array_equal(got.vertices, ref.vertices)
+    assert released or p > 1.0  # p = 1 reaches a tie with negative slack
+    if p == 3.0:
+        assert max(halvings) > 0  # and p = 3 a step that halves
 
 
 def test_fixed_plan_solve_symmetric_stays_on_axis():

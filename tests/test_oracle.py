@@ -130,16 +130,27 @@ def reference_pair_lengths(P, chunk=256):
     return out
 
 
+def mirrored(table):
+    """The table with each cell c < a replaced by cell (c, a)."""
+    upper = np.triu(np.ones(table.shape, dtype=bool))
+    return np.where(upper, table, table.T)
+
+
 def kernel_tables(P, mu, p, lam):
-    """Whole tables assembled from the pair kernel's blocks; unfilled cells stay NaN."""
+    """Whole tables from the pair kernel's blocks, each cell c < a filled from cell (c, a).
+
+    A block holds the cells c >= a of its rows; cells the blocks leave unfilled stay NaN.
+    """
     G = P.shape[0]
     lengths = np.full((G, G), np.nan)
     costs = [np.full((G, G), np.nan) for _ in range(mu.n_atoms)]
+    upper = np.triu(np.ones((G, G), dtype=bool))
     for rows, block_lengths, block_costs in _pair_blocks(P, mu, p, lam):
-        lengths[rows] = block_lengths
+        cols = slice(rows.start, G)
+        np.copyto(lengths[rows, cols], block_lengths, where=upper[rows, cols])
         for table, c in zip(costs, block_costs):
-            table[rows] = c
-    return lengths, costs
+            np.copyto(table[rows, cols], c, where=upper[rows, cols])
+    return mirrored(lengths), [mirrored(c) for c in costs]
 
 
 def _table_cases():
@@ -165,8 +176,25 @@ def test_pair_blocks_match_per_element_reference(monkeypatch, pair_block):
         lengths, costs = kernel_tables(P, mu, p, lam)
         assert np.array_equal(lengths, lam * reference_pair_lengths(P))
         for i, c in enumerate(costs):
+            # each segment is scored from its lower grid index: the (min, max) orientation
             ref = reference_atom_pair_costs(mu.positions[i], float(mu.masses[i]), P, p)
-            assert np.array_equal(c, ref)
+            assert np.array_equal(c, mirrored(ref))
+
+
+@pytest.mark.parametrize("pair_block", [None, 1, 150])
+def test_pair_blocks_score_each_unordered_pair_once(monkeypatch, pair_block):
+    if pair_block is not None:
+        monkeypatch.setattr(oracle, "PAIR_BLOCK", pair_block)
+    for mu, h, p in _table_cases():
+        P = _grid_points(mu, h)
+        G = len(P)
+        count = np.zeros((G, G), dtype=np.int64)
+        for rows, lengths, costs in _pair_blocks(P, mu, p, 0.7):
+            assert lengths.shape == (rows.stop - rows.start, G - rows.start)
+            assert lengths.size <= max(oracle.PAIR_BLOCK, G)  # at most one block of pairs
+            a, c = np.nonzero(np.isfinite(lengths))  # the excluded cells have length +inf
+            np.add.at(count, (rows.start + a, rows.start + c), 1)
+        assert np.array_equal(count, np.triu(np.ones((G, G), dtype=np.int64)))
 
 
 def test_m2_ties_across_blocks_keep_the_first_pair(monkeypatch):
@@ -205,10 +233,11 @@ def test_oracle_config_validation():
             brute_force_min(TWO_ATOMS, OracleConfig(m=2, h=0.05, p=2.0, lam=0.2, budget=budget))
 
 
-@pytest.mark.parametrize("m", [3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4])
 def test_brute_force_min_equals_tuple_enumeration(m):
     # h = 0.5 over a box of side < 1: at most 3 x 3 grid points, so all G^m
-    # tuples can be scored by energy(); m = 4 runs the chain program
+    # tuples can be scored by energy(); m = 2 runs the running minimum over
+    # the upper blocks, m = 3 one subset pass and m = 4 two
     rng = np.random.default_rng(m)
     for p, lam in ((1.0, 0.05), (2.0, 0.2)):
         mu = DiscreteMeasure(rng.uniform(0.0, 1.0, (3, 2)), rng.uniform(0.2, 1.0, 3))
