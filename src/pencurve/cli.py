@@ -21,9 +21,10 @@ from .errors import (
     ConfigError,
     DimensionMismatchError,
     NumericError,
+    ParseError,
     PencurveError,
 )
-from .measure import DiscreteMeasure, in_range_at, load_measure
+from .measure import DiscreteMeasure, load_measure
 from .optimizer import FitConfig, conjecture_search, fit
 from .oracle import OracleConfig, brute_force_min, certify_fit, golden_record
 from .svgplot import render_svg
@@ -61,12 +62,14 @@ def _read_measure(path: Path, fmt: str | None) -> DiscreteMeasure:
 
 
 def _read_curve(path: Path) -> Polyline:
-    data = json.loads(path.read_text())
-    return Polyline.from_dict(data)
+    try:
+        return Polyline.from_dict(json.loads(path.read_text(encoding="utf-8")))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ParseError(f"curve file {path} is not UTF-8 JSON: {exc}") from exc
 
 
 def cmd_fit(args) -> int:
-    mu = in_range_at(_read_measure(args.measure, args.format), args.p)
+    mu = _read_measure(args.measure, args.format)
     cfg = FitConfig(
         p=args.p, lam=args.lam, m_init=args.m_init, m_max=args.m_max,
         restarts=args.restarts, seed=args.seed,
@@ -90,7 +93,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_check(args) -> int:
-    mu = in_range_at(_read_measure(args.measure, args.format), args.p)
+    mu = _read_measure(args.measure, args.format)
     curve = _read_curve(args.curve)
     if mu.dim != curve.dim:
         raise DimensionMismatchError(f"measure d={mu.dim} vs curve d={curve.dim}")
@@ -105,7 +108,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    mu = in_range_at(_read_measure(args.measure, args.format), args.p)
+    mu = _read_measure(args.measure, args.format)
     ocfg = OracleConfig(m=args.m, h=args.grid_h, p=args.p, lam=args.lam, budget=args.budget)
     curve, energy_val = brute_force_min(mu, ocfg)
     payload = {

@@ -70,7 +70,7 @@ class Polyline:
         try:
             verts = np.asarray(data["vertices"], dtype=float)
             dim = int(data["dim"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise PencurveError(f"curve JSON needs 'dim' and 'vertices': {exc}") from exc
         if verts.ndim != 2 or verts.shape[1] != dim:
             raise PencurveError("curve JSON vertex shape does not match 'dim'")
@@ -137,7 +137,7 @@ def point_segment_foot(x, a, b):
     return float(np.linalg.norm(x - foot)), foot
 
 
-def self_intersections_2d(c: Polyline, eps: float = 1e-12) -> list[Intersection]:
+def self_intersections_2d(c: Polyline, eps: float) -> list[Intersection]:
     """All transversal crossings and eps-contacts between non-adjacent segments.
 
     Adjacent segments (sharing a vertex) are excluded. Exact-sign cross

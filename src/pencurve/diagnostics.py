@@ -22,7 +22,7 @@ from .curve import (
 )
 from .energy import _entry_offsets, validate_params
 from .errors import PencurveError
-from .measure import DiscreteMeasure, convex_hull_2d, diameter, tie_tolerance
+from .measure import DiscreteMeasure, convex_hull_2d, diameter, in_range_at, tie_tolerance
 from .projection import TransportPlan, build_plan
 
 ANGLE_TOL = 5e-4  # radians; absorbs optimizer stationarity slack in angle checks
@@ -346,7 +346,7 @@ def check_tv_bound(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -> Th
 
 
 def _window_mass_prefixes(plan: TransportPlan, m: int):
-    at_vertex = plan.ia == plan.ib
+    at_vertex = plan.at_vertex
     # bincount adds the weights one at a time in entry order
     wv = np.bincount(plan.ia[at_vertex], weights=plan.mass[at_vertex], minlength=m)
     ws = np.bincount(plan.ia[~at_vertex], weights=plan.mass[~at_vertex], minlength=m - 1)
@@ -399,7 +399,7 @@ def _entry_sides(mu: DiscreteMeasure, c: Polyline, plan: TransportPlan, eps_side
     ia = plan.ia
     off = _entry_offsets(c.vertices, plan, mu.positions)[2]
     c1, c2 = (seg_unit[k][:, 0] * off[:, 1] - seg_unit[k][:, 1] * off[:, 0]
-              for k in (np.where(ia == plan.ib, np.maximum(ia - 1, 0), ia),
+              for k in (np.where(plan.at_vertex, np.maximum(ia - 1, 0), ia),
                         np.minimum(ia, c.n_vertices - 2)))
     above = (c1 > eps_side) | (c2 > eps_side)
     below = (c1 < -eps_side) | (c2 < -eps_side)
@@ -469,7 +469,7 @@ def turn_direction_sweep(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
     )
 
 
-def check_injectivity(c: Polyline, mu: DiscreteMeasure, p: float | None = None) -> TheoryCheck:
+def check_injectivity(c: Polyline, mu: DiscreteMeasure, p: float) -> TheoryCheck:
     """No self-intersections; reports tangent alignment at any double point.
 
     Segments closer than the measure's tie tolerance count as touching.
@@ -491,7 +491,7 @@ def check_injectivity(c: Polyline, mu: DiscreteMeasure, p: float | None = None) 
         details.append(
             f"{h.kind} segs ({h.seg_a},{h.seg_b}) at ({h.point[0]:.4g},{h.point[1]:.4g})"
             f" tangents {align} (|sin|={cross:.2g})")
-    extra = f" p={p}: double points contradict minimality" if (p or 0) >= 2 else ""
+    extra = f" p={p}: double points contradict minimality" if p >= 2 else ""
     return TheoryCheck("injectivity", False, 0.0, float(len(hits)), eps,
                        "; ".join(details) + extra)
 
@@ -503,6 +503,7 @@ def full_report(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -> Theor
     the diameter are the measure's own, computed at most once.
     """
     validate_params(p, lam)
+    in_range_at(mu, p)
     plan, _ = build_plan(mu, c)
     checks = [
         check_length_bound(mu, c, p, lam),

@@ -58,8 +58,8 @@ def _entry_offsets(V: np.ndarray, plan: TransportPlan, X: np.ndarray):
 
     y = (1-t) V[ia] + t V[ib] is the entry's target, held affine in V. The
     entry's atom sits on its target when r <= the measure's tie tolerance.
-    The fixed-plan kernels take them as offsets (computed when None), so
-    that each point of a solver computes them once.
+    The fixed-plan kernels take them as offsets, so that each point of a
+    solver computes them once.
     """
     wa, wb = plan.weights
     y = wa[:, None] * V[plan.ia] + wb[:, None] * V[plan.ib]
@@ -91,40 +91,17 @@ def _entry_kernel(r: np.ndarray, mass: np.ndarray, p: float, eps_clamp: float) -
     return kern
 
 
-def _scatter_ends(plan: TransportPlan, m: int) -> np.ndarray:
-    """The vertex of each entry end and segment end, in the order (ia, ib, k, k+1)."""
-    k = np.arange(m - 1)
-    return np.concatenate((plan.ia, plan.ib, k, k + 1))
-
-
-def _plan_scatter(plan: TransportPlan, X: np.ndarray, m: int):
-    """Per-plan constants of the fixed-plan kernels at m vertices, built once per solve.
-
-    Returns (ends, inner, upper_ends, X_cols): _scatter_ends; the mask of
-    entries with ib = ia + 1; the superdiagonal cell of each such entry and
-    each segment, (ia[inner], k); and per coordinate the atoms once per
-    entry end, (X, X).
-    """
-    inner = plan.ib == plan.ia + 1
-    Xe = np.concatenate((X, X))
-    return (_scatter_ends(plan, m), inner, np.concatenate((plan.ia[inner], np.arange(m - 1))),
-            [Xe[:, q].copy() for q in range(X.shape[1])])
-
-
 def _first_variation(V: np.ndarray, plan: TransportPlan, wa: np.ndarray, wb: np.ndarray,
-                     diff: np.ndarray, kern: np.ndarray, lam: float,
-                     ends: np.ndarray | None = None) -> np.ndarray:
+                     diff: np.ndarray, kern: np.ndarray, lam: float) -> np.ndarray:
     """Vertex gradient of the fixed-plan objective, before any p = 1 shrink.
 
     Each entry's pull kernel * (x - y) at its target y enters with a minus
     sign, split onto the segment's vertices by the barycentric weights;
     each segment adds lambda times its unit tangent at its end, minus that
-    at its start. A bincount per coordinate over ends, _scatter_ends (built
-    when None), adds each vertex's terms in that order, as np.add.at would.
+    at its start. A bincount per coordinate over plan.ends adds each
+    vertex's terms in that order, as np.add.at would.
     """
     m = V.shape[0]
-    if ends is None:
-        ends = _scatter_ends(plan, m)
     seg = V[1:] - V[:-1]
     seg_len = axis_norms(seg)
     unit = seg / np.maximum(seg_len, 1e-300)[:, None]
@@ -132,26 +109,26 @@ def _first_variation(V: np.ndarray, plan: TransportPlan, wa: np.ndarray, wb: np.
     cols = []
     for q in range(V.shape[1]):
         g_y, tangent = -kern * diff[:, q], lam * unit[:, q]
-        cols.append(np.bincount(ends, np.concatenate((wa * g_y, wb * g_y, -tangent, tangent)),
+        cols.append(np.bincount(plan.ends, np.concatenate((wa * g_y, wb * g_y, -tangent, tangent)),
                                 minlength=m))
     return np.stack(cols, axis=1)
 
 
 def _ties(plan: TransportPlan, r: np.ndarray, eps: float, pull: np.ndarray):
-    """Vertex ties: the entries whose atom sits on their vertex (r <= eps, ia == ib).
+    """Vertex ties: the entries whose atom sits on their vertex target (r <= eps).
 
     Returns that entry mask and, per vertex, the mass sitting on it and the
     length of its pull (first variation without those atoms). At p = 1 a
     vertex with atoms on it is stationary when its pull is at most that
     mass; the difference is its slack.
     """
-    on = (r <= eps) & (plan.ia == plan.ib)
+    on = (r <= eps) & plan.at_vertex
     tied_mass = np.bincount(plan.ia[on], plan.mass[on], minlength=len(pull))
     return on, tied_mass, axis_norms(pull)
 
 
 def _fixed_plan_grad(V: np.ndarray, plan: TransportPlan, p: float, lam: float,
-                     eps_clamp: float, offsets: tuple, ends: np.ndarray | None = None):
+                     eps_clamp: float, offsets: tuple):
     """Vertex gradient of the fixed-plan objective and the p = 1 release mask.
 
     For p = 1 the pull of a coincident (tied) entry is dropped and the
@@ -162,7 +139,7 @@ def _fixed_plan_grad(V: np.ndarray, plan: TransportPlan, p: float, lam: float,
     """
     wa, wb, diff, r = offsets
     kern = _entry_kernel(r, plan.mass, p, eps_clamp)
-    grad = _first_variation(V, plan, wa, wb, diff, kern, lam, ends)
+    grad = _first_variation(V, plan, wa, wb, diff, kern, lam)
     release = None
     if p == 1.0 and np.any(r <= eps_clamp):
         on, tied_mass, norms = _ties(plan, r, eps_clamp, grad)
@@ -201,91 +178,70 @@ def fixed_plan_value_grad(
     return value, _fixed_plan_grad(V, plan, p, lam, eps_clamp, offsets)[0]
 
 
-def _majoriser_bands(V: np.ndarray, plan: TransportPlan, p: float, lam: float,
-                     eps_clamp: float, offsets: tuple, release, scatter: tuple):
-    """fixed_plan_majoriser from the point's offsets, release mask and plan scatter."""
+def fixed_plan_majoriser(V: np.ndarray, plan: TransportPlan, X: np.ndarray, p: float,
+                         lam: float, eps_clamp: float, offsets: tuple, release: np.ndarray | None):
+    """Quadratic model of the fixed-plan objective at V, as bands of the system A V* = B.
+
+    Each entry's mass * r^p becomes (w / 2) |x - y|^2, w the entry weight
+    at the point's offsets (r clamped below eps_clamp). A tied p = 1 entry
+    keeps its clamped weight, which pins its vertex to the atom, unless
+    release, _fixed_plan_grad's mask at this point, marks it (the other
+    pulls outweigh the tied mass): then its weight is 0 and the vertex can
+    leave the atom. Each lambda |s_j| becomes
+    lambda |s_j|^2 / (2 max(|s_j|, eps_clamp)). Where nothing is clamped
+    the model's gradient at V is the objective's; for p <= 2 the model also
+    lies above the objective, so its minimiser V* cannot raise it. An entry
+    couples only vertices ia and ib = ia or ia + 1 and a segment only its
+    two ends, so the model is isotropic with one symmetric tridiagonal
+    matrix A shared by all d coordinates. Returns (diag, upper, B): A's
+    diagonal and superdiagonal and the (m, d) right side; a vertex target's
+    off-diagonal term, w * 1 * 0, is left out.
+    """
     m = V.shape[0]
-    ends, inner, upper_ends, X_cols = scatter
     wa, wb, _, r = offsets
     w = _entry_weight(r, plan.mass, p, eps_clamp)
     if release is not None:
         w = np.where(release, 0.0, w)
     c = lam / np.maximum(axis_norms(V[1:] - V[:-1]), eps_clamp)
-    diag = np.bincount(ends, np.concatenate((w * wa * wa, w * wb * wb, c, c)), minlength=m)
-    upper = np.bincount(upper_ends, np.concatenate(((w * wa * wb)[inner], -c)), minlength=m - 1)
-    entry_ends = ends[: 2 * len(w)]
-    pull = np.concatenate((w * wa, w * wb))
-    B = np.stack([np.bincount(entry_ends, pull * x, minlength=m) for x in X_cols], axis=1)
+    diag = np.bincount(plan.ends, np.concatenate((w * wa * wa, w * wb * wb, c, c)), minlength=m)
+    upper = np.bincount(plan.upper_ends, np.concatenate(((w * wa * wb)[plan.in_segment], -c)),
+                        minlength=m - 1)
+    pull, Xe = np.concatenate((w * wa, w * wb)), np.concatenate((X, X))
+    B = np.stack([np.bincount(plan.ends[: len(pull)], pull * x, minlength=m) for x in Xe.T],
+                 axis=1)
     return diag, upper, B
 
 
-def fixed_plan_majoriser(
-    V: np.ndarray,
-    plan: TransportPlan,
-    X: np.ndarray,
-    p: float,
-    lam: float,
-    eps_clamp: float,
-    offsets: tuple | None = None,
-):
-    """Quadratic model of the fixed-plan objective at V, as bands of the system A V* = B.
-
-    Each entry's mass * r^p becomes (w / 2) |x - y|^2 with w the entry
-    weight at the current r (clamped below eps_clamp). A tied p = 1 entry
-    keeps its clamped weight, which pins its vertex to the atom, unless the
-    other pulls on that vertex outweigh the tied mass (negative slack): then
-    it gets weight 0 so that the vertex can leave the atom. Each
-    lambda |s_j| becomes lambda |s_j|^2 / (2 max(|s_j|, eps_clamp)). Where
-    nothing is clamped the model's gradient at V is the objective's; for
-    p <= 2 the model also lies above the objective, so its minimiser V*
-    cannot raise it. An entry couples only vertices ia and ib = ia or ia + 1
-    and a segment only its two ends, so the model is isotropic with one
-    symmetric tridiagonal matrix A shared by all d coordinates. Returns
-    (diag, upper, B): A's diagonal and superdiagonal and the (m, d) right
-    side; a vertex target's off-diagonal term, w * 1 * 0, is left out.
-    """
-    offsets = _entry_offsets(V, plan, X) if offsets is None else offsets
-    scatter = _plan_scatter(plan, X, V.shape[0])
-    release = None
-    if p == 1.0 and np.any(offsets[3] <= eps_clamp):
-        release = _fixed_plan_grad(V, plan, p, lam, eps_clamp, offsets, scatter[0])[1]
-    return _majoriser_bands(V, plan, p, lam, eps_clamp, offsets, release, scatter)
-
-
-def fixed_plan_hessian(
-    V: np.ndarray,
-    plan: TransportPlan,
-    X: np.ndarray,
-    p: float,
-    lam: float,
-    eps_clamp: float,
-    offsets: tuple | None = None,
-) -> np.ndarray:
-    """Dense Hessian of the fixed-plan objective, stacked over vertices.
+def fixed_plan_hessian(V: np.ndarray, plan: TransportPlan, p: float, lam: float,
+                       eps_clamp: float, offsets: tuple) -> np.ndarray:
+    """Dense Hessian of the fixed-plan objective at V, stacked over vertices.
 
     Fidelity blocks are w * p * r^(p-2) (I + (p-2) u u^T) pushed through the
     barycentric target map; each segment contributes the usual
     lam / |s| (I - s s^T / |s|^2) curvature. Positive semidefinite since the
     objective is convex; p = 1 kinks are clamped like the gradient. A
-    bincount per coordinate pair adds each block's terms in the order below.
+    bincount per coordinate pair adds each cell's terms: on the diagonal,
+    over plan.ends, the ia terms, the ib terms, then the segment terms; off
+    it, over plan.upper_ends, the segment targets' cross terms, then the
+    segment terms.
     """
     m, d = V.shape
-    wa, wb, diff, r = _entry_offsets(V, plan, X) if offsets is None else offsets
+    wa, wb, diff, r = offsets
     kern = _entry_kernel(r, plan.mass, p, eps_clamp)
     u = diff / np.maximum(r, eps_clamp)[:, None]
     s = V[1:] - V[:-1]
     ln = axis_norms(s)
     inv = np.divide(1.0, ln, out=np.zeros_like(ln), where=ln > 0.0)
     us = s * inv[:, None]
-    diag, ends = np.arange(m - 1) * (m + 1), ((plan.ia, wa), (plan.ib, wb))
-    blocks = [(i * m + j, wi * wj) for i, wi in ends for j, wj in ends]
-    # entry blocks (i, j) for i, j in (ia, ib); segments (k, k), (k+1, k+1), (k, k+1), (k+1, k)
-    cells = np.concatenate([ij for ij, _ in blocks] + [diag, diag + m + 1, diag + 1, diag + m])
+    upper, inner = plan.upper_ends * (m + 1), plan.in_segment
+    cells = np.concatenate((plan.ends * (m + 1), upper + 1, upper + m))  # (i,i), (i,i+1), (i+1,i)
+    waa, wbb, wab = wa * wa, wb * wb, (wa * wb)[inner]
     H = np.empty((d, d, m * m))  # H[a, b, i * m + j]: coordinates a, b of vertices i, j
     for a, b in np.ndindex(d, d):
         hy = kern * (float(a == b) + (p - 2.0) * u[:, a] * u[:, b])
         hseg = lam * inv * (float(a == b) - us[:, a] * us[:, b])
-        terms = [w * hy for _, w in blocks] + [hseg, hseg, -hseg, -hseg]
+        cross = wab * hy[inner]
+        terms = (waa * hy, wbb * hy, hseg, hseg, cross, -hseg, cross, -hseg)
         H[a, b] = np.bincount(cells, np.concatenate(terms), minlength=m * m)
     return H.reshape(d, d, m, m).transpose(2, 0, 3, 1).reshape(m * d, m * d)
 
@@ -339,10 +295,10 @@ class VertexResidual:
 class StationarityReport:
     """First-variation residuals per vertex.
 
-    A free vertex of a stationary curve must have residual zero; a tied
-    vertex with p = 1 must instead satisfy |residual| <= the mass of the
-    atoms sitting on it, whose pulls the residual leaves out (reported as
-    a nonnegative slack).
+    A vertex of a stationary curve must have residual zero (the largest
+    is max_free_residual), except a tied vertex with p = 1: it must instead
+    satisfy |residual| <= the mass of the atoms sitting on it, whose pulls
+    the residual leaves out (reported as a nonnegative slack).
     """
 
     vertices: tuple[VertexResidual, ...]
@@ -386,7 +342,8 @@ def stationarity_report(
     tied when an atom sits on it (within the tie tolerance); its tied atom
     is the nearest such atom, the first on ties. For p = 1 the pulls of
     atoms within the tie tolerance are left out, and a tied vertex reports
-    slack = tied mass - |residual| instead of a free residual.
+    slack = tied mass - |residual| instead of a free residual; at p > 1 an
+    atom on its target pulls with 0, and every residual counts as free.
     """
     validate_params(p, lam)
     if plan is None:
@@ -409,6 +366,6 @@ def stationarity_report(
         status = "tied" if tied_atom is not None else "free"
         slack = float(tied_mass[j] - norms[j]) if p == 1.0 and tied_atom is not None else None
         rows.append(VertexResidual(j, kind, status, tied_atom, residual[j], float(norms[j]), slack))
-    max_free = max((v.residual_norm for v in rows if v.status == "free"), default=0.0)
+    max_free = max((v.residual_norm for v in rows if v.slack is None), default=0.0)
     min_slack = min((v.slack for v in rows if v.slack is not None), default=None)
     return StationarityReport(tuple(rows), max_free, min_slack, p, lam)

@@ -96,7 +96,10 @@ def load_measure(source, format: str) -> DiscreteMeasure:
     """
     text = source.read() if hasattr(source, "read") else source
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"measure input is not UTF-8: {exc}") from exc
     if format == "csv":
         return _in_range(_parse_csv(text))
     if format == "json":
@@ -116,7 +119,8 @@ def _in_range(mu: DiscreteMeasure) -> DiscreteMeasure:
     squared distances and p = 2 energies are normal floats.
     """
     reach = float(np.max(np.abs(mu.positions)))
-    span = float(np.max(np.ptp(mu.positions, axis=0)))
+    # column by column: numpy reduces an (n, 2) array along axis 0 about 10x slower
+    span = max(float(np.ptp(col)) for col in mu.positions.T)
     if reach > COORD_MAX or 0.0 < span < SPAN_MIN:
         raise PencurveError(
             f"coordinates out of the supported range: largest |x| {reach:.3g} (at most "
@@ -128,11 +132,13 @@ def _in_range(mu: DiscreteMeasure) -> DiscreteMeasure:
 def in_range_at(mu: DiscreteMeasure, p: float) -> DiscreteMeasure:
     """The measure, if its energy at exponent p stays in the float range.
 
-    The coordinate range of load_measure makes p <= 2 energies normal
+    The coordinate range of `_in_range` makes p <= 2 energies normal
     floats. At a finite p > 2 the first variation's scale
     p * mass * diam^(p-1) must also be at most 2^GRAD_LOG2_MAX, so that its
-    squares and the energy mass * diam^p are normal floats too.
+    squares and the energy mass * diam^p are normal floats too. fit,
+    full_report and brute_force_min refuse a measure outside this range.
     """
+    _in_range(mu)
     if 2.0 < p < math.inf and diameter(mu) > 0.0:
         spare = GRAD_LOG2_MAX - math.log2(p * mu.total_mass)
         if (p - 1.0) * math.log2(diameter(mu)) > spare:
@@ -198,25 +204,25 @@ def _measure_from_json_dict(data: dict) -> DiscreteMeasure:
     try:
         dim = int(data["dim"])
         atoms = data["atoms"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"measure JSON needs 'dim' and 'atoms': {exc}") from exc
-    if not atoms:
-        raise ParseError("no atoms in JSON input")
-    coords = []
-    masses = []
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"measure JSON needs an integer 'dim' and 'atoms': {exc}") from exc
+    if not atoms or not isinstance(atoms, list) or not all(isinstance(a, dict) for a in atoms):
+        raise ParseError("measure JSON 'atoms' must be a nonempty list of {'x': [...], 'm': ...}")
+    coords, masses = [], []
     mass_seen = "m" in atoms[0]
     for idx, atom in enumerate(atoms):
         x = atom.get("x")
-        if x is None or len(x) != dim:
+        if not isinstance(x, list) or len(x) != dim:
             raise ParseError(f"atom {idx}: coordinate vector of length {dim} required")
         if ("m" in atom) != mass_seen:
             raise ParseError(f"atom {idx}: masses must be given for all atoms or none")
-        coords.append([float(c) for c in x])
-        if mass_seen:
-            m = float(atom["m"])
-            if not m > 0:
-                raise ParseError(f"atom {idx}: non-positive mass {m}")
-            masses.append(m)
+        try:
+            coords.append([float(c) for c in x])
+            masses.append(float(atom.get("m", 1.0)))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ParseError(f"atom {idx}: coordinates and mass must be numbers: {exc}") from exc
+        if not masses[-1] > 0:
+            raise ParseError(f"atom {idx}: non-positive mass {masses[-1]}")
     n = len(coords)
     mass_arr = np.array(masses) if mass_seen else np.full(n, 1.0 / n)
     return DiscreteMeasure(np.array(coords, dtype=float), mass_arr)

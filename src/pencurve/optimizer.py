@@ -28,16 +28,15 @@ from .energy import (
     StationarityReport,
     _entry_offsets,
     _fixed_plan_grad,
-    _majoriser_bands,
-    _plan_scatter,
     energy,
     fixed_plan_hessian,
+    fixed_plan_majoriser,
     fixed_plan_value_grad,
     stationarity_report,
     validate_params,
 )
 from .errors import ConfigError, NumericError
-from .measure import DiscreteMeasure, convex_hull_2d, diameter, tie_tolerance
+from .measure import DiscreteMeasure, convex_hull_2d, diameter, in_range_at, tie_tolerance
 from .projection import TransportPlan, build_plan
 
 INNER_MAX_STEPS = 10  # majorise-minimise steps per fixed-plan solve
@@ -70,6 +69,7 @@ class FitConfig:
 
     def resolved(self, mu: DiscreteMeasure) -> "FitConfig":
         validate_params(self.p, self.lam)
+        in_range_at(mu, self.p)
         n = mu.n_atoms
         m_max = self.m_max if self.m_max is not None else min(200, 10 * math.ceil(math.sqrt(n)))
         if self.m_init is None:
@@ -204,23 +204,21 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
     relative drop below TOL_ENERGY_REL, or when no trial decreases the
     objective, so the fixed-plan objective and hence the true energy cannot
     go up. A point is evaluated once: its trial's offsets and value, and
-    the pull its gradient builds, serve its next model too; the plan's
-    scatter indices are built once per solve.
+    the pull its gradient builds, serve its next model too.
     """
     V = np.array(c.vertices)
     X = mu.positions
     p, lam, eps = cfg.p, cfg.lam, tie_tolerance(diameter(mu))
-    scatter = _plan_scatter(plan, X, V.shape[0])
     off = _entry_offsets(V, plan, X)
     val, _ = fixed_plan_value_grad(V, plan, X, p, lam, eps, False, off)
     if not np.isfinite(val):
         raise NumericError("non-finite fixed-plan objective at start")
-    grad, release = _fixed_plan_grad(V, plan, p, lam, eps, off, scatter[0])
+    grad, release = _fixed_plan_grad(V, plan, p, lam, eps, off)
     for _ in range(INNER_MAX_STEPS):
         if float(np.max(axis_norms(grad))) <= cfg.tol_stationarity:
             break
-        minimiser = _solve_tridiagonal(*_majoriser_bands(V, plan, p, lam, eps, off, release,
-                                                         scatter))
+        minimiser = _solve_tridiagonal(*fixed_plan_majoriser(V, plan, X, p, lam, eps, off,
+                                                             release))
         if minimiser is None:
             break
         step = minimiser - V
@@ -235,7 +233,7 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
             break
         drop = val - cand_val
         V, val = W, cand_val
-        grad, release = _fixed_plan_grad(V, plan, p, lam, eps, off, scatter[0])
+        grad, release = _fixed_plan_grad(V, plan, p, lam, eps, off)
         if drop <= TOL_ENERGY_REL * abs(val):
             break
     return Polyline(merge_vertices(V, 0.0))
@@ -353,7 +351,7 @@ def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> 
         if float(np.max(axis_norms(grad))) <= cfg.tol_stationarity:
             break
         m, d = V.shape
-        H = fixed_plan_hessian(V, state.plan, X, p, lam, eps, off)
+        H = fixed_plan_hessian(V, state.plan, p, lam, eps, off)
         H[np.diag_indices(m * d)] += 1e-12 * np.trace(H) / (m * d)
         q = grad.reshape(-1).copy()  # L-BFGS two-loop recursion around H
         alphas = []

@@ -11,13 +11,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .curve import Polyline, merge_vertices
 from .energy import energy, validate_params
 from .errors import BudgetExceededError, ConfigError, PencurveError
-from .measure import DiscreteMeasure, diameter
+from .measure import DiscreteMeasure, diameter, in_range_at
 
 
 @dataclass(frozen=True)
@@ -54,19 +55,24 @@ def lipschitz_constant(mu: DiscreteMeasure, p: float, lam: float, m: int) -> flo
     return p * diameter(mu) ** (p - 1.0) * mu.total_mass + lam * m
 
 
-def _grid_axis(lo: float, hi: float, h: float) -> np.ndarray:
-    extent = hi - lo
-    if extent <= 0.0:
-        return np.array([lo])
-    n = max(2, math.ceil(extent / h - 1e-9) + 1)
-    return np.linspace(lo, hi, n)
+def _axis_counts(mu: DiscreteMeasure, h: float) -> list:
+    """Grid points per axis over the atoms' bounding box, at spacing at most h.
+
+    An axis of extent 0 has one point. The counts are exact integers, also
+    past the float range, so a search can be refused before its grid exists.
+    """
+    pos, counts = mu.positions, []
+    for lo, hi in zip(pos.min(axis=0).tolist(), pos.max(axis=0).tolist()):
+        steps = (hi - lo) / h - 1e-9
+        if steps == math.inf:
+            steps = Fraction(hi - lo) / Fraction(h)
+        counts.append(1 if hi - lo <= 0.0 else max(2, math.ceil(steps) + 1))
+    return counts
 
 
 def _grid_points(mu: DiscreteMeasure, h: float) -> np.ndarray:
-    lo = np.min(mu.positions, axis=0)
-    hi = np.max(mu.positions, axis=0)
-    xs = _grid_axis(lo[0], hi[0], h)
-    ys = _grid_axis(lo[1], hi[1], h)
+    lo, hi = np.min(mu.positions, axis=0), np.max(mu.positions, axis=0)
+    xs, ys = map(np.linspace, lo, hi, _axis_counts(mu, h))
     return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
@@ -184,8 +190,8 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     ocfg.validate()
     if mu.dim != 2:
         raise PencurveError("oracle supports d=2 only")
-    P = _grid_points(mu, ocfg.h)
-    G = P.shape[0]
+    in_range_at(mu, ocfg.p)
+    G = math.prod(_axis_counts(mu, ocfg.h))
     n = mu.n_atoms
     m = ocfg.m
     # work in pair-cost evaluations; rows_held: rows of G floats per cost array alive at once;
@@ -197,12 +203,14 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     subset_bytes = 16 * (m - 2) * 2**n * G if m > 2 else 0
     if work > ocfg.budget:
         raise BudgetExceededError(
-            f"oracle needs ~{_approx(work)} pair-cost evaluations over {G} grid points,"
+            f"oracle needs ~{_approx(work)} pair-cost evaluations over"
+            f" {G if G < 10**15 else '~' + _approx(G)} grid points,"
             f" ~{_approx(8 * (n + 1) * rows_held * G)} bytes of cost arrays and"
             f" ~{_approx(subset_bytes)} bytes of subset rows, budget is {ocfg.budget:.3g}",
             required=work,
         )
 
+    P = _grid_points(mu, ocfg.h)
     if m == 1:
         totals = np.zeros(G)
         for x, mass in zip(mu.positions, mu.masses):

@@ -20,9 +20,11 @@ class TransportPlan:
     """Atom-to-curve mass assignment in entry columns; first marginal is the measure.
 
     Entry k is atom k: it sends mass[k] to its target (1-t[k]) V[ia[k]] + t[k] V[ib[k]]
-    (vertex targets: ia == ib, t == 0), the atom's first nearest target
-    along the curve; dist[k] is d(x_k, curve), measured to the foot before
-    snapping. energy._entry_offsets gives each entry's offset to its target.
+    (vertex targets: ia == ib, t == 0; segment targets: ib == ia + 1), the
+    atom's first nearest target along the curve of n_vertices vertices;
+    dist[k] is d(x_k, curve), measured to the foot before snapping.
+    energy._entry_offsets gives each entry's offset to its target. The
+    views below decode that layout for every reader, once per plan.
     """
 
     mass: np.ndarray
@@ -30,6 +32,7 @@ class TransportPlan:
     ia: np.ndarray
     ib: np.ndarray
     t: np.ndarray
+    n_vertices: int
 
     @property
     def entries(self) -> range:
@@ -41,19 +44,39 @@ class TransportPlan:
         """Barycentric weights (1 - t, t) of every entry's target."""
         return 1.0 - self.t, self.t
 
+    @cached_property
+    def at_vertex(self) -> np.ndarray:
+        """Mask of the entries whose target is a vertex (ia == ib)."""
+        return self.ia == self.ib
+
+    @cached_property
+    def in_segment(self) -> np.ndarray:
+        """Mask of the entries whose target is inside segment ia (ib == ia + 1)."""
+        return ~self.at_vertex
+
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """The vertex of every entry end and segment end, in the order (ia, ib, k, k+1)."""
+        k = np.arange(self.n_vertices - 1)
+        return np.concatenate((self.ia, self.ib, k, k + 1))
+
+    @cached_property
+    def upper_ends(self) -> np.ndarray:
+        """Row i of the superdiagonal cell (i, i+1) of each segment target, then each segment."""
+        return np.concatenate((self.ia[self.in_segment], np.arange(self.n_vertices - 1)))
+
 
 @dataclass(frozen=True, eq=False)
 class VertexClassification:
     """Talking sets, built on first read: talking[j] lists the atoms with an entry at vertex j."""
 
     plan: TransportPlan
-    n_vertices: int
 
     @cached_property
     def talking(self) -> tuple:
-        ia, at_vertex = self.plan.ia, self.plan.ia == self.plan.ib
+        ia, at_vertex = self.plan.ia, self.plan.at_vertex
         return tuple(tuple(np.nonzero(at_vertex & (ia == j))[0].tolist())
-                     for j in range(self.n_vertices))
+                     for j in range(self.plan.n_vertices))
 
 
 def _snap_targets(c: Polyline, seg: np.ndarray, t: np.ndarray, snap: float):
@@ -134,5 +157,5 @@ def build_plan(mu: DiscreteMeasure, c: Polyline):
     else:
         dist, seg, t = _nearest_feet(X, c, EPS_PROJ * diam)
         cols = [dist, *_snap_targets(c, seg, t, tie_tolerance(diam))]
-    plan = TransportPlan(mu.masses, *cols)
-    return plan, VertexClassification(plan, m)
+    plan = TransportPlan(mu.masses, *cols, m)
+    return plan, VertexClassification(plan)

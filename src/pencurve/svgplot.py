@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from .curve import Polyline
+from .errors import DimensionMismatchError
 from .measure import DiscreteMeasure, convex_hull_2d
+
+SIZE = 640.0  # larger side of the drawing, in SVG user units
 
 
 def _fmt(x: float) -> str:
@@ -13,7 +16,7 @@ def _fmt(x: float) -> str:
 
 
 def render_svg(mu: DiscreteMeasure, curve: Polyline | None = None,
-               comment: str | None = None, size: float = 640.0) -> str:
+               comment: str | None = None) -> str:
     """SVG scene: atoms as area-proportional dots, hull dashed, curve solid.
 
     The viewBox is the hull bounding box padded by 5% of its larger side, so
@@ -22,7 +25,7 @@ def render_svg(mu: DiscreteMeasure, curve: Polyline | None = None,
     identical bytes.
     """
     if mu.dim != 2:
-        raise ValueError("SVG plotting needs d=2")
+        raise DimensionMismatchError("SVG plotting needs d=2")
     hull = convex_hull_2d(mu)
     lo = np.min(hull, axis=0)
     hi = np.max(hull, axis=0)
@@ -30,7 +33,7 @@ def render_svg(mu: DiscreteMeasure, curve: Polyline | None = None,
     lo = lo - pad
     hi = hi + pad
     w, h = hi - lo
-    scale = size / max(w, h)
+    scale = SIZE / max(w, h)
 
     def sx(x):
         return (x - lo[0]) * scale
@@ -57,7 +60,7 @@ def render_svg(mu: DiscreteMeasure, curve: Polyline | None = None,
                      'stroke-width="1" stroke-dasharray="6,4"/>')
 
     max_mass = float(np.max(mu.masses))
-    base_r = 0.012 * size
+    base_r = 0.012 * SIZE
     for x, m in zip(mu.positions, mu.masses):
         r = base_r * float(np.sqrt(m / max_mass))
         lines.append(f'<circle cx="{_fmt(sx(x[0]))}" cy="{_fmt(sy(x[1]))}" '
@@ -65,7 +68,7 @@ def render_svg(mu: DiscreteMeasure, curve: Polyline | None = None,
 
     if curve is not None:
         if curve.dim != 2:
-            raise ValueError("curve must be 2-D to plot")
+            raise DimensionMismatchError("curve must be 2-D to plot")
         pts = " ".join(f"{_fmt(sx(v[0]))},{_fmt(sy(v[1]))}" for v in curve.vertices)
         if curve.n_vertices > 1:
             lines.append(f'<polyline points="{pts}" fill="none" stroke="#d1351b" '

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -248,6 +249,30 @@ def test_oracle_refuses_a_search_past_the_float_range(tmp_path, capsys):
     assert not out.exists()
 
 
+def _address_space_3gb():
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+@pytest.mark.parametrize("h", ["0.001", "1e-300", "1e-310"])
+def test_oracle_refuses_a_huge_grid_before_building_it(tmp_path, h):
+    # three atoms spanning 1e6: about 1e18 grid points at h = 0.001, 1e612 at
+    # h = 1e-300, and axis counts past the float range at h = 1e-310; the refusal
+    # comes from the axis counts, and the child's address space is capped so
+    # that a grid built first fails fast instead
+    atoms = _write_csv(tmp_path / "atoms.csv", [(0.0, 0.0), (1e6, 0.0), (0.0, 1e6)])
+    out = tmp_path / "oracle.json"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
+           "OPENBLAS_NUM_THREADS": "1"}
+    run = subprocess.run([sys.executable, "-m", "pencurve.cli", "oracle", str(atoms), "--m", "2",
+                          "--h", h, "--p", "2", "--lambda", "0.1", "--out", str(out)],
+                         capture_output=True, text=True, env=env, timeout=120,
+                         preexec_fn=_address_space_3gb)
+    assert run.returncode == 3
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: oracle needs ~")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("budget", ["nan", "0", "-1"])
 def test_oracle_rejects_a_budget_that_is_not_positive(two_atoms_csv, tmp_path, budget):
     out = tmp_path / "oracle.json"
@@ -275,3 +300,36 @@ def test_conjecture_exit_codes(tmp_path):
     assert rc == 0
     data = json.loads(out.read_text())
     assert "candidates" in data and "manifest" in data
+
+
+GOOD_MEASURE = b'{"dim": 2, "atoms": [{"x": [0, 0]}, {"x": [1, 0]}]}'
+GOOD_CURVE = b'{"dim": 2, "vertices": [[0, 0], [1, 0]]}'
+
+
+@pytest.mark.parametrize("command,measure,curve", [
+    ("check", b'{"dim": 2, "atoms": [{"x": [0, 0], "m": "abc"}]}', GOOD_CURVE),
+    ("check", b'{"dim": 2, "atoms": [{"x": 5}]}', GOOD_CURVE),
+    ("check", b'{"dim": 2, "atoms": [{"x": ["a", 0]}]}', GOOD_CURVE),
+    ("check", b'{"dim": "two", "atoms": [{"x": [0, 0]}]}', GOOD_CURVE),
+    ("check", b'{"dim": 2, "atoms": [[0, 0], [1, 1]]}', GOOD_CURVE),
+    ("check", b'{"dim": 2, "atoms": 5}', GOOD_CURVE),
+    ("check", b'{"dim": 2, "atoms": [{"x": [0, 0]}, {"x": [1, 0]}]}\xff', GOOD_CURVE),
+    ("check", GOOD_MEASURE, GOOD_CURVE + b"\xff"),
+    ("check", GOOD_MEASURE, b"not json"),
+    ("check", GOOD_MEASURE, b'{"dim": 2, "vertices": [[1' + b"0" * 400 + b', 0], [1, 0]]}'),
+    ("plot", GOOD_MEASURE, b'{"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0]]}'),
+], ids=["mass-text", "x-number", "x-text", "dim-text", "atoms-lists",
+        "atoms-number", "measure-not-utf8", "curve-not-utf8", "curve-not-json",
+        "curve-overflow", "plot-3d-curve"])
+def test_malformed_input_files_exit_two_with_one_line(tmp_path, capsys, command, measure, curve):
+    (tmp_path / "mu.json").write_bytes(measure)
+    (tmp_path / "curve.json").write_bytes(curve)
+    argv = [command, str(tmp_path / "mu.json"), "--out", str(tmp_path / "out")]
+    if command == "check":
+        argv += [str(tmp_path / "curve.json"), "--p", "2", "--lambda", "0.1"]
+    else:
+        argv += ["--curve", str(tmp_path / "curve.json")]
+    assert cli.main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (tmp_path / "out").exists()

@@ -55,7 +55,7 @@ def test_tv_examples_and_additivity():
 
 
 def test_self_intersections_figure_eight():
-    hits = self_intersections_2d(P((0, 0), (1, 1), (1, 0), (0, 1)))
+    hits = self_intersections_2d(P((0, 0), (1, 1), (1, 0), (0, 1)), 1e-12)
     assert len(hits) == 1
     h = hits[0]
     assert (h.seg_a, h.seg_b) == (0, 2)
@@ -66,11 +66,11 @@ def test_self_intersections_figure_eight():
 def test_self_intersections_convex_arc_empty():
     th = np.linspace(0, np.pi, 10)
     arc = Polyline(np.stack([np.cos(th), np.sin(th)], axis=1))
-    assert self_intersections_2d(arc) == []
+    assert self_intersections_2d(arc, 1e-12) == []
 
 
 def test_self_intersections_revisited_vertex_contact():
-    hits = self_intersections_2d(P((0, 0), (1, 0), (1, 1), (0, 0)))
+    hits = self_intersections_2d(P((0, 0), (1, 0), (1, 1), (0, 0)), 1e-12)
     assert len(hits) == 1
     assert hits[0].kind == "contact"
     assert np.allclose(hits[0].point, [0.0, 0.0])

@@ -20,7 +20,7 @@ from pencurve.measure import (
     synth_measure,
 )
 from pencurve.optimizer import FitConfig, fit
-from pencurve.oracle import OracleConfig, certify_fit
+from pencurve.oracle import OracleConfig, brute_force_min, certify_fit
 
 measure_mod = importlib.import_module("pencurve.measure")
 
@@ -122,6 +122,21 @@ def test_measure_rejects_bad_atoms():
         DiscreteMeasure(np.zeros((1, 1)), np.ones(1))  # d=1
     with pytest.raises(PencurveError):
         DiscreteMeasure(np.zeros((2, 2)), np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("scale,p", [(1e150, 3.0), (1e200, 3.0), (1e200, 2.0)])
+def test_library_refuses_measures_outside_the_range(scale, p):
+    # the range rule of the CLI, applied by the library: past it fit and
+    # full_report overflowed and brute_force_min ran out of array size
+    base = synth_measure("noisy_circle", 300, seed=0)
+    mu = DiscreteMeasure(scale * base.positions, base.masses)
+    curve = Polyline(np.array([[0.2, 0.5], [0.8, 0.5]]))  # refused before it is read
+    calls = (lambda: fit(mu, FitConfig(p=p, lam=0.05)),
+             lambda: full_report(mu, curve, p, 0.05),
+             lambda: brute_force_min(mu, OracleConfig(m=2, h=0.05 * scale, p=p, lam=0.05)))
+    for call in calls:
+        with pytest.raises(PencurveError, match="out of the supported range"):
+            call()
 
 
 def test_diameter_examples():

@@ -11,7 +11,7 @@ import pytest
 from pencurve.curve import Polyline, merge_vertices
 from pencurve.diagnostics import singleton_best_energy
 from pencurve import optimizer
-from pencurve.energy import (_entry_offsets, energy, fixed_plan_majoriser,
+from pencurve.energy import (_entry_offsets, _fixed_plan_grad, energy, fixed_plan_majoriser,
                              fixed_plan_value_grad, stationarity_report)
 from pencurve.errors import ConfigError
 from pencurve.measure import DiscreteMeasure, diameter, synth_measure, tie_tolerance
@@ -129,7 +129,8 @@ def test_majorise_minimise_step_never_raises_objective(p):
         V, X, eps = np.array(c.vertices), mu.positions, tie_tolerance(diameter(mu))
         assert np.all(plan.dist > eps) and np.all(c.segment_lengths > eps)  # nothing clamped
         before, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps)
-        diag, upper, B = fixed_plan_majoriser(V, plan, X, p, lam, eps)
+        diag, upper, B = fixed_plan_majoriser(V, plan, X, p, lam, eps, _entry_offsets(V, plan, X),
+                                              None)
         AV = diag[:, None] * V
         AV[:-1] += upper[:, None] * V[1:]
         AV[1:] += upper[:, None] * V[:-1]
@@ -210,8 +211,8 @@ def reference_fixed_plan_solve(mu, c, plan, cfg, halvings):
     """The majorise-minimise loop that evaluates each accepted point twice.
 
     Its value and gradient come from fixed_plan_value_grad and its model
-    from fixed_plan_majoriser, which rebuilds the point's pull at a p = 1
-    tie; appends the halvings of each step to `halvings`.
+    from fixed_plan_majoriser, with the release mask of a second gradient
+    at the point; appends the halvings of each step to `halvings`.
     """
     V = np.array(c.vertices)
     X = mu.positions
@@ -221,8 +222,9 @@ def reference_fixed_plan_solve(mu, c, plan, cfg, halvings):
     for _ in range(optimizer.INNER_MAX_STEPS):
         if float(np.max(np.linalg.norm(grad, axis=1))) <= cfg.tol_stationarity:
             break
+        release = _fixed_plan_grad(V, plan, p, lam, eps, off)[1]
         minimiser = optimizer._solve_tridiagonal(*fixed_plan_majoriser(V, plan, X, p, lam, eps,
-                                                                       off))
+                                                                       off, release))
         if minimiser is None:
             break
         step = minimiser - V
