@@ -10,7 +10,6 @@ for validating a fit and for flagging hand-made curves as improvable.
 import numpy as np
 
 from pencurve import FitConfig, Polyline, fit, full_report
-from pencurve.curve import length
 from pencurve.diagnostics import convex_clip
 from pencurve.measure import convex_hull_2d, synth_measure
 
@@ -30,5 +29,5 @@ print("\n== projecting onto the hull never lengthens a curve ==")
 hull = convex_hull_2d(mu)
 wandering = Polyline(np.array([[0.2, 0.0], [1.4, 0.4], [0.5, -0.6], [0.9, 0.1]]))
 clipped = convex_clip(wandering, hull)
-print(f"original length {length(wandering):.4f} -> clipped {length(clipped):.4f}")
-assert length(clipped) <= length(wandering)
+print(f"original length {wandering.total_length:.4f} -> clipped {clipped.total_length:.4f}")
+assert clipped.total_length <= wandering.total_length

@@ -2,14 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .curve import (
-    Polyline,
-    length,
-    merge_vertices,
-    self_intersections_2d,
-    turning_angles,
-    tv_gamma_prime,
-)
+from .curve import Polyline, merge_vertices, self_intersections_2d
 from .diagnostics import (
     TheoryReport,
     check_hull_containment,

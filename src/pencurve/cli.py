@@ -228,6 +228,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return BUDGET_ERR
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return BUDGET_ERR
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERR

@@ -60,7 +60,23 @@ class Polyline:
 
     @cached_property
     def total_length(self) -> float:
+        """L; 0 iff the curve is a single vertex."""
         return float(self.cumulative_lengths[-1])
+
+    @cached_property
+    def unit_tangents(self) -> np.ndarray:
+        return self.segment_vectors / self.segment_lengths[:, None]
+
+    @cached_property
+    def turning_angles(self) -> np.ndarray:
+        """Exterior angle in [0, pi] at each interior vertex (length max(m-2, 0)).
+
+        Unit tangents a, b meet at 2 atan2(|a - b|, |a + b|), which stays
+        accurate near 0 and near pi.
+        """
+        a, b = self.unit_tangents[:-1], self.unit_tangents[1:]
+        return np.array([2.0 * math.atan2(y, x)
+                         for y, x in zip(axis_norms(a - b).tolist(), axis_norms(a + b).tolist())])
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "vertices": [[float(c) for c in v] for v in self.vertices]}
@@ -77,45 +93,9 @@ class Polyline:
         return Polyline(verts)
 
 
-def length(c: Polyline) -> float:
-    """Total arc length; 0 iff the curve is a single vertex."""
-    return c.total_length
-
-
 def axis_norms(x: np.ndarray) -> np.ndarray:
-    """Row norms of a 2-D array: np.linalg.norm(x, axis=1)'s own sum, without its checks."""
+    """Row norms of a 2-D array, squares added in coordinate order: the one length rule."""
     return np.sqrt(np.add.reduce(x * x, axis=1))
-
-
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row, rounded as np.linalg.norm rounds that row alone.
-
-    Each row's dot product is taken as a matmul, which shares the 1-D
-    norm's dot; an axis norm sums the squares another way and can differ
-    in the last bit.
-    """
-    x = np.ascontiguousarray(x)
-    return np.sqrt((x[:, None, :] @ x[:, :, None])[:, 0, 0])
-
-
-def turning_angles(c: Polyline) -> np.ndarray:
-    """Exterior angle in [0, pi] at each interior vertex (length max(m-2, 0)).
-
-    Unit tangents a, b meet at 2 atan2(|a - b|, |a + b|), which stays
-    accurate near 0 and near pi.
-    """
-    if c.n_vertices < 3:
-        return np.zeros(0)
-    seg = c.segment_vectors
-    unit = seg / row_norms(seg)[:, None]
-    a, b = unit[:-1], unit[1:]
-    return np.array([2.0 * math.atan2(y, x)
-                     for y, x in zip(row_norms(a - b).tolist(), row_norms(a + b).tolist())])
-
-
-def tv_gamma_prime(c: Polyline) -> float:
-    """Total variation of the unit tangent: sum of turning angles."""
-    return float(np.sum(turning_angles(c)))
 
 
 @dataclass(frozen=True)
@@ -128,13 +108,14 @@ class Intersection:
     kind: str  # "crossing" (transversal) or "contact" (touch within eps)
 
 
-def point_segment_foot(x, a, b):
-    """(distance, foot): the point of segment [a, b] nearest to x and its distance."""
+def point_segment_foot(X: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """(distances, feet) of the rows of X to segment [a, b]; dots add coordinates in order."""
     ab = b - a
-    denom = float(np.dot(ab, ab))
-    t = 0.0 if denom == 0.0 else float(np.clip(np.dot(x - a, ab) / denom, 0.0, 1.0))
-    foot = a + t * ab
-    return float(np.linalg.norm(x - foot)), foot
+    denom = np.add.reduce(ab * ab)
+    t = np.add.reduce((X - a) * ab, axis=1)
+    t = np.clip(np.divide(t, denom, out=np.zeros_like(t), where=denom != 0.0), 0.0, 1.0)
+    feet = a + t[:, None] * ab
+    return axis_norms(X - feet), feet
 
 
 def self_intersections_2d(c: Polyline, eps: float) -> list[Intersection]:
@@ -174,13 +155,12 @@ def self_intersections_2d(c: Polyline, eps: float) -> list[Intersection]:
                 t = ((q1 - p1)[0] * s[1] - (q1 - p1)[1] * s[0]) / denom
                 found.append(Intersection(i, j, p1 + t * r, "crossing"))
                 continue
-            best = None
-            for x, a, b in ((p1, q1, q2), (p2, q1, q2), (q1, p1, p2), (q2, p1, p2)):
-                d, foot = point_segment_foot(x, a, b)
-                if best is None or d < best[0]:
-                    best = (d, 0.5 * (x + foot))
-            if best[0] <= eps:
-                found.append(Intersection(i, j, best[1], "contact"))
+            ends = v[[i, i + 1, j, j + 1]]  # p1, p2, q1, q2: argmin keeps the first minimum
+            d, feet = zip(point_segment_foot(ends[:2], q1, q2), point_segment_foot(ends[2:], p1, p2))
+            d, feet = np.concatenate(d), np.concatenate(feet)
+            k = int(np.argmin(d))
+            if d[k] <= eps:
+                found.append(Intersection(i, j, 0.5 * (ends[k] + feet[k]), "contact"))
     return found
 
 
@@ -195,7 +175,7 @@ def merge_vertices(verts: np.ndarray, eps: float) -> np.ndarray:
         raise PencurveError("eps must be >= 0")
     verts = np.array(verts, dtype=float)
     while len(verts) > 1:
-        close = row_norms(verts[1:] - verts[:-1]) <= eps
+        close = axis_norms(verts[1:] - verts[:-1]) <= eps
         if not close.any():
             break
         idx = np.arange(len(close))

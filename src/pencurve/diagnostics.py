@@ -12,14 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import (
-    Polyline,
-    length,
-    point_segment_foot,
-    self_intersections_2d,
-    turning_angles,
-    tv_gamma_prime,
-)
+from .curve import Polyline, axis_norms, merge_vertices, point_segment_foot, self_intersections_2d
 from .energy import _entry_offsets, validate_params
 from .errors import PencurveError
 from .measure import DiscreteMeasure, convex_hull_2d, diameter, in_range_at, tie_tolerance
@@ -93,35 +86,32 @@ def hull_edge_violations(points: np.ndarray, hull: np.ndarray) -> np.ndarray:
     (point, segment) fall back to the plain distance.
     """
     pts = np.atleast_2d(points)
-    k = hull.shape[0]
-    if k == 1:
-        return np.linalg.norm(pts - hull[0], axis=1)
-    if k == 2:
-        return np.array([point_segment_foot(x, hull[0], hull[1])[0] for x in pts])
+    if len(hull) < 3:
+        return point_segment_foot(pts, hull[0], hull[-1])[0]
+    edges = np.roll(hull, -1, axis=0) - hull
+    normals = np.stack((edges[:, 1], -edges[:, 0]), axis=1) / axis_norms(edges)[:, None]
     out = np.full(pts.shape[0], -np.inf)
-    for i in range(k):
-        a, b = hull[i], hull[(i + 1) % k]
-        edge = b - a
-        n = np.array([edge[1], -edge[0]]) / np.linalg.norm(edge)  # outward for CCW
-        out = np.maximum(out, (pts - a) @ n)
+    for a, (n0, n1) in zip(hull, normals.tolist()):  # outward normals of the CCW edges
+        rel = pts - a
+        out = np.maximum(out, rel[:, 0] * n0 + rel[:, 1] * n1)
     return out
 
 
-def project_to_hull(x: np.ndarray, hull: np.ndarray) -> np.ndarray:
-    """Nearest point of the (possibly degenerate) convex polygon."""
+def project_to_hull(X: np.ndarray, hull: np.ndarray) -> np.ndarray:
+    """Nearest point of the (possibly degenerate) convex polygon to each row of X."""
     k = hull.shape[0]
     if k == 1:
-        return hull[0].copy()
+        return np.repeat(hull, len(X), axis=0)
+    dist, out = point_segment_foot(X, hull[0], hull[1])
     if k == 2:
-        return point_segment_foot(x, hull[0], hull[1])[1]
-    if np.max(hull_edge_violations(x, hull)) <= 0.0:
-        return np.asarray(x, dtype=float).copy()
-    best, best_d = None, np.inf
-    for i in range(k):
-        d, cand = point_segment_foot(x, hull[i], hull[(i + 1) % k])
-        if d < best_d:
-            best, best_d = cand, d
-    return best
+        return out
+    for i in range(1, k):  # the first nearest edge
+        d, feet = point_segment_foot(X, hull[i], hull[(i + 1) % k])
+        closer = d < dist
+        dist[closer], out[closer] = d[closer], feet[closer]
+    inside = hull_edge_violations(X, hull) <= 0.0
+    out[inside] = X[inside]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +243,7 @@ def singleton_best_energy(mu: DiscreteMeasure, p: float) -> float:
 def check_length_bound(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -> TheoryCheck:
     """lambda * L(curve) must not exceed the best singleton competitor's energy."""
     bound = singleton_best_energy(mu, p)
-    observed = lam * length(c)
+    observed = lam * c.total_length
     tol = 1e-9 * bound
     raw = diameter(mu) ** p * mu.total_mass
     return TheoryCheck(
@@ -286,20 +276,14 @@ def convex_clip(c: Polyline, hull: np.ndarray) -> Polyline:
     if c.dim != 2:
         raise PencurveError("convex_clip is 2-D only")
     hull = np.asarray(hull, dtype=float)
+    V = c.vertices
     if c.n_vertices == 1:
-        return Polyline(project_to_hull(c.vertices[0], hull)[None, :])
-    pts: list[np.ndarray] = []
-    for a, b in zip(c.vertices[:-1], c.vertices[1:]):
-        ts = {0.0, 1.0}
-        for t in _hull_transition_params(a, b, hull):
-            ts.add(t)
-        for t in sorted(ts):
-            q = project_to_hull(a + t * (b - a), hull)
-            if not pts or np.linalg.norm(q - pts[-1]) > 0.0:
-                pts.append(q)
-    if not pts:  # every projection collapsed to one point
-        pts = [project_to_hull(c.vertices[0], hull)]
-    return Polyline(np.array(pts))
+        return Polyline(project_to_hull(V, hull))
+    pts = []
+    for a, b in zip(V[:-1], V[1:]):
+        t = np.array(sorted({0.0, 1.0, *_hull_transition_params(a, b, hull)}))
+        pts.append(project_to_hull(a + t[:, None] * (b - a), hull))
+    return Polyline(merge_vertices(np.concatenate(pts), 0.0))  # repeats of a point dropped
 
 
 def _hull_transition_params(a: np.ndarray, b: np.ndarray, hull: np.ndarray) -> list[float]:
@@ -341,7 +325,7 @@ def _hull_transition_params(a: np.ndarray, b: np.ndarray, hull: np.ndarray) -> l
 def check_tv_bound(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -> TheoryCheck:
     """Total turning of the curve against the global mass/diameter bound."""
     bound = (p / lam) * diameter(mu) ** (p - 1.0) * mu.total_mass
-    observed = tv_gamma_prime(c)
+    observed = float(np.sum(c.turning_angles))
     return TheoryCheck("tv_global", observed <= bound + ANGLE_TOL, bound, observed, ANGLE_TOL)
 
 
@@ -368,8 +352,7 @@ def check_local_tv(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
     if m < 3:
         return TheoryCheck("tv_local", True, None, 0.0, ANGLE_TOL, "no interior vertex")
     coef = (p / lam) * diameter(mu) ** (p - 1.0)
-    angles = turning_angles(c)
-    pa = np.concatenate([[0.0], np.cumsum(angles)])  # pa[j] = angles of vertices 1..j
+    pa = np.concatenate([[0.0], np.cumsum(c.turning_angles)])  # pa[j] = angles of vertices 1..j
     pv, ps = _window_mass_prefixes(plan, m)
     worst = (-np.inf, None)  # (violation, window)
     for a in range(m - 2):
@@ -395,7 +378,7 @@ def _entry_sides(mu: DiscreteMeasure, c: Polyline, plan: TransportPlan, eps_side
     segment or both segments at a vertex; ambiguous entries count on both
     sides, which can only loosen the resulting bound.
     """
-    seg_unit = c.segment_vectors / c.segment_lengths[:, None]
+    seg_unit = c.unit_tangents
     ia = plan.ia
     off = _entry_offsets(c.vertices, plan, mu.positions)[2]
     c1, c2 = (seg_unit[k][:, 0] * off[:, 1] - seg_unit[k][:, 1] * off[:, 0]
@@ -434,8 +417,7 @@ def turn_direction_sweep(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
     key = key[order]
     sides = [(np.where(side, plan.mass, 0.0)[order], np.where(side, plan.dist, 0.0)[order])
              for side in _entry_sides(mu, c, plan, tie_tolerance(diameter(mu)))]
-    angles = turning_angles(c)
-    seg_unit = c.segment_vectors / c.segment_lengths[:, None]
+    angles, seg_unit = c.turning_angles, c.unit_tangents
     coef = p / lam
     worst = (-np.inf, None)
     checked = 0
@@ -481,11 +463,10 @@ def check_injectivity(c: Polyline, mu: DiscreteMeasure, p: float) -> TheoryCheck
     if not hits:
         return TheoryCheck("injectivity", True, 0.0, 0.0, eps, "no double points")
     details = []
-    seg_unit = c.segment_vectors / c.segment_lengths[:, None]
     for h in hits[:8]:
-        ta, tb = seg_unit[h.seg_a], seg_unit[h.seg_b]
+        ta, tb = c.unit_tangents[h.seg_a], c.unit_tangents[h.seg_b]
         cross = abs(ta[0] * tb[1] - ta[1] * tb[0])
-        dot = float(np.dot(ta, tb))
+        dot = ta[0] * tb[0] + ta[1] * tb[1]
         align = "parallel" if cross <= 1e-6 and dot > 0 else (
             "antiparallel" if cross <= 1e-6 else "transversal")
         details.append(

@@ -104,8 +104,7 @@ def _first_variation(V: np.ndarray, plan: TransportPlan, wa: np.ndarray, wb: np.
     m = V.shape[0]
     seg = V[1:] - V[:-1]
     seg_len = axis_norms(seg)
-    unit = seg / np.maximum(seg_len, 1e-300)[:, None]
-    unit[seg_len == 0.0] = 0.0
+    unit = np.divide(seg, seg_len[:, None], out=np.zeros_like(seg), where=seg_len[:, None] > 0.0)
     cols = []
     for q in range(V.shape[1]):
         g_y, tangent = -kern * diff[:, q], lam * unit[:, q]

@@ -310,7 +310,7 @@ def _deep_interior(pos: np.ndarray) -> np.ndarray:
     if len(ring) < 3:  # collinear or coincident rows: no interior
         return np.zeros(len(pos), dtype=bool)
     deep = np.ones(len(pos), dtype=bool)
-    margin = 2.0**-30 * float(np.max(np.ptp(pos, axis=0))) ** 2
+    margin = 2.0**-30 * max(float(np.ptp(col)) for col in pos.T) ** 2
     ox, oy = pos[ring[0]].tolist()
     x, y = x - ox, y - oy
     corners = (pos[ring] - pos[ring[0]]).tolist()

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .curve import Polyline, axis_norms, merge_vertices, self_intersections_2d, turning_angles
+from .curve import Polyline, axis_norms, merge_vertices, self_intersections_2d
 # full_report is unused here but stays bound: bench/worker.py traces optimizer.full_report
 from .diagnostics import full_report, project_to_hull  # noqa: F401
 from .energy import (
@@ -162,7 +162,7 @@ def init_curve(mu: DiscreteMeasure, cfg: FitConfig, restart: int = 0) -> Polylin
         verts = verts + coeffs @ evecs.T
         if mu.dim == 2:
             hull = convex_hull_2d(mu)
-            verts = np.array([project_to_hull(v, hull) for v in verts])
+            verts = project_to_hull(verts, hull)
     return Polyline(merge_vertices(verts, 0.0))
 
 
@@ -345,7 +345,7 @@ def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> 
     X, p, lam, eps = mu.positions, cfg.p, cfg.lam, tie_tolerance(diameter(mu))
     V = state.curve.vertices
     off = _entry_offsets(V, state.plan, X)  # shared by the gradient and the Hessian at V
-    _, grad = fixed_plan_value_grad(V, state.plan, X, p, lam, eps, True, off)
+    grad = _fixed_plan_grad(V, state.plan, p, lam, eps, off)[0]
     pairs = []
     for _ in range(FINISH_MAX_STEPS):
         if float(np.max(axis_norms(grad))) <= cfg.tol_stationarity:
@@ -377,7 +377,7 @@ def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> 
             break
         W = trial.curve.vertices
         off = _entry_offsets(W, trial.plan, X)
-        _, trial_grad = fixed_plan_value_grad(W, trial.plan, X, p, lam, eps, True, off)
+        trial_grad = _fixed_plan_grad(W, trial.plan, p, lam, eps, off)[0]
         if W.shape != V.shape:
             pairs = []
         else:
@@ -402,7 +402,7 @@ def _finalize(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> _State:
     merged = merge_vertices(state.curve.vertices, 1e-6 * diameter(mu))
     if len(merged) < state.curve.n_vertices:
         state = _gate(_evaluate(mu, merged, cfg), state)
-    straight = np.nonzero(turning_angles(state.curve) <= 1e-9)[0] + 1
+    straight = np.nonzero(state.curve.turning_angles <= 1e-9)[0] + 1
     if straight.size:
         cand = np.delete(state.curve.vertices, straight, axis=0)
         state = _gate(_evaluate(mu, cand, cfg), state)

@@ -70,10 +70,14 @@ def _axis_counts(mu: DiscreteMeasure, h: float) -> list:
     return counts
 
 
-def _grid_points(mu: DiscreteMeasure, h: float) -> np.ndarray:
+def _grid_axes(mu: DiscreteMeasure, h: float) -> list:
     lo, hi = np.min(mu.positions, axis=0), np.max(mu.positions, axis=0)
-    xs, ys = map(np.linspace, lo, hi, _axis_counts(mu, h))
-    return np.stack(np.meshgrid(xs, ys, indexing="ij"), axis=-1).reshape(-1, 2)
+    return list(map(np.linspace, lo, hi, _axis_counts(mu, h)))
+
+
+def _grid_points(mu: DiscreteMeasure, h: float) -> np.ndarray:
+    """The grid as (G, 2) rows, x major: row i * len(ys) + j is (xs[i], ys[j])."""
+    return np.stack(np.meshgrid(*_grid_axes(mu, h), indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 PAIR_BLOCK = 1 << 16  # grid-point pairs per block of the pair kernel
@@ -184,8 +188,11 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     does: m - 2 passes of _extend grow the prefixes, and by that symmetry
     the last segment, serving the atoms not in T from grid point c, costs
     F[~T][c] with F the first pass. This equals the naive enumeration of
-    all G^m tuples at a fraction of the cost. Returns (curve, energy); the
-    true continuous optimum is at least energy - lipschitz_constant(...) * h.
+    all G^m tuples at a fraction of the cost. At m = 1 the grid is scored
+    in blocks of PAIR_BLOCK points, each point's total alone, and the first
+    minimum in grid order wins. A grid that numpy cannot index is refused
+    whatever the budget. Returns (curve, energy); the true continuous
+    optimum is at least energy - lipschitz_constant(...) * h.
     """
     ocfg.validate()
     if mu.dim != 2:
@@ -194,29 +201,39 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     G = math.prod(_axis_counts(mu, ocfg.h))
     n = mu.n_atoms
     m = ocfg.m
-    # work in pair-cost evaluations; rows_held: rows of G floats per cost array alive at once;
+    # work in pair-cost evaluations; held: floats per cost array alive at once;
     # from m = 3 on, each pass also keeps 2^n x G subset rows of floats and of back-pointers
     if m == 1:
-        work, rows_held = n * G, 1
+        work, held = n * G, min(G, PAIR_BLOCK)
     else:
-        work, rows_held = (n + (m - 1) ** (n + 1)) * G * G, min(G, max(1, PAIR_BLOCK // G))
+        work, held = (n + (m - 1) ** (n + 1)) * G * G, min(G, max(1, PAIR_BLOCK // G)) * G
     subset_bytes = 16 * (m - 2) * 2**n * G if m > 2 else 0
-    if work > ocfg.budget:
+    unindexable = G > np.iinfo(np.intp).max
+    if work > ocfg.budget or unindexable:
         raise BudgetExceededError(
             f"oracle needs ~{_approx(work)} pair-cost evaluations over"
             f" {G if G < 10**15 else '~' + _approx(G)} grid points,"
-            f" ~{_approx(8 * (n + 1) * rows_held * G)} bytes of cost arrays and"
-            f" ~{_approx(subset_bytes)} bytes of subset rows, budget is {ocfg.budget:.3g}",
+            f" ~{_approx(8 * (n + 1) * held)} bytes of cost arrays and"
+            f" ~{_approx(subset_bytes)} bytes of subset rows, budget is {ocfg.budget:.3g}"
+            + ("; the grid is past numpy's index range" if unindexable else ""),
             required=work,
         )
 
-    P = _grid_points(mu, ocfg.h)
     if m == 1:
-        totals = np.zeros(G)
-        for x, mass in zip(mu.positions, mu.masses):
-            totals += mass * np.linalg.norm(x - P, axis=-1) ** ocfg.p
-        k = int(np.argmin(totals))
-        return Polyline(P[k][None, :]), float(totals[k])
+        xs, ys = _grid_axes(mu, ocfg.h)
+        for start in range(0, G, PAIR_BLOCK):
+            i, j = np.divmod(np.arange(start, min(start + PAIR_BLOCK, G)), len(ys))
+            gx, gy = xs[i], ys[j]
+            totals = np.zeros(len(i))
+            for (x0, x1), mass in zip(mu.positions, mu.masses):
+                dx, dy = x0 - gx, x1 - gy
+                totals += mass * np.sqrt(dx * dx + dy * dy) ** ocfg.p
+            k = int(np.argmin(totals))
+            if start == 0 or totals[k] < best_energy:  # a running first-index minimum
+                best_energy, best = float(totals[k]), (gx[k], gy[k])
+        return Polyline(np.array([best])), best_energy
+
+    P = _grid_points(mu, ocfg.h)
 
     if m == 2:
         best_energy, best_tuple = np.inf, (0, 0)  # running first-index minimum

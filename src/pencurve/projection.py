@@ -7,7 +7,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .curve import Polyline, row_norms
+from .curve import Polyline, axis_norms
 from .errors import DimensionMismatchError
 from .measure import DiscreteMeasure, diameter, tie_tolerance
 
@@ -153,7 +153,7 @@ def build_plan(mu: DiscreteMeasure, c: Polyline):
     m = c.n_vertices
     if m == 1:
         zero = np.zeros(n, dtype=np.int64)
-        cols = [row_norms(X - c.vertices[0]), zero, zero, np.zeros(n)]
+        cols = [axis_norms(X - c.vertices[0]), zero, zero, np.zeros(n)]
     else:
         dist, seg, t = _nearest_feet(X, c, EPS_PROJ * diam)
         cols = [dist, *_snap_targets(c, seg, t, tie_tolerance(diam))]

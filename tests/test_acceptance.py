@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from pencurve.curve import Polyline, length
+from pencurve.curve import Polyline
 from pencurve.diagnostics import convex_clip, full_report
 from pencurve.energy import energy, gradient
 from pencurve.measure import DiscreteMeasure, convex_hull_2d, diameter, synth_measure
@@ -156,7 +156,7 @@ def test_criterion_6_convex_clip_never_longer():
         hull = convex_hull_2d(DiscreteMeasure(pts, np.ones(len(pts))))
         c = Polyline(rng.uniform(-0.8, 1.8, (int(rng.integers(2, 8)), 2)))
         clipped = convex_clip(c, hull)
-        assert length(clipped) <= length(c) * (1 + 1e-12) + 1e-15, f"trial {trial}"
+        assert clipped.total_length <= c.total_length * (1 + 1e-12) + 1e-15, f"trial {trial}"
     print("ACCEPTANCE 6 convex clip length inequality: PASS (200 trials, 0 violations)")
 
 

@@ -253,18 +253,22 @@ def _address_space_3gb():
     resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
 
 
-@pytest.mark.parametrize("h", ["0.001", "1e-300", "1e-310"])
-def test_oracle_refuses_a_huge_grid_before_building_it(tmp_path, h):
+@pytest.mark.parametrize("h, budget", [("0.001", "1e9"), ("1e-300", "1e9"), ("1e-310", "1e9"),
+                                       ("1e-300", "inf")],
+                         ids=["0.001", "1e-300", "1e-310", "1e-300-budget-inf"])
+def test_oracle_refuses_a_huge_grid_before_building_it(tmp_path, h, budget):
     # three atoms spanning 1e6: about 1e18 grid points at h = 0.001, 1e612 at
     # h = 1e-300, and axis counts past the float range at h = 1e-310; the refusal
     # comes from the axis counts, and the child's address space is capped so
-    # that a grid built first fails fast instead
+    # that a grid built first fails fast instead; an infinite budget still
+    # refuses a grid that numpy cannot index
     atoms = _write_csv(tmp_path / "atoms.csv", [(0.0, 0.0), (1e6, 0.0), (0.0, 1e6)])
     out = tmp_path / "oracle.json"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"),
            "OPENBLAS_NUM_THREADS": "1"}
     run = subprocess.run([sys.executable, "-m", "pencurve.cli", "oracle", str(atoms), "--m", "2",
-                          "--h", h, "--p", "2", "--lambda", "0.1", "--out", str(out)],
+                          "--h", h, "--p", "2", "--lambda", "0.1", "--budget", budget,
+                          "--out", str(out)],
                          capture_output=True, text=True, env=env, timeout=120,
                          preexec_fn=_address_space_3gb)
     assert run.returncode == 3
@@ -272,6 +276,19 @@ def test_oracle_refuses_a_huge_grid_before_building_it(tmp_path, h):
     assert len(lines) == 1 and lines[0].startswith("error: oracle needs ~")
     assert not out.exists()
 
+
+def test_out_of_memory_is_a_resource_refusal(two_atoms_csv, tmp_path, monkeypatch, capsys):
+    def exhausted(mu, ocfg):
+        raise MemoryError("Unable to allocate 1.49 GiB for an array")
+
+    monkeypatch.setattr(cli, "brute_force_min", exhausted)
+    out = tmp_path / "oracle.json"
+    rc = cli.main(["oracle", str(two_atoms_csv), "--m", "1", "--h", "1e-4", "--p", "2",
+                   "--lambda", "0.1", "--out", str(out)])
+    assert rc == 3
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory")
+    assert not out.exists()
 
 @pytest.mark.parametrize("budget", ["nan", "0", "-1"])
 def test_oracle_rejects_a_budget_that_is_not_positive(two_atoms_csv, tmp_path, budget):

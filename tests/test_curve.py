@@ -5,12 +5,10 @@ import pytest
 
 from pencurve.curve import (
     Polyline,
-    length,
+    axis_norms,
     merge_vertices,
-    row_norms,
+    point_segment_foot,
     self_intersections_2d,
-    turning_angles,
-    tv_gamma_prime,
 )
 from pencurve.errors import PencurveError
 
@@ -24,9 +22,9 @@ def P(*pts):
 
 
 def test_length_examples():
-    assert length(P((0, 0))) == 0.0
-    assert length(P((0, 0), (1, 0), (1, 1))) == pytest.approx(2.0)
-    assert length(P((0, 0), (3, 4))) == pytest.approx(5.0)
+    assert P((0, 0)).total_length == 0.0
+    assert P((0, 0), (1, 0), (1, 1)).total_length == pytest.approx(2.0)
+    assert P((0, 0), (3, 4)).total_length == pytest.approx(5.0)
 
 
 def test_zero_segment_rejected():
@@ -35,23 +33,28 @@ def test_zero_segment_rejected():
 
 
 def test_turning_angles():
-    assert turning_angles(P((0, 0), (1, 0), (2, 0))).tolist() == [0.0]
-    assert turning_angles(P((0, 0), (1, 0), (1, 1)))[0] == pytest.approx(np.pi / 2)
-    assert turning_angles(P((0, 0), (1, 0))).size == 0
+    assert P((0, 0), (1, 0), (2, 0)).turning_angles.tolist() == [0.0]
+    assert P((0, 0), (1, 0), (1, 1)).turning_angles[0] == pytest.approx(np.pi / 2)
+    assert P((0, 0), (1, 0)).turning_angles.size == 0
+
+
+def tv(c):
+    """Total variation of the unit tangent: the sum of the turning angles."""
+    return float(np.sum(c.turning_angles))
 
 
 def test_tv_examples_and_additivity():
     straight = P((0, 0), (1, 0), (2, 0), (3, 0), (4, 0))
-    assert tv_gamma_prime(straight) == 0.0
+    assert tv(straight) == 0.0
     square = P((0, 0), (1, 0), (1, 1), (0, 1), (0, 0))
-    assert tv_gamma_prime(square) == pytest.approx(3 * np.pi / 2)
+    assert tv(square) == pytest.approx(3 * np.pi / 2)
     rng = np.random.default_rng(5)
     c = Polyline(rng.uniform(0, 1, (9, 2)))
     mid = 4
-    left = tv_gamma_prime(Polyline(c.vertices[: mid + 1]))
-    right = tv_gamma_prime(Polyline(c.vertices[mid:]))
-    shared = turning_angles(c)[mid - 1]
-    assert left + right + shared == pytest.approx(tv_gamma_prime(c), rel=1e-12)
+    left = tv(Polyline(c.vertices[: mid + 1]))
+    right = tv(Polyline(c.vertices[mid:]))
+    shared = c.turning_angles[mid - 1]
+    assert left + right + shared == pytest.approx(tv(c), rel=1e-12)
 
 
 def test_self_intersections_figure_eight():
@@ -105,13 +108,16 @@ def _merge_loop(verts, eps):
     return np.array(verts)
 
 
+def _norm(x):
+    """Length of one vector, its squares added coordinate by coordinate."""
+    return math.sqrt(sum(q * q for q in x.tolist()))
+
+
 def _angle_loop(c):
-    """Reference for turning_angles: one vertex at a time."""
-    out = []
-    for u, w in zip(c.segment_vectors[:-1], c.segment_vectors[1:]):
-        a, b = u / np.linalg.norm(u), w / np.linalg.norm(w)
-        out.append(2.0 * math.atan2(np.linalg.norm(a - b), np.linalg.norm(a + b)))
-    return np.array(out)
+    """Reference for Polyline.turning_angles and .unit_tangents: one vertex at a time."""
+    units = [u / _norm(u) for u in c.segment_vectors]
+    out = [2.0 * math.atan2(_norm(a - b), _norm(a + b)) for a, b in zip(units[:-1], units[1:])]
+    return np.array(out), np.array(units).reshape(-1, c.dim)
 
 
 def test_merge_vertices_and_turning_angles_match_the_loops():
@@ -126,5 +132,38 @@ def test_merge_vertices_and_turning_angles_match_the_loops():
         merged = merge_vertices(verts, eps)
         assert np.array_equal(merged, _merge_loop(verts, eps))
         distinct = merge_vertices(verts, 0.0)
-        assert np.array_equal(turning_angles(Polyline(distinct)), _angle_loop(Polyline(distinct)))
-        assert np.array_equal(row_norms(verts), [np.linalg.norm(v) for v in verts])
+        angles, units = _angle_loop(Polyline(distinct))
+        assert np.array_equal(Polyline(distinct).turning_angles, angles)
+        assert np.array_equal(Polyline(distinct).unit_tangents, units)
+        assert np.array_equal(axis_norms(verts), [_norm(v) for v in verts])
+
+
+def _foot_loop(x, a, b):
+    """Reference for point_segment_foot: one point, coordinates added in order."""
+    ab = b - a
+    denom = sum(q * q for q in ab.tolist())
+    dot = sum(u * v for u, v in zip((x - a).tolist(), ab.tolist()))
+    t = 0.0 if denom == 0.0 else float(np.clip(dot / denom, 0.0, 1.0))
+    foot = a + t * ab
+    return _norm(x - foot), foot
+
+
+def _segment_cases(rng):
+    """(points, a, b): random segments, a point segment, and signed zeros."""
+    zeros = V((0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 1.0), (1.0, -0.0))
+    yield zeros, V((-0.0, 0.0))[0], V((0.0, -0.0))[0]
+    yield zeros, V((-0.0, -0.0))[0], V((1.0, 0.0))[0]
+    yield rng.normal(size=(50, 2)), V((0.5, -0.5))[0], V((0.5, -0.5))[0]
+    for d in (2, 3):
+        for _ in range(20):
+            a, b = rng.normal(size=(2, d))
+            X = np.concatenate([rng.normal(size=(30, d)), [a, b, 0.5 * (a + b)]])
+            yield X, a, b
+
+
+def test_point_segment_foot_matches_the_loop():
+    for X, a, b in _segment_cases(np.random.default_rng(19)):
+        dist, feet = point_segment_foot(X, a, b)
+        ref = [_foot_loop(x, a, b) for x in X]
+        assert dist.tobytes() == np.array([r[0] for r in ref]).tobytes()
+        assert feet.tobytes() == np.array([r[1] for r in ref]).tobytes()

@@ -1,9 +1,10 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
 
-from pencurve.curve import Polyline, length, turning_angles
+from pencurve.curve import Polyline, point_segment_foot
 from pencurve.diagnostics import (
     _entry_sides,
     _running,
@@ -15,6 +16,8 @@ from pencurve.diagnostics import (
     check_tv_bound,
     convex_clip,
     full_report,
+    hull_edge_violations,
+    project_to_hull,
     singleton_best_energy,
     turn_direction_sweep,
 )
@@ -136,14 +139,14 @@ def test_convex_clip_inside_unchanged():
     out = convex_clip(c, hull)
     assert np.allclose(out.vertices[0], c.vertices[0])
     assert np.allclose(out.vertices[-1], c.vertices[-1])
-    assert length(out) == pytest.approx(length(c), rel=1e-12)
+    assert out.total_length == pytest.approx(c.total_length, rel=1e-12)
 
 
 def test_convex_clip_exit_and_return_strictly_shorter():
     hull = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     c = P((0.5, 0.5), (1.8, 0.5), (0.5, 0.9))
     out = convex_clip(c, hull)
-    assert length(out) < length(c) - 1e-9
+    assert out.total_length < c.total_length - 1e-9
     from pencurve.diagnostics import hull_edge_violations
 
     assert np.max(hull_edge_violations(out.vertices, hull)) <= 1e-12
@@ -153,7 +156,7 @@ def test_convex_clip_fully_outside():
     hull = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
     c = P((-0.5, 2.0), (1.5, 2.0))
     out = convex_clip(c, hull)
-    assert length(out) <= length(c) + 1e-12
+    assert out.total_length <= c.total_length + 1e-12
     assert np.allclose(out.vertices[:, 1], 1.0)
 
 
@@ -164,7 +167,59 @@ def test_convex_clip_random_never_longer():
         hull = convex_hull_2d(DiscreteMeasure(pts, np.ones(len(pts))))
         c = Polyline(rng.uniform(-0.6, 1.6, (rng.integers(2, 7), 2)))
         out = convex_clip(c, hull)
-        assert length(out) <= length(c) * (1 + 1e-12) + 1e-15
+        assert out.total_length <= c.total_length * (1 + 1e-12) + 1e-15
+
+
+def _violation_loop(x, hull):
+    """Reference for hull_edge_violations: one point, coordinates added in order."""
+    k = len(hull)
+    if k < 3:
+        return point_segment_foot(x[None], hull[0], hull[-1])[0][0]
+    out = -np.inf
+    for i in range(k):
+        e = hull[(i + 1) % k] - hull[i]
+        ln = math.sqrt(e[0] * e[0] + e[1] * e[1])
+        rel = x - hull[i]
+        out = np.maximum(out, rel[0] * (e[1] / ln) + rel[1] * (-e[0] / ln))
+    return out
+
+
+def _project_loop(x, hull):
+    """Reference for project_to_hull: one point; outside, the first nearest edge."""
+    k = len(hull)
+    if k == 1:
+        return hull[0]
+    if k > 2 and _violation_loop(x, hull) <= 0.0:
+        return x
+    best = None
+    for i in range(k if k > 2 else 1):
+        d, foot = point_segment_foot(x[None], hull[i], hull[(i + 1) % k])
+        if best is None or d[0] < best[0]:
+            best = (d[0], foot[0])
+    return best[1]
+
+
+def _hull_cases(rng):
+    """(points, hull): a point, segments and polygons, with signed zeros."""
+    square = np.array([[-0.0, -0.0], [1.0, -0.0], [1.0, 1.0], [-0.0, 1.0]])
+    hulls = [np.array([[-0.0, 0.0]]), np.array([[0.0, -0.0], [1.0, 0.0]]), square]
+    line = DiscreteMeasure(np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 0.5]]), np.ones(3))
+    hulls.append(convex_hull_2d(line))
+    for _ in range(10):
+        pts = rng.uniform(0, 1, (int(rng.integers(3, 12)), 2))
+        hulls.append(convex_hull_2d(DiscreteMeasure(pts, np.ones(len(pts)))))
+    zeros = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.5, -0.0], [-0.0, 0.5]])
+    for hull in hulls:
+        mids = 0.5 * (hull + np.roll(hull, -1, axis=0))
+        yield np.concatenate([rng.uniform(-0.5, 1.5, (40, 2)), hull, mids, zeros]), hull
+
+
+def test_hull_helpers_match_the_loops():
+    for X, hull in _hull_cases(np.random.default_rng(41)):
+        viol = hull_edge_violations(X, hull)
+        assert viol.tobytes() == np.array([_violation_loop(x, hull) for x in X]).tobytes()
+        proj = project_to_hull(X, hull)
+        assert proj.tobytes() == np.array([_project_loop(x, hull) for x in X]).tobytes()
 
 
 def test_tv_bound_arithmetic():
@@ -201,7 +256,7 @@ def _local_tv_loop(mu, c, p, lam):
     plan, _ = build_plan(mu, c)
     m = c.n_vertices
     coef = (p / lam) * diameter(mu) ** (p - 1.0)
-    pa = np.concatenate([[0.0], np.cumsum(turning_angles(c))])
+    pa = np.concatenate([[0.0], np.cumsum(c.turning_angles)])
     pv, ps = _window_mass_prefixes(plan, m)
     worst = (-np.inf, None)
     for a in range(m - 1):
@@ -285,7 +340,7 @@ def _turn_direction_loop(mu, c, p, lam):
     key = key[order]
     sides = [(np.where(side, plan.mass, 0.0)[order], np.where(side, plan.dist, 0.0)[order])
              for side in _entry_sides(mu, c, plan, tie_tolerance(diameter(mu)))]
-    angles = turning_angles(c)
+    angles = c.turning_angles
     seg_unit = c.segment_vectors / c.segment_lengths[:, None]
     coef = p / lam
     worst = (-np.inf, None)

@@ -46,6 +46,48 @@ def test_single_atom_m1():
     assert np.allclose(curve.vertices[0], [0.25, 0.75])
 
 
+def _m1_dense(mu, ocfg):
+    """Reference for the m = 1 search: every grid point's total in one (G,) array."""
+    P = _grid_points(mu, ocfg.h)
+    totals = np.zeros(len(P))
+    for x, mass in zip(mu.positions, mu.masses):
+        totals += mass * np.linalg.norm(x - P, axis=-1) ** ocfg.p
+    k = int(np.argmin(totals))
+    return P[k], float(totals[k])
+
+
+@pytest.mark.parametrize("block", [7, 1 << 16])
+def test_m1_blocks_match_the_dense_grid(monkeypatch, block):
+    # blocks of 7 points split the grid rows and cross the ties of the 1 x 0 box
+    monkeypatch.setattr(oracle, "PAIR_BLOCK", block)
+    rng = np.random.default_rng(23)
+    cases = [(TWO_ATOMS, 1e-3, 1.0), (TRIANGLE, 0.01, 1.5)]
+    for p in (1.0, 2.0, 3.0):
+        pos = rng.uniform(0.0, 1.0, (int(rng.integers(2, 6)), 2))
+        cases.append((DiscreteMeasure(pos, rng.uniform(0.2, 1.0, len(pos))), 0.02, p))
+    for mu, h, p in cases:
+        ocfg = OracleConfig(m=1, h=h, p=p, lam=0.1)
+        curve, E = brute_force_min(mu, ocfg)
+        point, E_ref = _m1_dense(mu, ocfg)
+        assert E == E_ref
+        assert curve.vertices.tobytes() == point[None, :].tobytes()
+
+
+def test_m1_search_holds_no_grid_array():
+    mu = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 1.0]]), np.ones(2))
+    ocfg = OracleConfig(m=1, h=1e-3, p=2.0, lam=0.1)
+    G = 1001 * 1001
+    tracemalloc.start()
+    try:
+        curve, E = brute_force_min(mu, ocfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * G  # the (G, 2) grid array alone took 16 G bytes
+    assert E == pytest.approx(1.0, rel=1e-12)
+    assert np.allclose(curve.vertices, [[0.5, 0.5]], rtol=0.0, atol=1e-12)
+
+
 def test_triangle_golden_value():
     tracemalloc.start()
     try:

@@ -28,7 +28,7 @@ def nearest_targets(x, c, eps_abs, snap):
     that vertex, and duplicate vertex targets are listed once.
     """
     if c.n_vertices == 1:
-        return float(np.linalg.norm(x - c.vertices[0])), [(0, 0, 0.0, 0.0)]
+        return float(np.linalg.norm((x - c.vertices[0])[None], axis=1)[0]), [(0, 0, 0.0, 0.0)]
     a, vec = c.vertices[:-1], c.segment_vectors
     t = np.clip(np.einsum("ij,ij->i", x[None, :] - a, vec) / np.einsum("ij,ij->i", vec, vec),
                 0.0, 1.0)
