@@ -7,7 +7,9 @@ objective by majorise-minimise steps (one O(m) LDL^T sweep of a
 tridiagonal system each, decrease-only), then merges, splits and drops
 vertices, each edit passing one energy gate. For p > 1 a quasi-Newton
 finish then drives the curve to the stationarity tolerance, accepting
-only energy decreases, so the energy trace is non-increasing. The status
+only energy decreases, so the energy trace is non-increasing; its
+starting matrix, the frozen fixed-plan Hessian, is rebuilt and inverted
+every FINISH_REFACTOR steps and when the vertex count changes. The status
 is "converged" only when the final curve passes the stationarity check,
 else "plateau" (an outer iteration's relative drop fell below
 TOL_ENERGY_REL) or "max_iters".
@@ -43,6 +45,7 @@ INNER_MAX_STEPS = 10  # majorise-minimise steps per fixed-plan solve
 TOL_ENERGY_REL = 1e-8  # relative energy drop that ends a solve and the outer loop
 FINISH_MAX_STEPS = 150  # quasi-Newton steps of the final polish
 FINISH_MEMORY = 5  # secant pairs the quasi-Newton finish keeps
+FINISH_REFACTOR = 5  # finish steps between rebuilds of its starting matrix
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -335,35 +338,42 @@ def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> 
     there while the true energy is nearly flat. This is L-BFGS on the true
     energy, whose gradient is the fixed-plan gradient on the plan of the
     current state, started from the frozen fixed-plan Hessian; the secant
-    pairs learn the softer true curvature. Only pairs with y.s > 0 are kept,
+    pairs learn the softer true curvature, so the starting matrix need not
+    be current: it is built, regularised by 1e-12 of its mean diagonal and
+    inverted at steps 0, FINISH_REFACTOR, 2*FINISH_REFACTOR, ... and
+    whenever the vertex count has changed since the last build, and each
+    step applies the stored inverse. Only pairs with y.s > 0 are kept,
     so the model stays positive definite and each step is a descent
     direction. A trial is evaluated (re-planned) and accepted only if its
     true energy drops, and is halved otherwise; a segment the step would
     reverse collapses to its midpoint instead. Stops at tol_stationarity,
-    when no trial drops, or after FINISH_MAX_STEPS.
+    when no trial drops, on a singular starting matrix, or after
+    FINISH_MAX_STEPS.
     """
     X, p, lam, eps = mu.positions, cfg.p, cfg.lam, tie_tolerance(diameter(mu))
     V = state.curve.vertices
     off = _entry_offsets(V, state.plan, X)  # shared by the gradient and the Hessian at V
     grad = _fixed_plan_grad(V, state.plan, p, lam, eps, off)[0]
-    pairs = []
-    for _ in range(FINISH_MAX_STEPS):
+    pairs, H_inv = [], None  # pairs: (s, y, y.s)
+    for k in range(FINISH_MAX_STEPS):
         if float(np.max(axis_norms(grad))) <= cfg.tol_stationarity:
             break
         m, d = V.shape
-        H = fixed_plan_hessian(V, state.plan, p, lam, eps, off)
-        H[np.diag_indices(m * d)] += 1e-12 * np.trace(H) / (m * d)
-        q = grad.reshape(-1).copy()  # L-BFGS two-loop recursion around H
+        if k % FINISH_REFACTOR == 0 or H_inv.shape[0] != m * d:
+            H = fixed_plan_hessian(V, state.plan, p, lam, eps, off)
+            H[np.diag_indices(m * d)] += 1e-12 * np.trace(H) / (m * d)
+            try:
+                H_inv = np.linalg.inv(H)
+            except np.linalg.LinAlgError:
+                break
+        q = grad.reshape(-1).copy()  # L-BFGS two-loop recursion around H_inv
         alphas = []
-        for s, y in reversed(pairs):
-            alphas.append(float(s @ q) / float(y @ s))
+        for s, y, ys in reversed(pairs):
+            alphas.append(float(s @ q) / ys)
             q -= alphas[-1] * y
-        try:
-            q = np.linalg.solve(H, q)
-        except np.linalg.LinAlgError:
-            break
-        for (s, y), a in zip(pairs, reversed(alphas)):
-            q += s * (a - float(y @ q) / float(y @ s))
+        q = H_inv @ q
+        for (s, y, ys), a in zip(pairs, reversed(alphas)):
+            q += s * (a - float(y @ q) / ys)
         step = -q.reshape(m, d)
         for _ in range(30):
             cand = V + step
@@ -382,8 +392,9 @@ def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> 
             pairs = []
         else:
             s, y = (W - V).reshape(-1), (trial_grad - grad).reshape(-1)
-            if float(y @ s) > 0.0:
-                pairs = (pairs + [(s, y)])[-FINISH_MEMORY:]
+            ys = float(y @ s)
+            if ys > 0.0:
+                pairs = (pairs + [(s, y, ys)])[-FINISH_MEMORY:]
         state, V, grad = trial, W, trial_grad
     return state
 

@@ -267,14 +267,16 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     return Polyline(merge_vertices(verts, 0.0)), best_energy
 
 
-CERTIFY_TOL = 1e-6  # absolute energy slack of certify_fit, on top of the grid slack
+CERTIFY_TOL = 1e-6  # certify_fit's energy slack beside the grid slack, relative to the oracle
 
 
 def certify_fit(mu: DiscreteMeasure, fit_curve: Polyline, ocfg: OracleConfig) -> dict:
     """Compare a fitted curve's energy against the oracle minimum.
 
-    PASS requires fit <= oracle + C*h + CERTIFY_TOL where C is the grid
-    Lipschitz slack; a refused oracle yields status SKIPPED.
+    PASS requires fit <= oracle + C*h + CERTIFY_TOL*oracle where C is the
+    grid Lipschitz slack, so the verdict does not depend on the units of
+    the measure; record["tol"] holds the slack CERTIFY_TOL*oracle. A
+    refused oracle yields status SKIPPED.
     """
     C = lipschitz_constant(mu, ocfg.p, ocfg.lam, ocfg.m)
     record = {
@@ -283,7 +285,6 @@ def certify_fit(mu: DiscreteMeasure, fit_curve: Polyline, ocfg: OracleConfig) ->
         "p": ocfg.p,
         "lambda": ocfg.lam,
         "grid_slack": C * ocfg.h,
-        "tol": CERTIFY_TOL,
     }
     try:
         oracle_curve, oracle_energy = brute_force_min(mu, ocfg)
@@ -292,10 +293,11 @@ def certify_fit(mu: DiscreteMeasure, fit_curve: Polyline, ocfg: OracleConfig) ->
         record["reason"] = str(exc)
         return record
     fit_energy = energy(mu, fit_curve, ocfg.p, ocfg.lam).total
+    record["tol"] = CERTIFY_TOL * oracle_energy
     record["oracle_energy"] = oracle_energy
     record["fit_energy"] = fit_energy
     record["gap"] = fit_energy - oracle_energy
-    passed = fit_energy <= oracle_energy + C * ocfg.h + CERTIFY_TOL
+    passed = fit_energy <= oracle_energy + C * ocfg.h + record["tol"]
     record["status"] = "PASS" if passed else "FAIL"
     record["oracle_curve"] = oracle_curve.to_dict()
     return record

@@ -413,20 +413,69 @@ def test_finalize_drops_all_straight_vertices_in_one_gated_step(monkeypatch):
     assert out.energy.total <= state.energy.total * (1.0 + 1e-13)
 
 
+def test_finish_rebuilds_its_starting_matrix_every_few_steps(monkeypatch):
+    # Log, inside the finish, the vertex count of each gradient (one per step
+    # start) and of each Hessian build; step k runs between gradients k and k + 1.
+    log, inside = [], []
+    real_finish, real_grad = optimizer._quasi_newton_finish, optimizer._fixed_plan_grad
+    real_hessian = optimizer.fixed_plan_hessian
+
+    def finish(*args):
+        inside.append(True)
+        try:
+            return real_finish(*args)
+        finally:
+            inside.pop()
+
+    def grad(V, *args):
+        if inside:
+            log.append(("g", V.shape[0]))
+        return real_grad(V, *args)
+
+    def hessian(V, *args):
+        log.append(("H", V.shape[0]))
+        return real_hessian(V, *args)
+
+    monkeypatch.setattr(optimizer, "_quasi_newton_finish", finish)
+    monkeypatch.setattr(optimizer, "_fixed_plan_grad", grad)
+    monkeypatch.setattr(optimizer, "fixed_plan_hessian", hessian)
+    res = fit(synth_measure("noisy_segment", 200, seed=1),
+              FitConfig(p=3.0, lam=0.01, max_outer_iters=12))
+    assert res.status == "converged"  # after a finish that drops two vertices
+    counts = [m for kind, m in log if kind == "g"]
+    step, built = -1, {}  # step -> vertex count of the Hessian built in it
+    for kind, m in log:
+        if kind == "g":
+            step += 1
+        else:
+            built[step] = m
+    assert len(counts) > 2 * optimizer.FINISH_REFACTOR + 1
+    expected, last = set(), None
+    for k, m in enumerate(counts[:-1]):  # steps that were followed by another one
+        if k % optimizer.FINISH_REFACTOR == 0 or m != last:
+            expected.add(k)
+            last = m
+    assert any(k % optimizer.FINISH_REFACTOR for k in expected)  # a vertex count changed
+    assert {k for k in built if k < len(counts) - 1} == expected
+    assert all(built[k] == counts[k] for k in built)
+    assert len(built) <= len(expected) + 1  # the last step may build before it stops
+
+
 # Final energy (float.hex) and SHA-256 of the little-endian vertex bytes of
 # capped noisy_segment fits at lambda = 0.01, max_outer_iters = 6, recorded
 # with each majorise-minimise system solved by one banded LDL^T sweep and the
-# quasi-Newton finish regularised by 1e-12 of the Hessian's mean diagonal:
+# quasi-Newton finish regularised by 1e-12 of the Hessian's mean diagonal,
+# its starting matrix rebuilt and inverted every FINISH_REFACTOR steps:
 # (p, n, seed) -> (energy, vertices, status)
 RECORDED_FITS = {
     (1.0, 150, 1): ("0x1.4e64e70e27f51p-5",
                     "9926075aaa812c6da4530fbe37bb7152d5a80f144e703767e64d68eed5be6524", "max_iters"),
-    (1.5, 120, 2): ("0x1.385450985ff34p-6",
-                    "e01a0426639d1e8518ef4d0a8cbba94048f0221894a4c3b78bfd2fcd700c55bc", "converged"),
-    (2.0, 120, 3): ("0x1.681fbfbc576f8p-7",
-                    "82ea9b065f3535ca24c2124cfa834288ff91dced77830c91e6ce4bfb3e1144b2", "converged"),
-    (3.0, 100, 4): ("0x1.d7e4ca7d74bfep-8",
-                    "d8cfaae4cec9d6b08b44dd9bf1d0ad90434e9a377a6a47428572d273e01f8531", "converged"),
+    (1.5, 120, 2): ("0x1.385450985ff6fp-6",
+                    "934ced07603395ba26a55e40aefcf0c4cc550a1d922d22c46640daa98ecefff9", "converged"),
+    (2.0, 120, 3): ("0x1.681fbfbc57748p-7",
+                    "8b4c0dbbe0a9992998be48ed9b2eb1742f619470c040c1c36c673478fead94ef", "converged"),
+    (3.0, 100, 4): ("0x1.d7e4ca7d74543p-8",
+                    "c3f84e119c2e709e93b00c32f0611f8ae87065cd36649261ff5c196aeb5531f4", "converged"),
 }
 
 # The same fits recorded when each system was a dense m x m LAPACK solve,

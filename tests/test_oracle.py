@@ -9,6 +9,7 @@ from pencurve.curve import Polyline, merge_vertices
 from pencurve.energy import energy, stationarity_report
 from pencurve.errors import BudgetExceededError, ConfigError
 from pencurve.measure import DiscreteMeasure, diameter
+from pencurve.optimizer import FitConfig, fit
 from pencurve.oracle import (
     OracleConfig,
     _grid_points,
@@ -263,6 +264,22 @@ def test_certify_fit_flags_bad_curve():
     rec = certify_fit(TWO_ATOMS, bad, OracleConfig(m=2, h=0.01, p=2.0, lam=0.2))
     assert rec["status"] == "FAIL"
     assert rec["gap"] > 0
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("s", [2.0**-20, 1.0, 2.0**20])
+def test_certify_fit_verdict_does_not_depend_on_scale(p, s):
+    # positions and h scale by s, lambda by s^(p - 1), so every energy scales
+    # by s^p; an absolute slack passed the bad curve at s = 1e-3, p = 2
+    mu = DiscreteMeasure(s * np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 0.8], [0.2, 0.6]]),
+                         np.full(4, 0.25))
+    lam = 0.1 * s ** (p - 1.0)
+    ocfg = OracleConfig(m=2, h=0.05 * s, p=p, lam=lam)
+    bad = certify_fit(mu, Polyline(s * np.array([[0.0, 0.5], [1.0, 0.9]])), ocfg)
+    assert bad["status"] == "FAIL"
+    assert bad["tol"] == oracle.CERTIFY_TOL * bad["oracle_energy"]
+    fitted = fit(mu, FitConfig(p=p, lam=lam, m_max=2)).curve
+    assert certify_fit(mu, fitted, ocfg)["status"] == "PASS"
 
 
 def test_oracle_config_validation():
