@@ -9,7 +9,7 @@ import numpy as np
 
 from .curve import Polyline, axis_norms
 from .errors import ConfigError, NonSmoothPointError
-from .measure import DiscreteMeasure, diameter, tie_tolerance
+from .measure import DiscreteMeasure, diameter, in_range_at, tie_tolerance
 from .projection import TransportPlan, build_plan
 
 
@@ -44,10 +44,13 @@ def energy(
     lam: float,
     plan: TransportPlan | None = None,
 ) -> EnergyBreakdown:
-    """Exact discrete energy with deterministic (atom-ordered) summation."""
+    """Exact discrete energy with deterministic (atom-ordered) summation.
+
+    Without a plan, the measure must be in the range of `in_range_at`.
+    """
     validate_params(p, lam)
     if plan is None:
-        plan, _ = build_plan(mu, c)
+        plan, _ = build_plan(in_range_at(mu, p), c)
     fidelity = float(np.sum(mu.masses * plan.dist**p))
     length_term = lam * c.total_length
     return EnergyBreakdown(fidelity, length_term, fidelity + length_term)
@@ -250,11 +253,11 @@ def gradient(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -> np.ndarr
 
     The assignment is held fixed (it is locally constant away from ties,
     so this is the true gradient at smooth points). Raises at a p = 1 kink
-    where an atom sits on its target.
+    where an atom sits on its target, and outside the range of `in_range_at`.
     """
     validate_params(p, lam)
+    plan, _ = build_plan(in_range_at(mu, p), c)
     eps_tie = tie_tolerance(diameter(mu))
-    plan, _ = build_plan(mu, c)
     V = np.array(c.vertices)
     offsets = _entry_offsets(V, plan, mu.positions)
     if p == 1.0 and np.any(offsets[3] <= eps_tie):
@@ -343,10 +346,11 @@ def stationarity_report(
     atoms within the tie tolerance are left out, and a tied vertex reports
     slack = tied mass - |residual| instead of a free residual; at p > 1 an
     atom on its target pulls with 0, and every residual counts as free.
+    Without a plan, the measure must be in the range of `in_range_at`.
     """
     validate_params(p, lam)
     if plan is None:
-        plan, _ = build_plan(mu, c)
+        plan, _ = build_plan(in_range_at(mu, p), c)
     eps_tie = tie_tolerance(diameter(mu))
     m = c.n_vertices
     wa, wb, diff, r = _entry_offsets(c.vertices, plan, mu.positions)

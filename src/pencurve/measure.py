@@ -25,8 +25,8 @@ class DiscreteMeasure:
     positions: (n, d) float array, one atom per row (row order is the
     deterministic summation order used everywhere downstream).
     masses: (n,) strictly positive weights. Not renormalized on load.
-    Both are read-only copies of the given arrays, so the 2-D hull and the
-    diameter, each computed on first use, stay valid.
+    Both are read-only copies of the given arrays, so the 2-D hull, the
+    diameter and the reach, each computed on first use, stay valid.
     """
 
     positions: np.ndarray
@@ -65,6 +65,11 @@ class DiscreteMeasure:
     @cached_property
     def _hull(self) -> np.ndarray:
         return _monotone_chain(self.positions)
+
+    @cached_property
+    def reach(self) -> float:
+        """Largest |coordinate| of any atom, computed once."""
+        return float(np.max(np.abs(self.positions)))
 
     @cached_property
     def _diameter(self) -> float:
@@ -118,7 +123,7 @@ def _in_range(mu: DiscreteMeasure) -> DiscreteMeasure:
     bounding box is 0 (all atoms coincide) or at least SPAN_MIN. Then
     squared distances and p = 2 energies are normal floats.
     """
-    reach = float(np.max(np.abs(mu.positions)))
+    reach = mu.reach
     # column by column: numpy reduces an (n, 2) array along axis 0 about 10x slower
     span = max(float(np.ptp(col)) for col in mu.positions.T)
     if reach > COORD_MAX or 0.0 < span < SPAN_MIN:

@@ -9,7 +9,7 @@ import pytest
 from pencurve import cli
 from pencurve.curve import Polyline
 from pencurve.diagnostics import full_report
-from pencurve.energy import energy, stationarity_report
+from pencurve.energy import energy, gradient, stationarity_report
 from pencurve.errors import ParseError, PencurveError
 from pencurve.measure import (
     SYNTH_FAMILIES,
@@ -127,13 +127,17 @@ def test_measure_rejects_bad_atoms():
 @pytest.mark.parametrize("scale,p", [(1e150, 3.0), (1e200, 3.0), (1e200, 2.0)])
 def test_library_refuses_measures_outside_the_range(scale, p):
     # the range rule of the CLI, applied by the library: past it fit and
-    # full_report overflowed and brute_force_min ran out of array size
+    # full_report overflowed, brute_force_min ran out of array size, and
+    # energy, gradient and stationarity_report returned inf with warnings
     base = synth_measure("noisy_circle", 300, seed=0)
     mu = DiscreteMeasure(scale * base.positions, base.masses)
     curve = Polyline(np.array([[0.2, 0.5], [0.8, 0.5]]))  # refused before it is read
     calls = (lambda: fit(mu, FitConfig(p=p, lam=0.05)),
              lambda: full_report(mu, curve, p, 0.05),
-             lambda: brute_force_min(mu, OracleConfig(m=2, h=0.05 * scale, p=p, lam=0.05)))
+             lambda: brute_force_min(mu, OracleConfig(m=2, h=0.05 * scale, p=p, lam=0.05)),
+             lambda: energy(mu, curve, p, 0.05),
+             lambda: gradient(mu, curve, p, 0.05),
+             lambda: stationarity_report(mu, curve, p, 0.05))
     for call in calls:
         with pytest.raises(PencurveError, match="out of the supported range"):
             call()
