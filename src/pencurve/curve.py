@@ -9,6 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatchError, PencurveError
+from .measure import vertices_in_range
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,18 @@ class Polyline:
             raise PencurveError(f"curve JSON needs 'dim' and 'vertices': {exc}") from exc
         if verts.ndim != 2 or verts.shape[1] != dim:
             raise PencurveError("curve JSON vertex shape does not match 'dim'")
-        return Polyline(verts)
+        return Polyline(vertices_in_range(verts))
 
 
 def axis_norms(x: np.ndarray) -> np.ndarray:
-    """Row norms of a 2-D array, squares added in coordinate order: the one length rule."""
-    return np.sqrt(np.add.reduce(x * x, axis=1))
+    """Row norms of a 2-D array, bit for bit np.sqrt(np.add.reduce(x * x, axis=1))."""
+    sq = x * x
+    if not 0 < x.shape[1] < 8:  # the reduce adds 8 or more squares pairwise, fewer in order
+        return np.sqrt(np.add.reduce(sq, axis=1))
+    total = sq[:, 0]
+    for q in range(1, x.shape[1]):
+        total = total + sq[:, q]
+    return np.sqrt(total)
 
 
 @dataclass(frozen=True)

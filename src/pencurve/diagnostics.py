@@ -15,7 +15,8 @@ import numpy as np
 from .curve import Polyline, axis_norms, merge_vertices, point_segment_foot, self_intersections_2d
 from .energy import _entry_offsets, validate_params
 from .errors import PencurveError
-from .measure import DiscreteMeasure, convex_hull_2d, diameter, in_range_at, tie_tolerance
+from .measure import (DiscreteMeasure, convex_hull_2d, diameter, in_range_at, tie_tolerance,
+                      vertices_in_range)
 from .projection import TransportPlan, build_plan
 
 ANGLE_TOL = 5e-4  # radians; absorbs optimizer stationarity slack in angle checks
@@ -485,6 +486,7 @@ def full_report(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -> Theor
     """
     validate_params(p, lam)
     in_range_at(mu, p)
+    vertices_in_range(c.vertices)
     plan, _ = build_plan(mu, c)
     checks = [
         check_length_bound(mu, c, p, lam),

@@ -57,17 +57,16 @@ def energy(
 
 
 def _entry_offsets(V: np.ndarray, plan: TransportPlan, X: np.ndarray):
-    """Per plan entry: barycentric weights (1-t, t), offset x - y and its length r.
+    """Per plan entry: weights (1-t, t), offset x - y and its length r; V's segments and lengths.
 
-    y = (1-t) V[ia] + t V[ib] is the entry's target, held affine in V. The
-    entry's atom sits on its target when r <= the measure's tie tolerance.
-    The fixed-plan kernels take them as offsets, so that each point of a
-    solver computes them once.
+    y = (1-t) V[ia] + t V[ib] is the entry's target, held affine in V; its
+    atom sits on it when r <= the measure's tie tolerance. The fixed-plan
+    kernels take these pieces, so that each point of a solver computes them once.
     """
     wa, wb = plan.weights
-    y = wa[:, None] * V[plan.ia] + wb[:, None] * V[plan.ib]
-    diff = X - y
-    return wa, wb, diff, axis_norms(diff)
+    y = wa[:, None] * np.take(V, plan.ia, axis=0) + wb[:, None] * np.take(V, plan.ib, axis=0)
+    diff, seg = X - y, V[1:] - V[:-1]
+    return wa, wb, diff, axis_norms(diff), seg, axis_norms(seg)
 
 
 def _entry_weight(r: np.ndarray, mass: np.ndarray, p: float, eps_clamp: float) -> np.ndarray:
@@ -81,21 +80,17 @@ def _entry_weight(r: np.ndarray, mass: np.ndarray, p: float, eps_clamp: float) -
     return p * np.maximum(r, eps_clamp) ** (p - 2.0) * mass
 
 
-def _entry_kernel(r: np.ndarray, mass: np.ndarray, p: float, eps_clamp: float) -> np.ndarray:
-    """Per plan entry: the pull per unit of offset x - y, the weight above.
+def _entry_kernel(w: np.ndarray, r: np.ndarray, p: float, eps_clamp: float) -> np.ndarray:
+    """Per plan entry: the pull per unit of offset x - y, the entry weight w of _entry_weight.
 
     A p = 1 entry with r <= eps_clamp gets kernel 0: its pull is a
-    subgradient, bounded by its mass. Value-only evaluations skip this, so
-    it is apart from the offsets.
+    subgradient, bounded by its mass.
     """
-    kern = _entry_weight(r, mass, p, eps_clamp)
-    if p == 1.0:
-        kern = np.where(r <= eps_clamp, 0.0, kern)
-    return kern
+    return np.where(r <= eps_clamp, 0.0, w) if p == 1.0 else w
 
 
-def _first_variation(V: np.ndarray, plan: TransportPlan, wa: np.ndarray, wb: np.ndarray,
-                     diff: np.ndarray, kern: np.ndarray, lam: float) -> np.ndarray:
+def _first_variation(V: np.ndarray, plan: TransportPlan, offsets: tuple, kern: np.ndarray,
+                     lam: float) -> np.ndarray:
     """Vertex gradient of the fixed-plan objective, before any p = 1 shrink.
 
     Each entry's pull kernel * (x - y) at its target y enters with a minus
@@ -105,8 +100,7 @@ def _first_variation(V: np.ndarray, plan: TransportPlan, wa: np.ndarray, wb: np.
     vertex's terms in that order, as np.add.at would.
     """
     m = V.shape[0]
-    seg = V[1:] - V[:-1]
-    seg_len = axis_norms(seg)
+    wa, wb, diff, _, seg, seg_len = offsets
     unit = np.divide(seg, seg_len[:, None], out=np.zeros_like(seg), where=seg_len[:, None] > 0.0)
     cols = []
     for q in range(V.shape[1]):
@@ -131,26 +125,25 @@ def _ties(plan: TransportPlan, r: np.ndarray, eps: float, pull: np.ndarray):
 
 def _fixed_plan_grad(V: np.ndarray, plan: TransportPlan, p: float, lam: float,
                      eps_clamp: float, offsets: tuple):
-    """Vertex gradient of the fixed-plan objective and the p = 1 release mask.
+    """Vertex gradient of the fixed-plan objective and the next model's entry weights.
 
     For p = 1 the pull of a coincident (tied) entry is dropped and the
-    vertex gradient is shrunk by the tied mass. The release mask, None
-    unless p = 1 with an entry within eps_clamp, marks the tied entries
-    whose vertex the other pulls outweigh (negative slack); it is what
-    the next majoriser needs of this point's pull.
+    vertex gradient is shrunk by the tied mass. The weights are
+    _entry_weight's, except that at p = 1 a tied entry whose vertex the
+    other pulls outweigh (negative slack) is released: its weight is 0,
+    which is what the next majoriser needs of this point's pull.
     """
-    wa, wb, diff, r = offsets
-    kern = _entry_kernel(r, plan.mass, p, eps_clamp)
-    grad = _first_variation(V, plan, wa, wb, diff, kern, lam)
-    release = None
+    r = offsets[3]
+    w = _entry_weight(r, plan.mass, p, eps_clamp)
+    grad = _first_variation(V, plan, offsets, _entry_kernel(w, r, p, eps_clamp), lam)
     if p == 1.0 and np.any(r <= eps_clamp):
         on, tied_mass, norms = _ties(plan, r, eps_clamp, grad)
-        release = on & (norms > tied_mass)[plan.ia]
+        w = np.where(on & (norms > tied_mass)[plan.ia], 0.0, w)
         j = np.nonzero(tied_mass > 0)[0]
         tm, nj = tied_mass[j], norms[j]
         grad[j] = np.where((nj <= tm)[:, None], 0.0,
                            (1.0 - tm / np.maximum(nj, tm))[:, None] * grad[j])
-    return grad, release
+    return grad, w
 
 
 def fixed_plan_value_grad(
@@ -173,43 +166,39 @@ def fixed_plan_value_grad(
     descent direction of the nonsmooth convex objective.
     """
     offsets = _entry_offsets(V, plan, X) if offsets is None else offsets
-    value = float(np.sum(plan.mass * offsets[3]**p))
-    value += lam * float(np.sum(axis_norms(V[1:] - V[:-1])))
+    value = float(np.sum(plan.mass * offsets[3]**p)) + lam * float(np.sum(offsets[5]))
     if not want_grad:
         return value, None
     return value, _fixed_plan_grad(V, plan, p, lam, eps_clamp, offsets)[0]
 
 
 def fixed_plan_majoriser(V: np.ndarray, plan: TransportPlan, X: np.ndarray, p: float,
-                         lam: float, eps_clamp: float, offsets: tuple, release: np.ndarray | None):
+                         lam: float, eps_clamp: float, offsets: tuple, weights: np.ndarray):
     """Quadratic model of the fixed-plan objective at V, as bands of the system A V* = B.
 
-    Each entry's mass * r^p becomes (w / 2) |x - y|^2, w the entry weight
-    at the point's offsets (r clamped below eps_clamp). A tied p = 1 entry
-    keeps its clamped weight, which pins its vertex to the atom, unless
-    release, _fixed_plan_grad's mask at this point, marks it (the other
-    pulls outweigh the tied mass): then its weight is 0 and the vertex can
-    leave the atom. Each lambda |s_j| becomes
-    lambda |s_j|^2 / (2 max(|s_j|, eps_clamp)). Where nothing is clamped
-    the model's gradient at V is the objective's; for p <= 2 the model also
-    lies above the objective, so its minimiser V* cannot raise it. An entry
-    couples only vertices ia and ib = ia or ia + 1 and a segment only its
-    two ends, so the model is isotropic with one symmetric tridiagonal
-    matrix A shared by all d coordinates. Returns (diag, upper, B): A's
-    diagonal and superdiagonal and the (m, d) right side; a vertex target's
-    off-diagonal term, w * 1 * 0, is left out.
+    Each entry's mass * r^p becomes (w / 2) |x - y|^2, w its entry weight
+    (r clamped below eps_clamp) in weights, _fixed_plan_grad's at this
+    point. A tied p = 1 entry keeps its clamped weight, which pins its
+    vertex to the atom, unless it is released (the other pulls outweigh
+    the tied mass): then its weight is 0 and the vertex can leave it. Each
+    lambda |s_j| becomes lambda |s_j|^2 / (2 max(|s_j|, eps_clamp)). Where
+    nothing is clamped the model's gradient at V is the objective's; for
+    p <= 2 the model also lies above the objective, so its minimiser V*
+    cannot raise it. An entry couples only vertices ia and ib = ia or
+    ia + 1 and a segment only its two ends, so the model is isotropic with
+    one symmetric tridiagonal matrix A shared by all d coordinates. Returns
+    (diag, upper, B): A's diagonal and superdiagonal and the (m, d) right
+    side; a vertex target's off-diagonal term, w * 1 * 0, is left out.
     """
     m = V.shape[0]
-    wa, wb, _, r = offsets
-    w = _entry_weight(r, plan.mass, p, eps_clamp)
-    if release is not None:
-        w = np.where(release, 0.0, w)
-    c = lam / np.maximum(axis_norms(V[1:] - V[:-1]), eps_clamp)
-    diag = np.bincount(plan.ends, np.concatenate((w * wa * wa, w * wb * wb, c, c)), minlength=m)
-    upper = np.bincount(plan.upper_ends, np.concatenate(((w * wa * wb)[plan.in_segment], -c)),
+    wa, wb, _, _, _, seg_len = offsets
+    pa, pb = weights * wa, weights * wb
+    c = lam / np.maximum(seg_len, eps_clamp)
+    diag = np.bincount(plan.ends, np.concatenate((pa * wa, pb * wb, c, c)), minlength=m)
+    upper = np.bincount(plan.upper_ends, np.concatenate(((pa * wb)[plan.in_segment], -c)),
                         minlength=m - 1)
-    pull, Xe = np.concatenate((w * wa, w * wb)), np.concatenate((X, X))
-    B = np.stack([np.bincount(plan.ends[: len(pull)], pull * x, minlength=m) for x in Xe.T],
+    ends = plan.ends[: 2 * len(pa)]
+    B = np.stack([np.bincount(ends, np.concatenate((pa * x, pb * x)), minlength=m) for x in X.T],
                  axis=1)
     return diag, upper, B
 
@@ -228,11 +217,9 @@ def fixed_plan_hessian(V: np.ndarray, plan: TransportPlan, p: float, lam: float,
     segment terms.
     """
     m, d = V.shape
-    wa, wb, diff, r = offsets
-    kern = _entry_kernel(r, plan.mass, p, eps_clamp)
+    wa, wb, diff, r, s, ln = offsets
+    kern = _entry_kernel(_entry_weight(r, plan.mass, p, eps_clamp), r, p, eps_clamp)
     u = diff / np.maximum(r, eps_clamp)[:, None]
-    s = V[1:] - V[:-1]
-    ln = axis_norms(s)
     inv = np.divide(1.0, ln, out=np.zeros_like(ln), where=ln > 0.0)
     us = s * inv[:, None]
     upper, inner = plan.upper_ends * (m + 1), plan.in_segment
@@ -353,9 +340,10 @@ def stationarity_report(
         plan, _ = build_plan(in_range_at(mu, p), c)
     eps_tie = tie_tolerance(diameter(mu))
     m = c.n_vertices
-    wa, wb, diff, r = _entry_offsets(c.vertices, plan, mu.positions)
-    kern = _entry_kernel(r, plan.mass, p, eps_tie)
-    residual = -_first_variation(c.vertices, plan, wa, wb, diff, kern, lam)
+    off = _entry_offsets(c.vertices, plan, mu.positions)
+    r = off[3]
+    kern = _entry_kernel(_entry_weight(r, plan.mass, p, eps_tie), r, p, eps_tie)
+    residual = -_first_variation(c.vertices, plan, off, kern, lam)
     on, tied_mass, norms = _ties(plan, r, eps_tie, residual)
     tied_atoms: list[int | None] = [None] * m
     sitting = np.nonzero(on)[0]

@@ -134,6 +134,14 @@ def _in_range(mu: DiscreteMeasure) -> DiscreteMeasure:
     return mu
 
 
+def vertices_in_range(verts: np.ndarray) -> np.ndarray:
+    """verts, if every |coordinate| is at most COORD_MAX, as for measures: squares stay floats."""
+    if (reach := float(np.max(np.abs(verts), initial=0.0))) > COORD_MAX:
+        raise PencurveError(f"curve coordinates out of the supported range: largest |x| "
+                            f"{reach:.3g} (at most {COORD_MAX:.3g})")
+    return verts
+
+
 def in_range_at(mu: DiscreteMeasure, p: float) -> DiscreteMeasure:
     """The measure, if its energy at exponent p stays in the float range.
 

@@ -17,6 +17,7 @@ TOL_ENERGY_REL) or "max_iters".
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -172,23 +173,23 @@ def init_curve(mu: DiscreteMeasure, cfg: FitConfig, restart: int = 0) -> Polylin
 def _solve_tridiagonal(diag: np.ndarray, upper: np.ndarray, B: np.ndarray):
     """Solve A X = B for the symmetric tridiagonal A with these bands, or None.
 
-    One LDL^T factorisation without pivoting, then one forward and one back
-    substitution per column of B, in Python floats: O(m) time and memory.
-    A pivot that is not > 0 (A singular or indefinite, or a NaN) gives None.
+    One sweep factors A = L D L^T without pivoting and substitutes forward,
+    one substitutes back, in Python floats: O(m) time and memory. A pivot
+    that is not > 0 (A singular or indefinite, or a NaN) gives None.
     """
-    up, piv, mult = upper.tolist(), [], []
-    for i, a in enumerate(diag.tolist()):
-        if i:
-            mult.append(up[i - 1] / piv[-1])
-            a -= mult[-1] * up[i - 1]
+    piv, mult = diag.tolist(), upper.tolist()  # overwritten by D and L's subdiagonal
+    cols, a = B.T.tolist(), piv[0]
+    if not a > 0.0:
+        return None
+    for i, u in enumerate(mult, 1):
+        f = mult[i - 1] = u / a
+        a = piv[i] = piv[i] - f * u
         if not a > 0.0:
             return None
-        piv.append(a)
-    cols = B.T.tolist()
+        for x in cols:
+            x[i] -= f * x[i - 1]
     for x in cols:
-        for i in range(1, len(x)):
-            x[i] -= mult[i - 1] * x[i - 1]
-        x[-1] /= piv[-1]
+        x[-1] /= a
         for i in range(len(x) - 2, -1, -1):
             x[i] = x[i] / piv[i] - mult[i] * x[i + 1]
     return np.array(cols).T
@@ -207,7 +208,7 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
     relative drop below TOL_ENERGY_REL, or when no trial decreases the
     objective, so the fixed-plan objective and hence the true energy cannot
     go up. A point is evaluated once: its trial's offsets and value, and
-    the pull its gradient builds, serve its next model too.
+    the entry weights its gradient builds, serve its next model too.
     """
     V = np.array(c.vertices)
     X = mu.positions
@@ -216,12 +217,12 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
     val, _ = fixed_plan_value_grad(V, plan, X, p, lam, eps, False, off)
     if not np.isfinite(val):
         raise NumericError("non-finite fixed-plan objective at start")
-    grad, release = _fixed_plan_grad(V, plan, p, lam, eps, off)
+    grad, weights = _fixed_plan_grad(V, plan, p, lam, eps, off)
     for _ in range(INNER_MAX_STEPS):
         if float(np.max(axis_norms(grad))) <= cfg.tol_stationarity:
             break
         minimiser = _solve_tridiagonal(*fixed_plan_majoriser(V, plan, X, p, lam, eps, off,
-                                                             release))
+                                                             weights))
         if minimiser is None:
             break
         step = minimiser - V
@@ -236,7 +237,7 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
             break
         drop = val - cand_val
         V, val = W, cand_val
-        grad, release = _fixed_plan_grad(V, plan, p, lam, eps, off)
+        grad, weights = _fixed_plan_grad(V, plan, p, lam, eps, off)
         if drop <= TOL_ENERGY_REL * abs(val):
             break
     return Polyline(merge_vertices(V, 0.0))
@@ -268,12 +269,30 @@ def _gate(cand: _State, current: _State) -> _State:
     return current
 
 
+def _split_long_segments(c: Polyline, m_max: int) -> Polyline:
+    """c with its first longest segment halved while it is over twice the median, m <= m_max."""
+    verts, lens = list(c.vertices), c.segment_lengths.tolist()
+    ranked = sorted(lens)
+    while 1 < len(verts) < m_max:
+        h = len(ranked) // 2
+        median = ranked[h] if len(ranked) % 2 else (ranked[h - 1] + ranked[h]) / 2
+        if ranked[-1] <= 2.0 * median:
+            break
+        k = lens.index(ranked.pop())
+        mid = 0.5 * (verts[k] + verts[k + 1])
+        lens[k:k + 1] = halves = axis_norms(np.array([mid - verts[k], verts[k + 1] - mid])).tolist()
+        for x in halves:
+            bisect.insort(ranked, x)
+        verts.insert(k + 1, mid)
+    return Polyline(np.array(verts)) if len(verts) > c.n_vertices else c
+
+
 def _manage_vertices(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig) -> _State:
     """Merge close vertices, split oversized segments, drop idle endpoints.
 
     The merge and each endpoint drop pass the energy gate; splits leave the
-    image unchanged. The split curve is evaluated once, and its plan gives
-    the idle endpoints, the traced energy and the next fixed-plan solve.
+    image unchanged. The split curve is built and evaluated once, and its
+    plan gives the idle endpoints, the traced energy and the next solve.
     """
     state = None
     merged = merge_vertices(c.vertices, tie_tolerance(diameter(mu)))
@@ -281,13 +300,7 @@ def _manage_vertices(mu: DiscreteMeasure, c: Polyline, cfg: FitConfig) -> _State
         state = _gate(_evaluate(mu, merged, cfg), _evaluate(mu, c.vertices, cfg))
         c = state.curve
 
-    while c.n_vertices < cfg.m_max and c.n_vertices > 1:
-        lens = c.segment_lengths
-        k = int(np.argmax(lens))
-        if lens[k] <= 2.0 * float(np.median(lens)):
-            break
-        mid = 0.5 * (c.vertices[k] + c.vertices[k + 1])
-        c = Polyline(np.insert(c.vertices, k + 1, mid, axis=0))
+    c = _split_long_segments(c, cfg.m_max)
     if state is None or state.curve is not c:
         state = _evaluate(mu, c.vertices, cfg)
 

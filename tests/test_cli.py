@@ -117,6 +117,31 @@ def test_p3_energy_in_float_range_or_exit_two_with_one_line(tmp_path, scale, cod
             assert lines == []
 
 
+@pytest.mark.parametrize("far,code", [(1e300, 2), (1e150, 0)])
+def test_curve_coordinates_out_of_range_exit_two_with_one_line(tmp_path, far, code):
+    # curves are held to the measures' |x| <= 2^500 (about 3.3e150): at 1e300 the
+    # segment lengths overflowed with a numpy warning and check exited 0
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    atoms = _write_csv(tmp_path / "atoms.csv", synth_measure("noisy_circle", 300, seed=0).positions)
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"dim": 2, "vertices": [[0.1, 0.5], [0.5, 0.52], [0.9, 0.5],
+                                                        [far, -far]]}))
+    model = ["--p", "2", "--lambda", "0.01"]
+    for argv in (["check", str(atoms), str(curve), *model, "--out", str(tmp_path / "r.json")],
+                 ["oracle", str(atoms), "--m", "2", "--h", "0.5", *model, "--curve", str(curve),
+                  "--out", str(tmp_path / "o.json")],
+                 ["plot", str(atoms), "--curve", str(curve), "--out", str(tmp_path / "p.svg")]):
+        run = subprocess.run([sys.executable, "-W", "error", "-m", "pencurve.cli", *argv],
+                             capture_output=True, text=True, env=env, timeout=300)
+        assert run.returncode == code
+        lines = run.stderr.splitlines()
+        if code:
+            assert len(lines) == 1
+            assert lines[0].startswith("error: curve coordinates out of the supported range")
+        else:
+            assert lines == []
+
+
 def test_fit_rejects_bad_p(two_atoms_csv, tmp_path):
     rc = cli.main(["fit", str(two_atoms_csv), "--p", "0.5", "--lambda", "0.2",
                    "--out", str(tmp_path)])

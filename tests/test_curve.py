@@ -1,4 +1,5 @@
 import math
+import timeit
 
 import numpy as np
 import pytest
@@ -167,3 +168,33 @@ def test_point_segment_foot_matches_the_loop():
         ref = [_foot_loop(x, a, b) for x in X]
         assert dist.tobytes() == np.array([r[0] for r in ref]).tobytes()
         assert feet.tobytes() == np.array([r[1] for r in ref]).tobytes()
+
+
+def _reduce_norms(x):
+    """The numpy form axis_norms must equal bit for bit."""
+    return np.sqrt(np.add.reduce(x * x, axis=1))
+
+
+@pytest.mark.parametrize("d", range(11))  # numpy's reduce sums 8 or more terms pairwise
+def test_axis_norms_equal_the_reduce_bitwise(d):
+    rng = np.random.default_rng(d)
+    scales = np.array([5e-324, 1e-200, 1.0, 1e154, np.inf, np.nan])
+    for n in (0, 1, 3, 1000):
+        for _ in range(5):
+            x = rng.normal(size=(n, d)) * rng.choice(scales[:4], size=(n, d))
+            if n:
+                x[rng.integers(0, n, size=max(1, n // 20))] = rng.choice(scales, size=d)
+            with np.errstate(over="ignore", invalid="ignore"):  # 1e154 squares overflow in sums
+                assert axis_norms(x).tobytes() == _reduce_norms(x).tobytes()
+
+
+def test_axis_norms_are_not_slower_than_the_reduce():
+    # the column sums must pay off on plan-sized arrays and cost nothing on tiny ones
+    rng = np.random.default_rng(3)
+    for shape, ratio in (((3, 2), 1.5), ((1000, 2), 1.0)):
+        x = rng.normal(size=shape)
+        best = {axis_norms: math.inf, _reduce_norms: math.inf}
+        for _ in range(7):
+            for f in best:
+                best[f] = min(best[f], timeit.timeit(lambda: f(x), number=2000))
+        assert best[axis_norms] <= ratio * best[_reduce_norms]

@@ -304,7 +304,8 @@ def reference_value_grad(V, plan, X, p, lam, eps):
     value = float(np.sum(plan.mass * r**p))
     seg_len = np.linalg.norm(np.diff(V, axis=0), axis=1) if m > 1 else np.zeros(0)
     value += lam * float(np.sum(seg_len))
-    kern = energy_module._entry_kernel(r, plan.mass, p, eps)
+    kern = energy_module._entry_kernel(energy_module._entry_weight(r, plan.mass, p, eps), r, p,
+                                       eps)
     grad = reference_first_variation(V, plan, wa, wb, diff, kern, lam)
     if p == 1.0 and np.any(r <= eps):
         _, tied_mass, norms = reference_ties(plan, r, eps, grad)
@@ -322,7 +323,7 @@ def reference_majoriser(V, plan, X, p, lam, eps):
     w = energy_module._entry_weight(r, plan.mass, p, eps)
     if p == 1.0 and np.any(r <= eps):
         pull = reference_first_variation(V, plan, wa, wb, diff,
-                                         energy_module._entry_kernel(r, plan.mass, p, eps), lam)
+                                         energy_module._entry_kernel(w, r, p, eps), lam)
         on, tied_mass, norms = reference_ties(plan, r, eps, pull)
         w = np.where(on & (norms > tied_mass)[ia], 0.0, w)
     k = np.arange(m - 1)
@@ -342,7 +343,8 @@ def reference_majoriser(V, plan, X, p, lam, eps):
 def reference_hessian(V, plan, X, p, lam, eps):
     m, d = V.shape
     wa, wb, diff, r = reference_offsets(V, plan, X)
-    kern = energy_module._entry_kernel(r, plan.mass, p, eps)
+    kern = energy_module._entry_kernel(energy_module._entry_weight(r, plan.mass, p, eps), r, p,
+                                       eps)
     u = diff / np.maximum(r, eps)[:, None]
     hy = kern[:, None, None] * (np.eye(d) + (p - 2.0) * u[:, :, None] * u[:, None, :])
     ends = ((plan.ia, wa), (plan.ib, wb))
@@ -400,8 +402,9 @@ def test_kernels_match_add_at_references_bitwise(p):
         assert all(np.array_equal(a, b) for a, b in zip(off, ref_off))
         on_vertex += int(np.sum((off[3] <= eps) & (plan.ia == plan.ib)))
         on_segment += int(np.sum((off[3] <= eps) & (plan.ia != plan.ib)))
-        kern = energy_module._entry_kernel(off[3], plan.mass, p, eps)
-        assert np.array_equal(energy_module._first_variation(V, plan, *off[:3], kern, lam),
+        kern = energy_module._entry_kernel(energy_module._entry_weight(off[3], plan.mass, p, eps),
+                                           off[3], p, eps)
+        assert np.array_equal(energy_module._first_variation(V, plan, off, kern, lam),
                               reference_first_variation(V, plan, *off[:3], kern, lam))
         ref_val, ref_grad = reference_value_grad(V, plan, X, p, lam, eps)
         for given in (None, off):

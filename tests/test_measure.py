@@ -12,12 +12,14 @@ from pencurve.diagnostics import full_report
 from pencurve.energy import energy, gradient, stationarity_report
 from pencurve.errors import ParseError, PencurveError
 from pencurve.measure import (
+    COORD_MAX,
     SYNTH_FAMILIES,
     DiscreteMeasure,
     convex_hull_2d,
     diameter,
     load_measure,
     synth_measure,
+    vertices_in_range,
 )
 from pencurve.optimizer import FitConfig, fit
 from pencurve.oracle import OracleConfig, brute_force_min, certify_fit
@@ -141,6 +143,24 @@ def test_library_refuses_measures_outside_the_range(scale, p):
     for call in calls:
         with pytest.raises(PencurveError, match="out of the supported range"):
             call()
+
+
+def test_library_refuses_curves_outside_the_range():
+    # the measures' coordinate bound, applied to curves read from JSON and to full_report's
+    mu = synth_measure("noisy_circle", 300, seed=0)
+    data = {"dim": 2, "vertices": [[0.1, 0.5], [0.5, 0.52], [0.9, 0.5], [1e300, -1e300]]}
+    with pytest.raises(PencurveError, match="curve coordinates out of the supported range"):
+        Polyline.from_dict(data)
+    with np.errstate(over="ignore"):
+        far = Polyline(np.array(data["vertices"]))
+    with pytest.raises(PencurveError, match="curve coordinates out of the supported range"):
+        full_report(mu, far, 2.0, 0.01)
+    edge = np.array([[COORD_MAX, 0.5], [0.5, -COORD_MAX]])
+    assert vertices_in_range(edge) is edge
+    with pytest.raises(PencurveError, match="curve coordinates out of the supported range"):
+        vertices_in_range(np.nextafter(edge, math.inf))
+    assert full_report(mu, Polyline.from_dict({**data, "vertices": data["vertices"][:3]}),
+                       2.0, 0.01).checks
 
 
 def test_diameter_examples():

@@ -129,8 +129,9 @@ def test_majorise_minimise_step_never_raises_objective(p):
         V, X, eps = np.array(c.vertices), mu.positions, tie_tolerance(diameter(mu))
         assert np.all(plan.dist > eps) and np.all(c.segment_lengths > eps)  # nothing clamped
         before, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps)
-        diag, upper, B = fixed_plan_majoriser(V, plan, X, p, lam, eps, _entry_offsets(V, plan, X),
-                                              None)
+        off = _entry_offsets(V, plan, X)
+        diag, upper, B = fixed_plan_majoriser(V, plan, X, p, lam, eps, off,
+                                              _fixed_plan_grad(V, plan, p, lam, eps, off)[1])
         AV = diag[:, None] * V
         AV[:-1] += upper[:, None] * V[1:]
         AV[1:] += upper[:, None] * V[:-1]
@@ -507,3 +508,95 @@ def test_fit_matches_recorded_output_bitwise(key):
     verts = np.ascontiguousarray(res.curve.vertices, dtype="<f8").tobytes()
     assert (res.breakdown.total.hex(), hashlib.sha256(verts).hexdigest(),
             res.status) == RECORDED_FITS[key]
+
+
+def reference_split(c, m_max):
+    """The split pass as a loop over curves: one Polyline and one np.median per insertion."""
+    while c.n_vertices < m_max and c.n_vertices > 1:
+        lens = c.segment_lengths
+        k = int(np.argmax(lens))
+        if lens[k] <= 2.0 * float(np.median(lens)):
+            break
+        mid = 0.5 * (c.vertices[k] + c.vertices[k + 1])
+        c = Polyline(np.insert(c.vertices, k + 1, mid, axis=0))
+    return c
+
+
+def _split_cases():
+    """(curve, m_max): random walks with spread step lengths, in 2-D and 3-D, and edge cases."""
+    rng = np.random.default_rng(23)
+    for k in range(120):
+        m, d = int(rng.integers(1, 30)), 2 + k % 2
+        steps = rng.normal(size=(m, d)) * rng.lognormal(0.0, 1.5, (m, 1))
+        yield Polyline(np.cumsum(steps, axis=0)), int(rng.integers(m, 3 * m + 3))
+    grid = lambda *xs: Polyline(np.array([[x, 0.0] for x in xs]))  # exact lengths
+    yield grid(0, 1, 2, 6, 10, 11), 50  # tied longest segments: the first splits first
+    yield grid(0, 1, 2, 4), 50  # longest exactly twice the median: no split
+    yield grid(0, 1, 2, 3, 5), 50  # longest twice an even count's median: no split
+    yield grid(0, 1, 2, 10), 50  # splits until the halves reach twice the median
+    yield grid(0, 1, 2, 30, 31), 7  # m_max reached in the middle of the pass
+    yield grid(0, 5), 50  # m = 2: one segment is its own median
+    yield grid(3), 50  # m = 1
+
+
+def test_split_pass_equals_the_curve_loop_bitwise():
+    grew = capped = 0
+    for c, m_max in _split_cases():
+        got, ref = optimizer._split_long_segments(c, m_max), reference_split(c, m_max)
+        assert got.vertices.tobytes() == ref.vertices.tobytes()
+        assert got.segment_lengths.tobytes() == ref.segment_lengths.tobytes()
+        assert (got is c) == (ref is c)
+        grew += got.n_vertices > c.n_vertices
+        capped += got.n_vertices == m_max > c.n_vertices
+    assert grew > 40 and capped > 5
+
+
+def reference_solve_tridiagonal(diag, upper, B):
+    """The two-sweep solve: factor every row first, then substitute each column."""
+    up, piv, mult = upper.tolist(), [], []
+    for i, a in enumerate(diag.tolist()):
+        if i:
+            mult.append(up[i - 1] / piv[-1])
+            a -= mult[-1] * up[i - 1]
+        if not a > 0.0:
+            return None
+        piv.append(a)
+    cols = B.T.tolist()
+    for x in cols:
+        for i in range(1, len(x)):
+            x[i] -= mult[i - 1] * x[i - 1]
+        x[-1] /= piv[-1]
+        for i in range(len(x) - 2, -1, -1):
+            x[i] = x[i] / piv[i] - mult[i] * x[i + 1]
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 50])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_solve_tridiagonal_equals_the_two_sweep_solve_bitwise(m, d):
+    rng = np.random.default_rng([m, d, 7])
+    for _ in range(20):
+        upper = -rng.uniform(0.1, 2.0, m - 1) * rng.lognormal(0.0, 2.0, m - 1)
+        diag = rng.uniform(0.0, 1.0, m)
+        diag[:-1] -= upper
+        diag[1:] -= upper
+        B = rng.normal(size=(m, d)) * rng.lognormal(0.0, 3.0, (m, 1))
+        got = optimizer._solve_tridiagonal(diag, upper, B)
+        assert got.tobytes() == reference_solve_tridiagonal(diag, upper, B).tobytes()
+    piv = _pivots(diag, upper)
+    for k in range(m):  # a zero, a negative and a NaN pivot at row k, after k good ones
+        cut = upper[k - 1] / piv[k - 1] * upper[k - 1] if k else 0.0
+        for bad in (cut, -1.0, np.nan):
+            broken = diag.copy()
+            broken[k] = bad
+            assert optimizer._solve_tridiagonal(broken, upper, B) is None
+            assert reference_solve_tridiagonal(broken, upper, B) is None
+
+
+def _pivots(diag, upper):
+    """The LDL^T pivots of a positive definite system, in the solve's float operations."""
+    piv = [float(diag[0])]
+    for u, a in zip(upper.tolist(), diag[1:].tolist()):
+        piv.append(a - u / piv[-1] * u)
+    assert min(piv) > 0.0
+    return piv
