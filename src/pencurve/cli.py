@@ -61,11 +61,15 @@ def _read_measure(path: Path, fmt: str | None) -> DiscreteMeasure:
         return load_measure(f, fmt)
 
 
-def _read_curve(path: Path) -> Polyline:
+def _read_curve(path: Path, mu: DiscreteMeasure) -> Polyline:
+    """The curve in path, refused unless it is in range and has mu's dimension."""
     try:
-        return Polyline.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        curve = Polyline.from_dict(json.loads(path.read_text(encoding="utf-8")))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"curve file {path} is not UTF-8 JSON: {exc}") from exc
+    if mu.dim != curve.dim:
+        raise DimensionMismatchError(f"measure d={mu.dim} vs curve d={curve.dim}")
+    return curve
 
 
 def cmd_fit(args) -> int:
@@ -94,9 +98,7 @@ def cmd_fit(args) -> int:
 
 def cmd_check(args) -> int:
     mu = _read_measure(args.measure, args.format)
-    curve = _read_curve(args.curve)
-    if mu.dim != curve.dim:
-        raise DimensionMismatchError(f"measure d={mu.dim} vs curve d={curve.dim}")
+    curve = _read_curve(args.curve, mu)
     report = full_report(mu, curve, args.p, args.lam)
     manifest = _manifest("check", args, [args.measure, args.curve])
     out = Path(args.out)
@@ -109,14 +111,15 @@ def cmd_check(args) -> int:
 
 def cmd_oracle(args) -> int:
     mu = _read_measure(args.measure, args.format)
+    fitted = _read_curve(args.curve, mu) if args.curve else None  # refused before the search
     ocfg = OracleConfig(m=args.m, h=args.grid_h, p=args.p, lam=args.lam, budget=args.budget)
     curve, energy_val = brute_force_min(mu, ocfg)
     payload = {
         "manifest": _manifest("oracle", args, [args.measure] + ([args.curve] if args.curve else [])),
         "oracle": golden_record(mu, ocfg, curve, energy_val),
     }
-    if args.curve:
-        payload["certify"] = certify_fit(mu, _read_curve(args.curve), ocfg)
+    if fitted is not None:
+        payload["certify"] = certify_fit(mu, fitted, ocfg)
     _dump_json(Path(args.out), payload)
     print(f"oracle energy {energy_val:.9g} with {curve.n_vertices} vertices at h={args.grid_h}")
     if "certify" in payload:
@@ -128,7 +131,7 @@ def cmd_plot(args) -> int:
     mu = _read_measure(args.measure, args.format)
     if mu.dim != 2:
         raise DimensionMismatchError("plotting needs a 2-D measure")
-    curve = _read_curve(args.curve) if args.curve else None
+    curve = _read_curve(args.curve, mu) if args.curve else None
     manifest = _manifest("plot", args, [args.measure] + ([args.curve] if args.curve else []))
     svg = render_svg(mu, curve, comment=json.dumps(manifest, sort_keys=True))
     Path(args.out).write_text(svg)

@@ -27,11 +27,11 @@ class Polyline:
         v = np.array(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1:
             raise PencurveError("polyline needs an (m, d) vertex array with m >= 1")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise PencurveError("non-finite vertex coordinate")
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        if np.any(self.segment_lengths == 0.0):
+        if (self.segment_lengths == 0.0).any():
             raise PencurveError("zero-length segment at vertex %d; run merge_vertices first"
                                 % int(np.argmin(self.segment_lengths)))
 
@@ -56,7 +56,7 @@ class Polyline:
         """Arc length of every vertex; entry 0 is 0, entry m-1 is L."""
         out = np.zeros(self.n_vertices)
         if self.n_vertices > 1:
-            np.cumsum(self.segment_lengths, out=out[1:])
+            self.segment_lengths.cumsum(out=out[1:])
         return out
 
     @cached_property
@@ -147,7 +147,7 @@ def self_intersections_2d(c: Polyline, eps: float) -> list[Intersection]:
     found = []
     for i in range(nseg - 2):
         later = np.arange(i + 2, nseg)
-        apart = np.any(lo[i] > hi[later] + eps, axis=1) | np.any(lo[later] > hi[i] + eps, axis=1)
+        apart = (lo[i] > hi[later] + eps).any(axis=1) | (lo[later] > hi[i] + eps).any(axis=1)
         for j in later[~apart].tolist():
             p1, p2, q1, q2 = v[i], v[i + 1], v[j], v[j + 1]
             r = p2 - p1
@@ -165,7 +165,7 @@ def self_intersections_2d(c: Polyline, eps: float) -> list[Intersection]:
             ends = v[[i, i + 1, j, j + 1]]  # p1, p2, q1, q2: argmin keeps the first minimum
             d, feet = zip(point_segment_foot(ends[:2], q1, q2), point_segment_foot(ends[2:], p1, p2))
             d, feet = np.concatenate(d), np.concatenate(feet)
-            k = int(np.argmin(d))
+            k = int(d.argmin())
             if d[k] <= eps:
                 found.append(Intersection(i, j, 0.5 * (ends[k] + feet[k]), "contact"))
     return found

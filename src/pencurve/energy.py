@@ -51,7 +51,7 @@ def energy(
     validate_params(p, lam)
     if plan is None:
         plan, _ = build_plan(in_range_at(mu, p), c)
-    fidelity = float(np.sum(mu.masses * plan.dist**p))
+    fidelity = float((mu.masses * plan.dist**p).sum())
     length_term = lam * c.total_length
     return EnergyBreakdown(fidelity, length_term, fidelity + length_term)
 
@@ -64,7 +64,7 @@ def _entry_offsets(V: np.ndarray, plan: TransportPlan, X: np.ndarray):
     kernels take these pieces, so that each point of a solver computes them once.
     """
     wa, wb = plan.weights
-    y = wa[:, None] * np.take(V, plan.ia, axis=0) + wb[:, None] * np.take(V, plan.ib, axis=0)
+    y = wa[:, None] * V.take(plan.ia, axis=0) + wb[:, None] * V.take(plan.ib, axis=0)
     diff, seg = X - y, V[1:] - V[:-1]
     return wa, wb, diff, axis_norms(diff), seg, axis_norms(seg)
 
@@ -99,15 +99,15 @@ def _first_variation(V: np.ndarray, plan: TransportPlan, offsets: tuple, kern: n
     at its start. A bincount per coordinate over plan.ends adds each
     vertex's terms in that order, as np.add.at would.
     """
-    m = V.shape[0]
     wa, wb, diff, _, seg, seg_len = offsets
-    unit = np.divide(seg, seg_len[:, None], out=np.zeros_like(seg), where=seg_len[:, None] > 0.0)
-    cols = []
+    unit = np.divide(seg, seg_len[:, None], out=np.zeros(seg.shape), where=seg_len[:, None] > 0.0)
+    unit *= lam  # lambda times each unit tangent
+    neg, grad = -kern, np.empty(V.shape)
     for q in range(V.shape[1]):
-        g_y, tangent = -kern * diff[:, q], lam * unit[:, q]
-        cols.append(np.bincount(plan.ends, np.concatenate((wa * g_y, wb * g_y, -tangent, tangent)),
-                                minlength=m))
-    return np.stack(cols, axis=1)
+        g_y, tangent = neg * diff[:, q], unit[:, q]
+        grad[:, q] = np.bincount(plan.ends, np.concatenate((wa * g_y, wb * g_y, -tangent, tangent)),
+                                 minlength=len(V))
+    return grad
 
 
 def _ties(plan: TransportPlan, r: np.ndarray, eps: float, pull: np.ndarray):
@@ -136,10 +136,10 @@ def _fixed_plan_grad(V: np.ndarray, plan: TransportPlan, p: float, lam: float,
     r = offsets[3]
     w = _entry_weight(r, plan.mass, p, eps_clamp)
     grad = _first_variation(V, plan, offsets, _entry_kernel(w, r, p, eps_clamp), lam)
-    if p == 1.0 and np.any(r <= eps_clamp):
+    if p == 1.0 and (r <= eps_clamp).any():
         on, tied_mass, norms = _ties(plan, r, eps_clamp, grad)
         w = np.where(on & (norms > tied_mass)[plan.ia], 0.0, w)
-        j = np.nonzero(tied_mass > 0)[0]
+        j = (tied_mass > 0).nonzero()[0]
         tm, nj = tied_mass[j], norms[j]
         grad[j] = np.where((nj <= tm)[:, None], 0.0,
                            (1.0 - tm / np.maximum(nj, tm))[:, None] * grad[j])
@@ -166,14 +166,14 @@ def fixed_plan_value_grad(
     descent direction of the nonsmooth convex objective.
     """
     offsets = _entry_offsets(V, plan, X) if offsets is None else offsets
-    value = float(np.sum(plan.mass * offsets[3]**p)) + lam * float(np.sum(offsets[5]))
+    value = float((plan.mass * offsets[3]**p).sum()) + lam * float(offsets[5].sum())
     if not want_grad:
         return value, None
     return value, _fixed_plan_grad(V, plan, p, lam, eps_clamp, offsets)[0]
 
 
-def fixed_plan_majoriser(V: np.ndarray, plan: TransportPlan, X: np.ndarray, p: float,
-                         lam: float, eps_clamp: float, offsets: tuple, weights: np.ndarray):
+def fixed_plan_majoriser(plan: TransportPlan, X: np.ndarray, lam: float, eps_clamp: float,
+                         offsets: tuple, weights: np.ndarray):
     """Quadratic model of the fixed-plan objective at V, as bands of the system A V* = B.
 
     Each entry's mass * r^p becomes (w / 2) |x - y|^2, w its entry weight
@@ -188,18 +188,20 @@ def fixed_plan_majoriser(V: np.ndarray, plan: TransportPlan, X: np.ndarray, p: f
     ia + 1 and a segment only its two ends, so the model is isotropic with
     one symmetric tridiagonal matrix A shared by all d coordinates. Returns
     (diag, upper, B): A's diagonal and superdiagonal and the (m, d) right
-    side; a vertex target's off-diagonal term, w * 1 * 0, is left out.
+    side; a vertex target's off-diagonal term, w * 1 * 0, is left out. V
+    enters only through offsets, its `_entry_offsets`; m is plan.n_vertices.
     """
-    m = V.shape[0]
+    m = plan.n_vertices
     wa, wb, _, _, _, seg_len = offsets
     pa, pb = weights * wa, weights * wb
     c = lam / np.maximum(seg_len, eps_clamp)
     diag = np.bincount(plan.ends, np.concatenate((pa * wa, pb * wb, c, c)), minlength=m)
     upper = np.bincount(plan.upper_ends, np.concatenate(((pa * wb)[plan.in_segment], -c)),
                         minlength=m - 1)
-    ends = plan.ends[: 2 * len(pa)]
-    B = np.stack([np.bincount(ends, np.concatenate((pa * x, pb * x)), minlength=m) for x in X.T],
-                 axis=1)
+    ends, B = plan.ends[: 2 * len(pa)], np.empty((m, X.shape[1]))
+    for q in range(X.shape[1]):
+        x = X[:, q]
+        B[:, q] = np.bincount(ends, np.concatenate((pa * x, pb * x)), minlength=m)
     return diag, upper, B
 
 
@@ -220,7 +222,7 @@ def fixed_plan_hessian(V: np.ndarray, plan: TransportPlan, p: float, lam: float,
     wa, wb, diff, r, s, ln = offsets
     kern = _entry_kernel(_entry_weight(r, plan.mass, p, eps_clamp), r, p, eps_clamp)
     u = diff / np.maximum(r, eps_clamp)[:, None]
-    inv = np.divide(1.0, ln, out=np.zeros_like(ln), where=ln > 0.0)
+    inv = np.divide(1.0, ln, out=np.zeros(ln.shape), where=ln > 0.0)
     us = s * inv[:, None]
     upper, inner = plan.upper_ends * (m + 1), plan.in_segment
     cells = np.concatenate((plan.ends * (m + 1), upper + 1, upper + m))  # (i,i), (i,i+1), (i+1,i)
@@ -247,7 +249,7 @@ def gradient(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -> np.ndarr
     eps_tie = tie_tolerance(diameter(mu))
     V = np.array(c.vertices)
     offsets = _entry_offsets(V, plan, mu.positions)
-    if p == 1.0 and np.any(offsets[3] <= eps_tie):
+    if p == 1.0 and (offsets[3] <= eps_tie).any():
         raise NonSmoothPointError(
             "p=1 gradient at a coincident atom-target pair; use stationarity_report"
         )
@@ -345,9 +347,10 @@ def stationarity_report(
     kern = _entry_kernel(_entry_weight(r, plan.mass, p, eps_tie), r, p, eps_tie)
     residual = -_first_variation(c.vertices, plan, off, kern, lam)
     on, tied_mass, norms = _ties(plan, r, eps_tie, residual)
+    tied_mass, norms = tied_mass.tolist(), norms.tolist()
     tied_atoms: list[int | None] = [None] * m
-    sitting = np.nonzero(on)[0]
-    for k in reversed(sitting[np.argsort(r[sitting], kind="stable")].tolist()):
+    sitting = on.nonzero()[0]
+    for k in reversed(sitting[r[sitting].argsort(kind="stable")].tolist()):
         tied_atoms[plan.ia[k]] = k  # the last write per vertex is its nearest atom
 
     rows = []
@@ -355,8 +358,8 @@ def stationarity_report(
         kind = "interior" if 0 < j < m - 1 else "endpoint"
         tied_atom = tied_atoms[j]
         status = "tied" if tied_atom is not None else "free"
-        slack = float(tied_mass[j] - norms[j]) if p == 1.0 and tied_atom is not None else None
-        rows.append(VertexResidual(j, kind, status, tied_atom, residual[j], float(norms[j]), slack))
+        slack = tied_mass[j] - norms[j] if p == 1.0 and tied_atom is not None else None
+        rows.append(VertexResidual(j, kind, status, tied_atom, residual[j], norms[j], slack))
     max_free = max((v.residual_norm for v in rows if v.slack is None), default=0.0)
     min_slack = min((v.slack for v in rows if v.slack is not None), default=None)
     return StationarityReport(tuple(rows), max_free, min_slack, p, lam)

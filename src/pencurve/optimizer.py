@@ -215,14 +215,13 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
     p, lam, eps = cfg.p, cfg.lam, tie_tolerance(diameter(mu))
     off = _entry_offsets(V, plan, X)
     val, _ = fixed_plan_value_grad(V, plan, X, p, lam, eps, False, off)
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise NumericError("non-finite fixed-plan objective at start")
     grad, weights = _fixed_plan_grad(V, plan, p, lam, eps, off)
     for _ in range(INNER_MAX_STEPS):
-        if float(np.max(axis_norms(grad))) <= cfg.tol_stationarity:
+        if float(axis_norms(grad).max()) <= cfg.tol_stationarity:
             break
-        minimiser = _solve_tridiagonal(*fixed_plan_majoriser(V, plan, X, p, lam, eps, off,
-                                                             weights))
+        minimiser = _solve_tridiagonal(*fixed_plan_majoriser(plan, X, lam, eps, off, weights))
         if minimiser is None:
             break
         step = minimiser - V
@@ -322,14 +321,14 @@ def _fit_single(mu: DiscreteMeasure, cfg: FitConfig, restart: int):
     """One restart: (final state, energy trace, outer iterations, status)."""
     curve = init_curve(mu, cfg, restart=restart)
     state = _evaluate(mu, curve.vertices, cfg)
-    if not np.isfinite(state.energy.total):
+    if not math.isfinite(state.energy.total):
         raise NumericError("non-finite energy at initialization")
     trace = [state.energy.total]
     status = "max_iters"
     for iterations in range(1, cfg.max_outer_iters + 1):  # resolved() keeps this >= 1
         solved = fixed_plan_solve(mu, state.curve, state.plan, cfg)
         new = _manage_vertices(mu, solved, cfg)
-        if not np.isfinite(new.energy.total):
+        if not math.isfinite(new.energy.total):
             raise NumericError(f"non-finite energy at outer iteration {iterations}")
         trace.append(new.energy.total)
         plateau = state.energy.total - new.energy.total <= TOL_ENERGY_REL * state.energy.total
@@ -369,12 +368,12 @@ def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> 
     grad = _fixed_plan_grad(V, state.plan, p, lam, eps, off)[0]
     pairs, H_inv = [], None  # pairs: (s, y, y.s)
     for k in range(FINISH_MAX_STEPS):
-        if float(np.max(axis_norms(grad))) <= cfg.tol_stationarity:
+        if float(axis_norms(grad).max()) <= cfg.tol_stationarity:
             break
         m, d = V.shape
         if k % FINISH_REFACTOR == 0 or H_inv.shape[0] != m * d:
             H = fixed_plan_hessian(V, state.plan, p, lam, eps, off)
-            H[np.diag_indices(m * d)] += 1e-12 * np.trace(H) / (m * d)
+            H.flat[::m * d + 1] += 1e-12 * H.trace() / (m * d)
             try:
                 H_inv = np.linalg.inv(H)
             except np.linalg.LinAlgError:
@@ -387,11 +386,12 @@ def _quasi_newton_finish(mu: DiscreteMeasure, state: _State, cfg: FitConfig) -> 
         q = H_inv @ q
         for (s, y, ys), a in zip(pairs, reversed(alphas)):
             q += s * (a - float(y @ q) / ys)
-        step = -q.reshape(m, d)
+        step, segs = -q.reshape(m, d), state.curve.segment_vectors
         for _ in range(30):
             cand = V + step
-            flip = np.nonzero(np.sum((cand[1:] - cand[:-1]) * (V[1:] - V[:-1]), axis=1) <= 0)[0]
-            cand[flip] = cand[flip + 1] = 0.5 * (cand[flip] + cand[flip + 1])
+            flip = (((cand[1:] - cand[:-1]) * segs).sum(axis=1) <= 0).nonzero()[0]
+            if flip.size:
+                cand[flip] = cand[flip + 1] = 0.5 * (cand[flip] + cand[flip + 1])
             trial = _evaluate(mu, cand, cfg)
             if trial.energy.total < state.energy.total:  # False for NaN too
                 break

@@ -87,7 +87,7 @@ def _snap_targets(c: Polyline, seg: np.ndarray, t: np.ndarray, snap: float):
     A foot within snap (in length) of its segment's start or end is
     reported as that vertex, with ia == ib and t == 0.
     """
-    ln = c.segment_lengths[seg]
+    ln = c.segment_lengths.take(seg)
     lo = t * ln <= snap
     hi = ~lo & ((1.0 - t) * ln <= snap)
     inner = ~(lo | hi)
@@ -116,7 +116,7 @@ def _foot_arithmetic(coords, denom, work: np.ndarray):
             work[q % 2] += off
     if len(coords) > 1:
         T += odd
-    np.clip(np.divide(T, denom, out=T), 0.0, 1.0, out=T)
+    np.divide(T, denom, out=T).clip(0.0, 1.0, out=T)
     D.fill(0.0)
     for x, a, v in coords:  # coordinate order: np.linalg.norm's sum of squares
         np.multiply(T, v, out=off)
@@ -133,8 +133,8 @@ def _dense_block(Xb, a, vec, denom, eps_abs: float, work: np.ndarray):
     rows = len(Xb)
     coords = [(Xb[:, q, None], a[:, q], vec[:, q]) for q in range(Xb.shape[1])]
     T, D = _foot_arithmetic(coords, denom, work[:, :rows])
-    dmin = np.min(D, axis=1)
-    first = np.argmax(D <= (dmin[:, None] + eps_abs), axis=1)
+    dmin = D.min(axis=1)
+    first = (D <= (dmin[:, None] + eps_abs)).argmax(axis=1)
     return dmin, first, T[np.arange(rows), first]
 
 
@@ -156,7 +156,7 @@ def _midpoint_balls(c: Polyline):
     keep = near.copy()
     keep[:, d] -= half * half
     keep[:, d + 2] = -2.0 * half
-    return z, near, keep, math.sqrt(float(np.max(near[:, d]))), float(np.max(half))
+    return z, near, keep, math.sqrt(float(near[:, d].max())), float(half.max())
 
 
 def _kept_pairs(Xb, balls, eps_abs: float, pad: float, G: np.ndarray) -> np.ndarray:
@@ -182,15 +182,15 @@ def _kept_pairs(Xb, balls, eps_abs: float, pad: float, G: np.ndarray) -> np.ndar
     xc *= -2.0
     right[d], right[d + 1], right[d + 2] = 1.0, sx, 0.0
     floor = (d + 4) * 2.0**-1070
-    spread = (c_reach + math.sqrt(float(np.max(sx)))) ** 2
+    spread = (c_reach + math.sqrt(float(sx.max()))) ** 2
     G = G[:len(near) * rows].reshape(len(near), rows)
     np.matmul(near, right, out=G)
-    r = np.sqrt(np.min(G, axis=0) + (2.0**-48 * (d + 4) * spread + floor)) + eps_abs + pad
+    r = np.sqrt(G.min(axis=0) + (2.0**-48 * (d + 4) * spread + floor)) + eps_abs + pad
     right[d + 1] -= r * r
     right[d + 2] = r
     np.matmul(keep, right, out=G)
-    tol = 2.0**-48 * (d + 4) * (spread + (h_max + float(np.max(r))) ** 2) + floor
-    return np.flatnonzero(G <= tol)
+    tol = 2.0**-48 * (d + 4) * (spread + (h_max + float(r.max())) ** 2) + floor
+    return (G <= tol).ravel().nonzero()[0]
 
 
 def _culled_block(Xb, a, vec, denom, balls, eps_abs: float, pad: float, G: np.ndarray):
@@ -204,14 +204,15 @@ def _culled_block(Xb, a, vec, denom, balls, eps_abs: float, pad: float, G: np.nd
     k = _kept_pairs(Xb, balls, eps_abs, pad, G)
     jj = k // rows
     ii = k - jj * rows
-    coords = [(Xb[:, q][ii], a[:, q][jj], vec[:, q][jj]) for q in range(Xb.shape[1])]
-    T, D = _foot_arithmetic(coords, denom[jj], np.empty((4, len(k))))
+    coords = [(Xb[:, q].take(ii), a[:, q].take(jj), vec[:, q].take(jj))
+              for q in range(Xb.shape[1])]
+    T, D = _foot_arithmetic(coords, denom.take(jj), np.empty((4, len(k))))
     dmin = np.full(rows, np.inf)
     np.minimum.at(dmin, ii, D)
-    near = np.flatnonzero(D <= dmin[ii] + eps_abs)
+    near = (D <= dmin.take(ii) + eps_abs).nonzero()[0]
     first = np.full(rows, len(k))
-    np.minimum.at(first, ii[near], near)  # an atom's pairs run in segment order
-    return dmin, jj[first], T[first]
+    np.minimum.at(first, ii.take(near), near)  # an atom's pairs run in segment order
+    return dmin, jj.take(first), T.take(first)
 
 
 def _nearest_feet(X: np.ndarray, c: Polyline, eps_abs: float, reach: float,
@@ -260,7 +261,7 @@ def _nearest_feet(X: np.ndarray, c: Polyline, eps_abs: float, reach: float,
     if culled is None:
         culled = n * len(vec) >= CULL_MIN_PAIRS
     if culled:
-        scale = math.sqrt(d) * (max(reach, float(np.max(np.abs(c.vertices)))) + eps_abs)
+        scale = math.sqrt(d) * (max(reach, float(np.abs(c.vertices).max())) + eps_abs)
         culled = scale <= 2.0**507
     if culled:
         balls, G = _midpoint_balls(c), np.empty(len(vec) * min(CHUNK, n))

@@ -315,6 +315,33 @@ def test_out_of_memory_is_a_resource_refusal(two_atoms_csv, tmp_path, monkeypatc
     assert len(lines) == 1 and lines[0].startswith("error: out of memory")
     assert not out.exists()
 
+@pytest.mark.parametrize("curve", [
+    {"dim": 2, "vertices": [[0.1, 0.5], [0.9, 0.5], [1e300, -1e300]]},
+    {"dim": 3, "vertices": [[0, 0, 0], [1, 0, 0]]},
+], ids=["out-of-range", "3d-curve"])
+def test_oracle_refuses_a_bad_curve_before_the_search(two_atoms_csv, tmp_path, monkeypatch,
+                                                      capsys, curve):
+    monkeypatch.setattr(cli, "brute_force_min",
+                        lambda *a: pytest.fail("the search ran before the curve was read"))
+    path, out = tmp_path / "curve.json", tmp_path / "oracle.json"
+    path.write_text(json.dumps(curve))
+    rc = cli.main(["oracle", str(two_atoms_csv), "--m", "2", "--h", "0.5", "--p", "2",
+                   "--lambda", "0.01", "--curve", str(path), "--out", str(out)])
+    assert rc == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not out.exists()
+
+
+def test_oracle_certifies_a_good_curve(two_atoms_csv, tmp_path):
+    path, out = tmp_path / "curve.json", tmp_path / "oracle.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": [[0.2, 0.0], [0.8, 0.0]]}))
+    rc = cli.main(["oracle", str(two_atoms_csv), "--m", "2", "--h", "0.1", "--p", "2",
+                   "--lambda", "0.2", "--curve", str(path), "--out", str(out)])
+    assert rc == 0
+    assert json.loads(out.read_text())["certify"]["status"] == "PASS"
+
+
 @pytest.mark.parametrize("budget", ["nan", "0", "-1"])
 def test_oracle_rejects_a_budget_that_is_not_positive(two_atoms_csv, tmp_path, budget):
     out = tmp_path / "oracle.json"

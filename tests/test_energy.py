@@ -412,7 +412,7 @@ def test_kernels_match_add_at_references_bitwise(p):
             assert val == ref_val and np.array_equal(grad, ref_grad)
             assert fixed_plan_value_grad(V, plan, X, p, lam, eps, False, given) == (val, None)
         release = energy_module._fixed_plan_grad(V, plan, p, lam, eps, off)[1]
-        diag, upper, B = fixed_plan_majoriser(V, plan, X, p, lam, eps, off, release)
+        diag, upper, B = fixed_plan_majoriser(plan, X, lam, eps, off, release)
         ref_A, ref_B = reference_majoriser(V, plan, X, p, lam, eps)
         assert np.array_equal(diag, np.diag(ref_A)) and np.array_equal(B, ref_B)
         assert np.array_equal(upper, np.diag(ref_A, 1))

@@ -130,7 +130,7 @@ def test_majorise_minimise_step_never_raises_objective(p):
         assert np.all(plan.dist > eps) and np.all(c.segment_lengths > eps)  # nothing clamped
         before, grad = fixed_plan_value_grad(V, plan, X, p, lam, eps)
         off = _entry_offsets(V, plan, X)
-        diag, upper, B = fixed_plan_majoriser(V, plan, X, p, lam, eps, off,
+        diag, upper, B = fixed_plan_majoriser(plan, X, lam, eps, off,
                                               _fixed_plan_grad(V, plan, p, lam, eps, off)[1])
         AV = diag[:, None] * V
         AV[:-1] += upper[:, None] * V[1:]
@@ -224,8 +224,8 @@ def reference_fixed_plan_solve(mu, c, plan, cfg, halvings):
         if float(np.max(np.linalg.norm(grad, axis=1))) <= cfg.tol_stationarity:
             break
         release = _fixed_plan_grad(V, plan, p, lam, eps, off)[1]
-        minimiser = optimizer._solve_tridiagonal(*fixed_plan_majoriser(V, plan, X, p, lam, eps,
-                                                                       off, release))
+        minimiser = optimizer._solve_tridiagonal(*fixed_plan_majoriser(plan, X, lam, eps, off,
+                                                                       release))
         if minimiser is None:
             break
         step = minimiser - V
