@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -50,8 +51,21 @@ def _manifest(command: str, args: argparse.Namespace, inputs: list[Path]) -> dic
     }
 
 
+def _write_artifact(path: Path, text: str) -> None:
+    """Write text to path over its old bytes, then cut the file to the new length.
+
+    Opening with O_TRUNC, as Path.write_text does, can make ext4 wait for
+    the previous write's writeback, up to tens of milliseconds per rewrite;
+    writing in place does not. A symlink is written through, and an existing file
+    keeps its mode.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as f:
+        f.write(text)
+        f.truncate()
+
+
 def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_artifact(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _read_measure(path: Path, fmt: str | None) -> DiscreteMeasure:
@@ -89,7 +103,7 @@ def cmd_fit(args) -> int:
     if args.svg:
         svg = render_svg(mu, result.curve,
                          comment=json.dumps(manifest, sort_keys=True))
-        (out / "plot.svg").write_text(svg)
+        _write_artifact(out / "plot.svg", svg)
     print(f"energy {result.breakdown.total:.9g}  length {result.curve.total_length:.9g}  "
           f"vertices {result.curve.n_vertices}  status {result.status}")
     print(report.table())
@@ -119,7 +133,7 @@ def cmd_oracle(args) -> int:
         "oracle": golden_record(mu, ocfg, curve, energy_val),
     }
     if fitted is not None:
-        payload["certify"] = certify_fit(mu, fitted, ocfg)
+        payload["certify"] = certify_fit(mu, fitted, ocfg, found=(curve, energy_val))
     _dump_json(Path(args.out), payload)
     print(f"oracle energy {energy_val:.9g} with {curve.n_vertices} vertices at h={args.grid_h}")
     if "certify" in payload:
@@ -134,7 +148,7 @@ def cmd_plot(args) -> int:
     curve = _read_curve(args.curve, mu) if args.curve else None
     manifest = _manifest("plot", args, [args.measure] + ([args.curve] if args.curve else []))
     svg = render_svg(mu, curve, comment=json.dumps(manifest, sort_keys=True))
-    Path(args.out).write_text(svg)
+    _write_artifact(Path(args.out), svg)
     print(f"wrote {args.out}")
     return 0
 

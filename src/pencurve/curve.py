@@ -18,22 +18,49 @@ class Polyline:
 
     The curve is the piecewise-linear interpolation of the vertices,
     parameterized by arc length (unit speed). vertices is a read-only copy
-    of the given array, so the cached segment geometry stays valid.
+    of the given array, so its segment_vectors and segment_lengths, computed
+    once on construction, and the cached geometry stay valid.
     """
 
     vertices: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.vertices, dtype=float)
+        self._measure(np.array(self.vertices, dtype=float))
+
+    @classmethod
+    def through(cls, verts: np.ndarray) -> "Polyline":
+        """The curve through verts with exact repeats dropped.
+
+        Polyline(merge_vertices(verts, 0.0)) bit for bit, from one copy of
+        verts and, unless a repeat is dropped, one pass over its segments.
+        """
+        v = np.array(verts, dtype=float)
+        c = object.__new__(cls)
+        if not c._measure(v, raising=False):
+            c._measure(merge_vertices(v, 0.0))
+        return c
+
+    def _measure(self, v: np.ndarray, raising: bool = True) -> bool:
+        """Take v as the vertices and compute its segment vectors and lengths.
+
+        A zero-length segment raises, or returns False when not raising.
+        """
         if v.ndim != 2 or v.shape[0] < 1:
             raise PencurveError("polyline needs an (m, d) vertex array with m >= 1")
         if not np.isfinite(v).all():
             raise PencurveError("non-finite vertex coordinate")
+        seg = v[1:] - v[:-1]
+        lengths = axis_norms(seg)
+        if (lengths == 0.0).any():
+            if not raising:
+                return False
+            raise PencurveError("zero-length segment at vertex %d; run merge_vertices first"
+                                % int(np.argmin(lengths)))
         v.setflags(write=False)
         object.__setattr__(self, "vertices", v)
-        if (self.segment_lengths == 0.0).any():
-            raise PencurveError("zero-length segment at vertex %d; run merge_vertices first"
-                                % int(np.argmin(self.segment_lengths)))
+        object.__setattr__(self, "segment_vectors", seg)
+        object.__setattr__(self, "segment_lengths", lengths)
+        return True
 
     @property
     def n_vertices(self) -> int:
@@ -42,14 +69,6 @@ class Polyline:
     @property
     def dim(self) -> int:
         return self.vertices.shape[1]
-
-    @cached_property
-    def segment_vectors(self) -> np.ndarray:
-        return self.vertices[1:] - self.vertices[:-1]
-
-    @cached_property
-    def segment_lengths(self) -> np.ndarray:
-        return axis_norms(self.segment_vectors)
 
     @cached_property
     def cumulative_lengths(self) -> np.ndarray:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curve import Polyline, axis_norms, merge_vertices, point_segment_foot, self_intersections_2d
+from .curve import Polyline, axis_norms, point_segment_foot, self_intersections_2d
 from .energy import _entry_offsets, validate_params
 from .errors import PencurveError
 from .measure import (DiscreteMeasure, convex_hull_2d, diameter, in_range_at, tie_tolerance,
@@ -284,7 +284,7 @@ def convex_clip(c: Polyline, hull: np.ndarray) -> Polyline:
     for a, b in zip(V[:-1], V[1:]):
         t = np.array(sorted({0.0, 1.0, *_hull_transition_params(a, b, hull)}))
         pts.append(project_to_hull(a + t[:, None] * (b - a), hull))
-    return Polyline(merge_vertices(np.concatenate(pts), 0.0))  # repeats of a point dropped
+    return Polyline.through(np.concatenate(pts))  # repeats of a point dropped
 
 
 def _hull_transition_params(a: np.ndarray, b: np.ndarray, hull: np.ndarray) -> list[float]:

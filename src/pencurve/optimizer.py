@@ -167,7 +167,7 @@ def init_curve(mu: DiscreteMeasure, cfg: FitConfig, restart: int = 0) -> Polylin
         if mu.dim == 2:
             hull = convex_hull_2d(mu)
             verts = project_to_hull(verts, hull)
-    return Polyline(merge_vertices(verts, 0.0))
+    return Polyline.through(verts)
 
 
 def _solve_tridiagonal(diag: np.ndarray, upper: np.ndarray, B: np.ndarray):
@@ -218,7 +218,7 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
     if not math.isfinite(val):
         raise NumericError("non-finite fixed-plan objective at start")
     grad, weights = _fixed_plan_grad(V, plan, p, lam, eps, off)
-    for _ in range(INNER_MAX_STEPS):
+    for it in range(INNER_MAX_STEPS):
         if float(axis_norms(grad).max()) <= cfg.tol_stationarity:
             break
         minimiser = _solve_tridiagonal(*fixed_plan_majoriser(plan, X, lam, eps, off, weights))
@@ -236,10 +236,10 @@ def fixed_plan_solve(mu: DiscreteMeasure, c: Polyline, plan, cfg: FitConfig) -> 
             break
         drop = val - cand_val
         V, val = W, cand_val
+        if drop <= TOL_ENERGY_REL * abs(val) or it == INNER_MAX_STEPS - 1:
+            break  # no gradient is needed past the last step
         grad, weights = _fixed_plan_grad(V, plan, p, lam, eps, off)
-        if drop <= TOL_ENERGY_REL * abs(val):
-            break
-    return Polyline(merge_vertices(V, 0.0))
+    return Polyline.through(V)
 
 
 @dataclass(frozen=True)
@@ -253,7 +253,7 @@ class _State:
 
 def _evaluate(mu: DiscreteMeasure, verts: np.ndarray, cfg: FitConfig) -> _State:
     """The curve through verts, exact repeats dropped, with its plan and energy."""
-    curve = Polyline(merge_vertices(verts, 0.0))
+    curve = Polyline.through(verts)
     plan, _ = build_plan(mu, curve)
     return _State(curve, plan, energy(mu, curve, cfg.p, cfg.lam, plan=plan))
 

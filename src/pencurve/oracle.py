@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .curve import Polyline, merge_vertices
+from .curve import Polyline
 from .energy import energy, validate_params
 from .errors import BudgetExceededError, ConfigError, PencurveError
 from .measure import DiscreteMeasure, diameter, in_range_at
@@ -83,91 +83,154 @@ def _grid_points(mu: DiscreteMeasure, h: float) -> np.ndarray:
 PAIR_BLOCK = 1 << 16  # grid-point pairs per block of the pair kernel
 
 
+def _pair_costs(ax, ay, bx, by, mu: DiscreteMeasure, p: float, lam: float, out: np.ndarray):
+    """lam * |a b|, and mass * dist(x, segment(a, b))^p per atom into out[i].
+
+    The endpoints are broadcast coordinate arrays, a the lower grid index.
+    The pair blocks and the trace-back both call it: every step is
+    elementwise, so a pair's costs are the same bits in any layout.
+    """
+    w0, w1 = bx - ax, by - ay
+    den = w0 * w0 + w1 * w1
+    flat = (den == 0.0).ravel().nonzero()[0]  # t is 0 there: the segment is a point
+    t, e0, e1 = np.empty_like(den), np.empty_like(den), np.empty_like(den)
+    with np.errstate(invalid="ignore"):  # 0 / 0 at those cells, reset before the clip
+        for (x0, x1), mass, cost in zip(mu.positions, mu.masses, out):
+            num = np.multiply(x0 - ax, w0, out=e0)
+            num += np.multiply(x1 - ay, w1, out=e1)
+            np.divide(num, den, out=t)
+            t.reshape(-1)[flat] = 0.0
+            t.clip(0.0, 1.0, out=t)
+            np.subtract(x0, np.add(ax, np.multiply(t, w0, out=e0), out=e0), out=e0)
+            np.subtract(x1, np.add(ay, np.multiply(t, w1, out=e1), out=e1), out=e1)
+            e0 *= e0
+            e0 += np.multiply(e1, e1, out=e1)
+            np.sqrt(e0, out=cost)
+            cost **= p
+            cost *= mass
+    return lam * np.sqrt(den)
+
+
 def _pair_blocks(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float):
     """Pair costs over unordered grid-point pairs, in row blocks of ~PAIR_BLOCK pairs.
 
     Each unordered pair {a, c} is scored once, as the segment from the lower
-    index a to c. Row block [a0, a1) yields (rows, lam * |P_a P_c|, [mass *
-    dist(x, segment(P_a, P_c))^p per atom]) over the columns c >= a0; its
-    cells with c < a, scored in an earlier block, get length +inf. The
-    length is symmetric bit for bit, and so is a full table mirrored from
-    these cells. Each block's segment geometry, one 2-D array per
-    coordinate, is computed once and shared by every atom; the per-atom
-    steps reuse two block buffers, in the operation order of the dense
-    (G, G, 2) arithmetic.
+    index a to c. Row block [a0, a1) yields (rows, lam * |P_a P_c|, an
+    (n, rows, columns) array of mass * dist(x, segment(P_a, P_c))^p per
+    atom) over the columns c >= a0; its cells with c < a, scored in an
+    earlier block, get length +inf. The length is symmetric bit for bit,
+    and so is a full table mirrored from these cells. The atoms' costs
+    share one store, overwritten by the next block.
     """
     G = P.shape[0]
     step = min(G, max(1, PAIR_BLOCK // G))
     px, py = P[:, 0].copy(), P[:, 1].copy()
     below = np.tri(step, k=-1, dtype=bool)  # the cells c < a of a block's leading square
+    store = np.empty((mu.n_atoms, step * G))
     for a0 in range(0, G, step):
         a1 = min(a0 + step, G)
-        ax, ay = P[a0:a1, 0:1], P[a0:a1, 1:2]
-        w0, w1 = px[a0:] - ax, py[a0:] - ay
-        den = w0 * w0 + w1 * w1
-        seg, t = den > 0, np.zeros_like(den)  # t stays 0 where den is 0
-        e0, e1 = np.empty_like(den), np.empty_like(den)
-        costs = []
-        for (x0, x1), mass in zip(mu.positions, mu.masses):
-            num = np.multiply(x0 - ax, w0, out=e0)
-            num += np.multiply(x1 - ay, w1, out=e1)
-            np.clip(np.divide(num, den, out=t, where=seg), 0.0, 1.0, out=t)
-            np.subtract(x0, np.add(ax, np.multiply(t, w0, out=e0), out=e0), out=e0)
-            np.subtract(x1, np.add(ay, np.multiply(t, w1, out=e1), out=e1), out=e1)
-            e0 *= e0
-            e0 += np.multiply(e1, e1, out=e1)
-            costs.append(float(mass) * np.sqrt(e0, out=e0) ** p)
-        lengths = lam * np.sqrt(den)
+        costs = store[:, : (a1 - a0) * (G - a0)].reshape(mu.n_atoms, a1 - a0, G - a0)
+        lengths = _pair_costs(P[a0:a1, 0:1], P[a0:a1, 1:2], px[a0:], py[a0:], mu, p, lam, costs)
         lengths[:, : a1 - a0][below[: a1 - a0, : a1 - a0]] = np.inf
         yield slice(a0, a1), lengths, costs
 
 
-def _extend(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float, H=None):
+def _gray_walk(acc: np.ndarray, costs: np.ndarray):
+    """Yield every atom subset U once, acc holding the lengths plus U's costs.
+
+    The subsets run in Gray code order, one atom's costs added to acc or
+    taken off per step, in place; acc's bits follow that path, so every
+    reader walks the same one.
+    """
+    added = 0
+    yield added
+    for step in range(1, 1 << len(costs)):
+        j = (step & -step).bit_length() - 1  # Gray code: flip lowest set bit of step
+        if added & (1 << j):
+            acc -= costs[j]
+        else:
+            acc += costs[j]
+        added ^= 1 << j
+        yield added
+
+
+def _extend(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float, H=None) -> np.ndarray:
     """One subset pass over the pair blocks: every prefix gains one segment.
 
     H[S][b] is the cheapest prefix that ends at grid point b and serves atom
     subset S; None is the empty prefix (0 at S = {}, +inf elsewhere), whose
-    zero is never added. Returns E[T][c] = min over S <= T and b of
-    H[S][b] + lam |P_b P_c| + sum_{i in T - S} cost_i[b, c], and the
-    back-pointers S * G + b. The pair kernel scores each unordered pair
-    once, so a block with rows a and columns c >= a serves both ends: its
-    column minima give E[T][c] over b <= c (b the row), its row minima
-    E[T][a] over b >= a (b the column). In each block the added atoms
-    T - S run in Gray code order, one atom's costs added or removed per
-    step; the minima fold into running minima with a strict <, column
-    minima first, so on a tie within a step the smaller b wins.
+    zero is never added. Returns the values E[T][c] = min over S <= T and b
+    of H[S][b] + lam |P_b P_c| + sum_{i in T - S} cost_i[b, c], and no
+    back-pointers: _trace_back finds the one prefix an answer reads. The
+    pair kernel scores each unordered pair once, so a block with rows a and
+    columns c >= a serves both ends: its column minima give E[T][c] over
+    b <= c (b the row), its row minima E[T][a] over b >= a (b the column).
     """
     G, nsub = P.shape[0], 1 << mu.n_atoms
     starts = [[0] if H is None else [S for S in range(nsub) if not S & U] for U in range(nsub)]
     E = np.full((nsub, G), np.inf)
-    back = np.zeros((nsub, G), dtype=np.int64)
     for rows, acc, costs in _pair_blocks(P, mu, p, lam):
         a0 = rows.start
-        ri, ci = np.arange(acc.shape[0]), np.arange(acc.shape[1])
-        cand, added = np.empty_like(acc), 0
-        for step in range(nsub):
-            if step:
-                j = (step & -step).bit_length() - 1  # Gray code: flip lowest set bit of step
-                if added & (1 << j):
-                    acc -= costs[j]
-                else:
-                    acc += costs[j]
-                added ^= 1 << j
+        cand = np.empty_like(acc)
+        for added in _gray_walk(acc, costs):
             for S in starts[added]:
-                T, base = S | added, S * G + a0
+                T = S | added
                 block = acc if H is None else np.add(acc, H[S, rows, None], out=cand)
-                r = np.argmin(block, axis=0)  # column minima: b <= c, b a row
-                v, Ec = block[r, ci], E[T, a0:]
-                better = v < Ec
-                np.copyto(Ec, v, where=better)
-                np.copyto(back[T, a0:], r + base, where=better)
+                Ec = E[T, a0:]
+                np.minimum(Ec, block.min(axis=0), out=Ec)  # column minima: b <= c, b a row
                 block = acc if H is None else np.add(acc, H[S, None, a0:], out=cand)
-                r = np.argmin(block, axis=1)  # row minima: b >= a, b a column
-                v, Er = block[ri, r], E[T, rows]
-                better = v < Er
-                np.copyto(Er, v, where=better)
-                np.copyto(back[T, rows], r + base, where=better)
-    return E, back
+                Er = E[T, rows]
+                np.minimum(Er, block.min(axis=1), out=Er)  # row minima: b >= a, b a column
+    return E
+
+
+def _column(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float, c: int):
+    """(lengths, costs) of the G pairs {b, c}, as the pair blocks score them, indexed by b."""
+    b = np.arange(len(P))
+    lo, hi = P[np.minimum(b, c)], P[np.maximum(b, c)]
+    costs = np.empty((mu.n_atoms, len(P)))
+    return _pair_costs(lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1], mu, p, lam, costs), costs
+
+
+def _prefix_end(column, H, E: np.ndarray, T: int, c: int):
+    """(S, b): the prefix that attains E[T][c], E the pass over H (None: the first pass).
+
+    Rescores every candidate H[S][b] + the pair {b, c} serving T - S from
+    the column's costs, summed along the pass's Gray code path, so the value
+    found is E[T][c] bit for bit. Ties go to the smallest b, then the
+    smallest S.
+    """
+    lengths, costs = column
+    found = []
+    acc = lengths.copy()
+    for U in _gray_walk(acc, costs):
+        S = T ^ U
+        if U & ~T or (H is None and S):
+            continue
+        vals = acc if H is None else acc + H[S]
+        b = int(vals.argmin())
+        found.append((vals[b], b, S))
+    value, b, S = min(found)
+    assert value == E[T, c], "the trace-back must rescore the pass's value bit for bit"
+    return S, b
+
+
+def _trace_back(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float, passes: list,
+                T: int, c: int) -> list:
+    """Grid indices of the tuple behind passes[-1][T][c] + passes[0][~T][c].
+
+    The last segment, from c, serves the atoms not in T; read backwards it
+    is a first-pass prefix that ends at c. Each pass's cell leads to a cell
+    of the pass before it, one column of pairs rescored per vertex.
+    """
+    column = _column(P, mu, p, lam, c)
+    found = [_prefix_end(column, None, passes[0], (len(passes[0]) - 1) ^ T, c)[1], c]
+    for k in range(len(passes) - 1, -1, -1):
+        T, c = _prefix_end(column, passes[k - 1] if k else None, passes[k], T, c)
+        found.append(c)
+        if k:
+            column = _column(P, mu, p, lam, c)
+    return found[::-1]
 
 
 def _approx(count: int) -> str:
@@ -188,7 +251,11 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     does: m - 2 passes of _extend grow the prefixes, and by that symmetry
     the last segment, serving the atoms not in T from grid point c, costs
     F[~T][c] with F the first pass. This equals the naive enumeration of
-    all G^m tuples at a fraction of the cost. At m = 1 the grid is scored
+    all G^m tuples at a fraction of the cost. The passes keep values only;
+    the first minimum (T, c) in subset-major order is traced back once,
+    each vertex the smallest grid index (then the smallest subset) among
+    the prefixes that attain its pass's value, an order that does not
+    depend on PAIR_BLOCK. At m = 1 the grid is scored
     in blocks of PAIR_BLOCK points, each point's total alone, and the first
     minimum in grid order wins. A grid that numpy cannot index is refused
     whatever the budget. Returns (curve, energy); the true continuous
@@ -202,12 +269,12 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     n = mu.n_atoms
     m = ocfg.m
     # work in pair-cost evaluations; held: floats per cost array alive at once;
-    # from m = 3 on, each pass also keeps 2^n x G subset rows of floats and of back-pointers
+    # from m = 3 on, each pass also keeps its 2^n x G subset values, and no back-pointers
     if m == 1:
         work, held = n * G, min(G, PAIR_BLOCK)
     else:
         work, held = (n + (m - 1) ** (n + 1)) * G * G, min(G, max(1, PAIR_BLOCK // G)) * G
-    subset_bytes = 16 * (m - 2) * 2**n * G if m > 2 else 0
+    subset_bytes = 8 * (m - 2) * 2**n * G if m > 2 else 0
     unindexable = G > np.iinfo(np.intp).max
     if work > ocfg.budget or unindexable:
         raise BudgetExceededError(
@@ -245,38 +312,33 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
                 a, c = divmod(flat, total.shape[1])
                 best_energy, best_tuple = float(total.flat[flat]), (rows.start + a, rows.start + c)
     else:
-        first, back = _extend(P, mu, ocfg.p, ocfg.lam)
-        H, backs = first, [back]
+        passes = [_extend(P, mu, ocfg.p, ocfg.lam)]
         for _ in range(m - 3):
-            H, back = _extend(P, mu, ocfg.p, ocfg.lam, H)
-            backs.append(back)
-        comp = (len(first) - 1) ^ np.arange(len(first))
-        totals = H + first[comp]
-        flat = int(np.argmin(totals))
+            passes.append(_extend(P, mu, ocfg.p, ocfg.lam, passes[-1]))
+        totals = passes[0][(len(passes[0]) - 1) ^ np.arange(len(passes[0]))]
+        totals += passes[-1]
+        flat = int(totals.argmin())
         best_energy = float(totals.flat[flat])
-        T, c = divmod(flat, G)
-        best_tuple = [int(backs[0][comp[T], c]), c]  # the last segment, read backwards
-        for back in reversed(backs):
-            T, c = divmod(int(back[T, c]), G)
-            best_tuple.append(c)
-        best_tuple.reverse()
+        best_tuple = _trace_back(P, mu, ocfg.p, ocfg.lam, passes, *divmod(flat, G))
 
     verts = P[list(best_tuple)]
     if tuple(map(tuple, verts[::-1])) < tuple(map(tuple, verts)):
         verts = verts[::-1]  # reversal symmetry: keep the lexicographically smaller form
-    return Polyline(merge_vertices(verts, 0.0)), best_energy
+    return Polyline.through(verts), best_energy
 
 
 CERTIFY_TOL = 1e-6  # certify_fit's energy slack beside the grid slack, relative to the oracle
 
 
-def certify_fit(mu: DiscreteMeasure, fit_curve: Polyline, ocfg: OracleConfig) -> dict:
+def certify_fit(mu: DiscreteMeasure, fit_curve: Polyline, ocfg: OracleConfig,
+                found: tuple | None = None) -> dict:
     """Compare a fitted curve's energy against the oracle minimum.
 
     PASS requires fit <= oracle + C*h + CERTIFY_TOL*oracle where C is the
     grid Lipschitz slack, so the verdict does not depend on the units of
-    the measure; record["tol"] holds the slack CERTIFY_TOL*oracle. A
-    refused oracle yields status SKIPPED.
+    the measure; record["tol"] holds the slack CERTIFY_TOL*oracle. found is
+    brute_force_min(mu, ocfg) when the caller has run it already; otherwise
+    the search runs here, and a refused search yields status SKIPPED.
     """
     C = lipschitz_constant(mu, ocfg.p, ocfg.lam, ocfg.m)
     record = {
@@ -287,7 +349,7 @@ def certify_fit(mu: DiscreteMeasure, fit_curve: Polyline, ocfg: OracleConfig) ->
         "grid_slack": C * ocfg.h,
     }
     try:
-        oracle_curve, oracle_energy = brute_force_min(mu, ocfg)
+        oracle_curve, oracle_energy = found or brute_force_min(mu, ocfg)
     except BudgetExceededError as exc:
         record["status"] = "SKIPPED"
         record["reason"] = str(exc)

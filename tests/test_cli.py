@@ -1,6 +1,7 @@
 import json
 import os
 import resource
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pencurve import cli, synth_measure
+from pencurve import cli, oracle, synth_measure
 
 
 @pytest.fixture()
@@ -42,6 +43,52 @@ def test_fit_reruns_are_byte_identical(two_atoms_csv, tmp_path):
     assert cli.main(args) == 0
     for n, blob in first.items():
         assert (out / n).read_bytes() == blob
+
+
+def test_artifacts_rewritten_in_place_leave_no_stale_tail(two_atoms_csv, tmp_path):
+    out = tmp_path / "run"
+    args = ["fit", str(two_atoms_csv), "--p", "2", "--lambda", "0.2", "--out", str(out), "--svg"]
+    assert cli.main(args) == 0
+    first = {n: (out / n).read_bytes()
+             for n in ("curve.json", "result.json", "report.json", "plot.svg")}
+    for n, blob in first.items():
+        (out / n).write_bytes(b"stale " * len(blob))  # longer than the new bytes
+    assert cli.main(args) == 0
+    for n, blob in first.items():
+        assert (out / n).read_bytes() == blob
+
+
+def test_artifact_bytes_equal_write_text(tmp_path):
+    for text in (json.dumps({"b": [0.1, 2], "a": "x"}, sort_keys=True, indent=2) + "\n",
+                 '<?xml version="1.0"?>\n<svg>\n</svg>\n'):
+        fresh, rewritten, reference = (tmp_path / n for n in ("fresh", "rewritten", "reference"))
+        rewritten.write_text(text * 3)
+        for path in (fresh, rewritten):
+            cli._write_artifact(path, text)
+        reference.write_text(text)
+        assert fresh.read_bytes() == rewritten.read_bytes() == reference.read_bytes()
+
+
+def test_artifact_written_through_a_symlink(two_atoms_csv, tmp_path):
+    target, link = tmp_path / "target.svg", tmp_path / "plot.svg"
+    target.write_text("<stale/>" * 1000)
+    link.symlink_to(target)
+    assert cli.main(["plot", str(two_atoms_csv), "--out", str(link)]) == 0
+    assert link.is_symlink()
+    rendered = target.read_bytes()
+    link.unlink()
+    assert cli.main(["plot", str(two_atoms_csv), "--out", str(link)]) == 0
+    assert link.read_bytes() == rendered  # the same manifest path, written as a plain file
+
+
+def test_rewritten_artifact_keeps_its_mode(two_atoms_csv, tmp_path):
+    out = tmp_path / "oracle.json"
+    out.write_text("{}")
+    out.chmod(0o640)
+    assert cli.main(["oracle", str(two_atoms_csv), "--m", "2", "--h", "0.25", "--p", "2",
+                     "--lambda", "0.2", "--out", str(out)]) == 0
+    assert stat.S_IMODE(out.stat().st_mode) == 0o640
+    assert json.loads(out.read_text())["oracle"]["m"] == 2
 
 
 def _write_csv(path, positions):
@@ -340,6 +387,36 @@ def test_oracle_certifies_a_good_curve(two_atoms_csv, tmp_path):
                    "--lambda", "0.2", "--curve", str(path), "--out", str(out)])
     assert rc == 0
     assert json.loads(out.read_text())["certify"]["status"] == "PASS"
+
+
+def test_oracle_with_a_curve_searches_once(two_atoms_csv, tmp_path, monkeypatch):
+    search, calls = oracle.brute_force_min, []
+
+    def counted(mu, ocfg):
+        calls.append(ocfg)
+        return search(mu, ocfg)
+
+    monkeypatch.setattr(cli, "brute_force_min", counted)
+    monkeypatch.setattr(oracle, "brute_force_min", counted)
+    path, out = tmp_path / "curve.json", tmp_path / "oracle.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": [[0.2, 0.0], [0.8, 0.0]]}))
+    rc = cli.main(["oracle", str(two_atoms_csv), "--m", "3", "--h", "0.25", "--p", "2",
+                   "--lambda", "0.2", "--curve", str(path), "--out", str(out)])
+    assert rc == 0
+    assert len(calls) == 1
+    mu = cli._read_measure(two_atoms_csv, None)
+    searched = oracle.certify_fit(mu, cli._read_curve(path, mu), calls[0])  # its own search
+    assert json.loads(out.read_text())["certify"] == json.loads(json.dumps(searched))
+    assert len(calls) == 2
+
+
+def test_oracle_with_a_curve_refused_exits_3(two_atoms_csv, tmp_path):
+    path, out = tmp_path / "curve.json", tmp_path / "oracle.json"
+    path.write_text(json.dumps({"dim": 2, "vertices": [[0.2, 0.0], [0.8, 0.0]]}))
+    rc = cli.main(["oracle", str(two_atoms_csv), "--m", "3", "--h", "0.0001", "--p", "2",
+                   "--lambda", "0.2", "--curve", str(path), "--out", str(out)])
+    assert rc == 3
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("budget", ["nan", "0", "-1"])

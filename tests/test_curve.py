@@ -139,6 +139,29 @@ def test_merge_vertices_and_turning_angles_match_the_loops():
         assert np.array_equal(axis_norms(verts), [_norm(v) for v in verts])
 
 
+def test_through_equals_polyline_of_merged_vertices():
+    rng = np.random.default_rng(12)
+    cases = [V((0, 0), (0, 0), (1, 0), (1, 0), (1, 0)),
+             V((0, 0), (1e-200, 0), (1, 0)),  # a difference whose square underflows to 0
+             V((2, 3))]
+    for _ in range(60):
+        verts = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(2, 4))))
+        repeats = rng.uniform(size=len(verts) - 1) < 0.3
+        verts[1:][repeats] = verts[:-1][repeats]
+        cases.append(verts)
+    for verts in cases:
+        ref, c = Polyline(merge_vertices(verts, 0.0)), Polyline.through(verts)
+        for name in ("vertices", "segment_vectors", "segment_lengths", "cumulative_lengths"):
+            got, want = getattr(c, name), getattr(ref, name)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        assert not c.vertices.flags.writeable
+    with pytest.raises(PencurveError, match="non-finite"):
+        Polyline.through(V((0, 0), (np.nan, 1)))
+    with pytest.raises(PencurveError, match="m >= 1"):
+        Polyline.through(np.zeros((0, 2)))
+
+
 def _foot_loop(x, a, b):
     """Reference for point_segment_foot: one point, coordinates added in order."""
     ab = b - a

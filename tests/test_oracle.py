@@ -140,7 +140,7 @@ def test_budget_refusal_with_estimate():
     assert f"{G} grid points" in msg
     rows = oracle.PAIR_BLOCK // G
     assert f"~{8 * 3 * rows * G:.3g} bytes of cost arrays" in msg  # one block of n + 1 = 3 arrays
-    assert f"~{16 * 2 * 4 * G:.3g} bytes of subset rows" in msg  # 2 passes of 2^n x G rows
+    assert f"~{8 * 2 * 4 * G:.3g} bytes of subset rows" in msg  # 2 passes of 2^n x G values
     with pytest.raises(BudgetExceededError) as exc:
         brute_force_min(TWO_ATOMS, OracleConfig(m=2, h=1e-4, p=2.0, lam=0.2, budget=1e6))
     assert f"~{8 * 3 * rows * G:.3g} bytes" in str(exc.value)  # one block of rows
@@ -421,3 +421,53 @@ def test_m3_triangle_holds_no_table():
     assert peak <= 32 * 2**20  # one block plus 2^n x G subset rows; the G x G tables took 101 MB
     assert E == TRIANGLE_GOLDEN_H025
     assert len(curve.vertices) == 1
+
+
+# brute_force_min energies at m = 4, h = 0.1, recorded when the subset passes
+# still kept back-pointers; the values-only passes must keep every bit
+M4_RECORDED = ("0x1.1ac7b3678ab5fp-5", "0x1.4dc07c93890cap-5", "0x1.c21f795a85c06p-5",
+               "0x1.d11c41d351051p-6", "0x1.edd531551869ap-4", "0x1.eedaa3c97d194p-4",
+               "0x1.cd956a1d24a81p-4", "0x1.795c0eb27bf4ap-4", "0x1.e2f3cee08be50p-7",
+               "0x1.c915bbc38b0ddp-6", "0x1.45a4d488e09cfp-5", "0x1.0dee73cf505e1p-5")
+
+
+def _m4_cases():
+    rng = np.random.default_rng(2024)
+    for k in range(len(M4_RECORDED)):
+        n = 2 + k % 4
+        p, lam = (1.0, 1.5, 2.0, 3.0)[k % 4], (0.05, 0.2)[(k // 4) % 2]
+        mu = DiscreteMeasure(rng.uniform(0.0, 1.0, (n, 2)), rng.uniform(0.2, 1.0, n))
+        yield mu, OracleConfig(m=4, h=0.1, p=p, lam=lam)
+
+
+def test_m4_energies_keep_their_recorded_bits():
+    for (mu, ocfg), recorded in zip(_m4_cases(), M4_RECORDED):
+        curve, E = brute_force_min(mu, ocfg)
+        assert E.hex() == recorded
+        assert energy(mu, curve, ocfg.p, ocfg.lam).total == pytest.approx(E, rel=1e-12)
+
+
+def test_m4_search_does_not_depend_on_the_block_size(monkeypatch):
+    # the last case ties: every monotone tuple on [0, 1] x {0} costs exactly 0.5
+    cases = list(_m4_cases())[:6] + [(TWO_ATOMS, OracleConfig(m=4, h=0.5, p=1.0, lam=0.5))]
+    found = []
+    for pair_block in (None, 1, 150):
+        if pair_block is not None:
+            monkeypatch.setattr(oracle, "PAIR_BLOCK", pair_block)
+        found.append([(E.hex(), curve.vertices.tobytes())
+                      for curve, E in (brute_force_min(mu, ocfg) for mu, ocfg in cases)])
+    assert found[0] == found[1] == found[2]
+    assert found[0][-1] == ((0.5).hex(), np.zeros((1, 2)).tobytes())
+
+
+def test_trace_back_rescores_the_pass_bit_for_bit():
+    mu, ocfg = next(_m4_cases())
+    P = _grid_points(mu, ocfg.h)
+    passes = [oracle._extend(P, mu, ocfg.p, ocfg.lam)]
+    passes.append(oracle._extend(P, mu, ocfg.p, ocfg.lam, passes[0]))
+    T, c = 1, 7
+    tuple_ = oracle._trace_back(P, mu, ocfg.p, ocfg.lam, passes, T, c)
+    assert len(tuple_) == 4 and tuple_[2] == c
+    passes[1][T, c] = np.nextafter(passes[1][T, c], np.inf)  # one ulp off: no prefix attains it
+    with pytest.raises(AssertionError):
+        oracle._trace_back(P, mu, ocfg.p, ocfg.lam, passes, T, c)
