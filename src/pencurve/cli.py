@@ -33,19 +33,13 @@ from .svgplot import render_svg
 USAGE_ERR, BUDGET_ERR, NUMERIC_ERR = 2, 3, 4
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _manifest(command: str, args: argparse.Namespace, inputs: list[Path]) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    for k, v in cfg.items():
-        if isinstance(v, Path):
-            cfg[k] = str(v)
+def _manifest(command: str, args: argparse.Namespace, inputs: dict) -> dict:
+    cfg = {k: str(v) if isinstance(v, Path) else v for k, v in sorted(vars(args).items())
+           if k != "func"}
     return {
         "command": command,
         "config": cfg,
-        "inputs": {str(p): _sha256(p) for p in inputs},
+        "inputs": inputs,
         "version": __version__,
         "seed": getattr(args, "seed", None),
     }
@@ -68,17 +62,19 @@ def _dump_json(path: Path, payload: dict) -> None:
     _write_artifact(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
-def _read_measure(path: Path, fmt: str | None) -> DiscreteMeasure:
-    if fmt is None:
-        fmt = "json" if path.suffix.lower() == ".json" else "csv"
-    with open(path, "rb") as f:
-        return load_measure(f, fmt)
+def _read_measure(path: Path, fmt: str | None) -> tuple[DiscreteMeasure, dict]:
+    """The measure in path, and the manifest's inputs: {path: sha256 of the bytes parsed}."""
+    data = path.read_bytes()
+    fmt = fmt or ("json" if path.suffix.lower() == ".json" else "csv")
+    return load_measure(data, fmt), {str(path): hashlib.sha256(data).hexdigest()}
 
 
-def _read_curve(path: Path, mu: DiscreteMeasure) -> Polyline:
+def _read_curve(path: Path, mu: DiscreteMeasure, inputs: dict) -> Polyline:
     """The curve in path, refused unless it is in range and has mu's dimension."""
+    data = path.read_bytes()
+    inputs[str(path)] = hashlib.sha256(data).hexdigest()  # of the bytes parsed
     try:
-        curve = Polyline.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        curve = Polyline.from_dict(json.loads(data.decode("utf-8")))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"curve file {path} is not UTF-8 JSON: {exc}") from exc
     if mu.dim != curve.dim:
@@ -87,7 +83,7 @@ def _read_curve(path: Path, mu: DiscreteMeasure) -> Polyline:
 
 
 def cmd_fit(args) -> int:
-    mu = _read_measure(args.measure, args.format)
+    mu, inputs = _read_measure(args.measure, args.format)
     cfg = FitConfig(
         p=args.p, lam=args.lam, m_init=args.m_init, m_max=args.m_max,
         restarts=args.restarts, seed=args.seed,
@@ -96,7 +92,7 @@ def cmd_fit(args) -> int:
     out.mkdir(parents=True, exist_ok=True)  # bad settings and a bad --out fail before the fit
     result = fit(mu, cfg)
     report = full_report(mu, result.curve, cfg.p, cfg.lam)
-    manifest = _manifest("fit", args, [args.measure])
+    manifest = _manifest("fit", args, inputs)
     _dump_json(out / "curve.json", {"manifest": manifest, **result.curve.to_dict()})
     _dump_json(out / "result.json", {"manifest": manifest, **result.to_dict()})
     _dump_json(out / "report.json", {"manifest": manifest, **report.to_dict()})
@@ -111,10 +107,10 @@ def cmd_fit(args) -> int:
 
 
 def cmd_check(args) -> int:
-    mu = _read_measure(args.measure, args.format)
-    curve = _read_curve(args.curve, mu)
+    mu, inputs = _read_measure(args.measure, args.format)
+    curve = _read_curve(args.curve, mu, inputs)
     report = full_report(mu, curve, args.p, args.lam)
-    manifest = _manifest("check", args, [args.measure, args.curve])
+    manifest = _manifest("check", args, inputs)
     out = Path(args.out)
     if out.is_dir():
         out = out / "report.json"
@@ -124,12 +120,12 @@ def cmd_check(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    mu = _read_measure(args.measure, args.format)
-    fitted = _read_curve(args.curve, mu) if args.curve else None  # refused before the search
+    mu, inputs = _read_measure(args.measure, args.format)
+    fitted = _read_curve(args.curve, mu, inputs) if args.curve else None  # before the search
     ocfg = OracleConfig(m=args.m, h=args.grid_h, p=args.p, lam=args.lam, budget=args.budget)
     curve, energy_val = brute_force_min(mu, ocfg)
     payload = {
-        "manifest": _manifest("oracle", args, [args.measure] + ([args.curve] if args.curve else [])),
+        "manifest": _manifest("oracle", args, inputs),
         "oracle": golden_record(mu, ocfg, curve, energy_val),
     }
     if fitted is not None:
@@ -142,11 +138,11 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    mu = _read_measure(args.measure, args.format)
+    mu, inputs = _read_measure(args.measure, args.format)
     if mu.dim != 2:
         raise DimensionMismatchError("plotting needs a 2-D measure")
-    curve = _read_curve(args.curve, mu) if args.curve else None
-    manifest = _manifest("plot", args, [args.measure] + ([args.curve] if args.curve else []))
+    curve = _read_curve(args.curve, mu, inputs) if args.curve else None
+    manifest = _manifest("plot", args, inputs)
     svg = render_svg(mu, curve, comment=json.dumps(manifest, sort_keys=True))
     _write_artifact(Path(args.out), svg)
     print(f"wrote {args.out}")
@@ -161,11 +157,8 @@ def cmd_conjecture(args) -> int:
         )
     candidates = conjecture_search(p=args.p, budget=args.budget, seed=args.seed,
                                    restarts=args.restarts)
-    payload = {
-        "manifest": _manifest("conjecture", args, []),
-        "n_candidates": len(candidates),
-        "candidates": candidates,
-    }
+    payload = {"manifest": _manifest("conjecture", args, {}), "n_candidates": len(candidates),
+               "candidates": candidates}
     _dump_json(Path(args.out), payload)
     print(f"{len(candidates)} self-intersecting stationary candidates "
           f"out of {args.budget} instances")

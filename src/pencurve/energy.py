@@ -21,6 +21,13 @@ def validate_params(p: float, lam: float) -> None:
         raise ConfigError(f"lambda must be finite and > 0, got {lam}")
 
 
+def validate_count(name: str, value) -> int:
+    """value as an int; ConfigError unless it is an integer (numpy integers included)."""
+    if not hasattr(value, "__index__"):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class EnergyBreakdown:
     """fidelity = sum of mass * distance^p, length_term = lambda * L."""

@@ -36,6 +36,7 @@ from .energy import (
     fixed_plan_majoriser,
     fixed_plan_value_grad,
     stationarity_report,
+    validate_count,
     validate_params,
 )
 from .errors import ConfigError, NumericError
@@ -74,18 +75,18 @@ class FitConfig:
     def resolved(self, mu: DiscreteMeasure) -> "FitConfig":
         validate_params(self.p, self.lam)
         in_range_at(mu, self.p)
-        n = mu.n_atoms
-        m_max = self.m_max if self.m_max is not None else min(200, 10 * math.ceil(math.sqrt(n)))
-        if self.m_init is None:
-            m_init = min(m_max, max(2, math.ceil(math.sqrt(n))))
-        else:
-            m_init = self.m_init
-        if m_init < 1 or m_max < m_init:
+        root_n = math.ceil(math.sqrt(mu.n_atoms))
+        m_max = min(200, 10 * root_n) if self.m_max is None else validate_count("m_max", self.m_max)
+        m_init = min(m_max, max(2, root_n)) if self.m_init is None else self.m_init
+        counts = {k: validate_count(k, v) for k, v in (
+            ("m_init", m_init), ("max_outer_iters", self.max_outer_iters),
+            ("restarts", self.restarts), ("seed", self.seed))}
+        if counts["m_init"] < 1 or m_max < counts["m_init"]:
             raise ConfigError(f"need 1 <= m_init <= m_max, got {m_init}, {m_max}")
         for name in ("max_outer_iters", "restarts"):
-            if getattr(self, name) < 1:
+            if counts[name] < 1:
                 raise ConfigError(f"{name} must be >= 1")
-        return replace(self, m_init=m_init, m_max=m_max)
+        return replace(self, m_max=m_max, **counts)
 
 
 @dataclass(frozen=True)

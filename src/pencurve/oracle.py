@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .curve import Polyline
-from .energy import energy, validate_params
+from .energy import energy, validate_count, validate_params
 from .errors import BudgetExceededError, ConfigError, PencurveError
 from .measure import DiscreteMeasure, diameter, in_range_at
 
@@ -36,7 +36,7 @@ class OracleConfig:
     budget: float = 1e9
 
     def validate(self):
-        if not (1 <= self.m <= 4):
+        if not (1 <= validate_count("m", self.m) <= 4):
             raise ConfigError(f"oracle supports 1 <= m <= 4, got {self.m}")
         if not self.h > 0:
             raise ConfigError("h must be > 0")
@@ -92,23 +92,22 @@ def _pair_costs(ax, ay, bx, by, mu: DiscreteMeasure, p: float, lam: float, out: 
     """
     w0, w1 = bx - ax, by - ay
     den = w0 * w0 + w1 * w1
-    flat = (den == 0.0).ravel().nonzero()[0]  # t is 0 there: the segment is a point
+    lengths = lam * np.sqrt(den)
+    den += den == 0.0  # 1 where den was 0; there t * w is 0 (w = 0) or underflows to 0
     t, e0, e1 = np.empty_like(den), np.empty_like(den), np.empty_like(den)
-    with np.errstate(invalid="ignore"):  # 0 / 0 at those cells, reset before the clip
-        for (x0, x1), mass, cost in zip(mu.positions, mu.masses, out):
-            num = np.multiply(x0 - ax, w0, out=e0)
-            num += np.multiply(x1 - ay, w1, out=e1)
-            np.divide(num, den, out=t)
-            t.reshape(-1)[flat] = 0.0
-            t.clip(0.0, 1.0, out=t)
-            np.subtract(x0, np.add(ax, np.multiply(t, w0, out=e0), out=e0), out=e0)
-            np.subtract(x1, np.add(ay, np.multiply(t, w1, out=e1), out=e1), out=e1)
-            e0 *= e0
-            e0 += np.multiply(e1, e1, out=e1)
-            np.sqrt(e0, out=cost)
-            cost **= p
-            cost *= mass
-    return lam * np.sqrt(den)
+    for (x0, x1), mass, cost in zip(mu.positions, mu.masses, out):
+        num = np.multiply(x0 - ax, w0, out=e0)
+        num += np.multiply(x1 - ay, w1, out=e1)
+        np.divide(num, den, out=t)
+        t.clip(0.0, 1.0, out=t)
+        np.subtract(x0, np.add(ax, np.multiply(t, w0, out=e0), out=e0), out=e0)
+        np.subtract(x1, np.add(ay, np.multiply(t, w1, out=e1), out=e1), out=e1)
+        e0 *= e0
+        e0 += np.multiply(e1, e1, out=e1)
+        np.sqrt(e0, out=cost)
+        cost **= p
+        cost *= mass
+    return lengths
 
 
 def _pair_blocks(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float):

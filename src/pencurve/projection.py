@@ -14,7 +14,7 @@ from .measure import DiscreteMeasure, diameter, tie_tolerance
 
 EPS_PROJ = 1e-12  # relative tolerance under which two segment distances tie
 CHUNK = 512  # atoms per block of the nearest-foot pass: O(CHUNK * m) temporaries
-CULL_MIN_PAIRS = 9000  # pairs n (m - 1) from which the culled layout runs (timed by a demo)
+CULL_MIN_PAIRS = 9000  # pairs n (m - 1) from which culling runs (demos/kernel_timing.py plan)
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,7 +231,7 @@ def _nearest_feet(X: np.ndarray, c: Polyline, eps_abs: float, reach: float,
 
     culled=None picks the culled layout from CULL_MIN_PAIRS pairs
     n (m - 1) on, where its bound pass costs less than the arithmetic it
-    saves (demos/plan_kernel_timing.py measures both).
+    saves (`demos/kernel_timing.py plan` times both).
 
     Why culling is exact. Every midpoint c_j lies on the curve, so
     d(x, curve) <= U = min_j |x - c_j|; segment j lies in the ball of

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -404,8 +405,8 @@ def test_oracle_with_a_curve_searches_once(two_atoms_csv, tmp_path, monkeypatch)
                    "--lambda", "0.2", "--curve", str(path), "--out", str(out)])
     assert rc == 0
     assert len(calls) == 1
-    mu = cli._read_measure(two_atoms_csv, None)
-    searched = oracle.certify_fit(mu, cli._read_curve(path, mu), calls[0])  # its own search
+    mu, _ = cli._read_measure(two_atoms_csv, None)
+    searched = oracle.certify_fit(mu, cli._read_curve(path, mu, {}), calls[0])  # its own search
     assert json.loads(out.read_text())["certify"] == json.loads(json.dumps(searched))
     assert len(calls) == 2
 
@@ -434,6 +435,43 @@ def test_plot_svg(two_atoms_csv, tmp_path):
     svg = out.read_text()
     assert svg.startswith("<?xml")
     assert "<circle" in svg
+
+
+def test_each_input_is_read_once_and_hashed(two_atoms_csv, tmp_path):
+    """fit, check, oracle --curve and plot open each input file once; the manifest
+    holds the sha256 of the bytes read."""
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"dim": 2, "vertices": [[0.2, 0.0], [0.8, 0.0]]}))
+    measure, digests = str(two_atoms_csv), {
+        str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in (two_atoms_csv, curve)}
+    opened, recording = [], [True]  # an audit hook stays installed: it records only while set
+
+    def hook(event, args):
+        if recording and event == "open":
+            opened.append(args[0])
+
+    sys.addaudithook(hook)
+    out = tmp_path / "out"
+    runs = [(["fit", measure, "--p", "2", "--lambda", "0.2", "--out", str(out)],
+             out / "curve.json", [measure]),
+            (["check", measure, str(curve), "--p", "2", "--lambda", "0.2",
+              "--out", str(tmp_path / "report.json")], tmp_path / "report.json", digests),
+            (["oracle", measure, "--m", "2", "--h", "0.25", "--p", "2", "--lambda", "0.2",
+              "--curve", str(curve), "--out", str(tmp_path / "o.json")], tmp_path / "o.json",
+             digests),
+            (["plot", measure, "--curve", str(curve), "--out", str(tmp_path / "p.svg")],
+             None, digests)]
+    try:
+        for argv, artifact, inputs in runs:
+            opened.clear()
+            assert cli.main(argv) == 0
+            paths = [os.fsdecode(p) for p in opened if isinstance(p, (str, bytes, os.PathLike))]
+            assert sorted(p for p in paths if p in digests) == sorted(inputs), argv[0]
+            if artifact is not None:
+                manifest = json.loads(artifact.read_text())["manifest"]
+                assert manifest["inputs"] == {p: digests[p] for p in inputs}
+    finally:
+        recording.clear()
 
 
 def test_conjecture_exit_codes(tmp_path):

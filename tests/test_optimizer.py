@@ -16,6 +16,7 @@ from pencurve.energy import (_entry_offsets, _fixed_plan_grad, energy, fixed_pla
 from pencurve.errors import ConfigError
 from pencurve.measure import DiscreteMeasure, diameter, synth_measure, tie_tolerance
 from pencurve.optimizer import FitConfig, conjecture_search, fit, fixed_plan_solve, init_curve
+from pencurve.oracle import OracleConfig, brute_force_min
 from pencurve.projection import build_plan
 
 TWO_ATOMS = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
@@ -89,6 +90,21 @@ def test_fit_rejects_bad_config():
         fit(TWO_ATOMS, FitConfig(p=2.0, lam=-1.0))
     with pytest.raises(ConfigError):
         fit(TWO_ATOMS, FitConfig(p=2.0, lam=0.2, m_init=10, m_max=3))
+
+
+@pytest.mark.parametrize("counts", [{"m_init": 2.5}, {"m_max": 7.5}, {"max_outer_iters": 2.5},
+                                    {"restarts": 1.5}, {"seed": 1.5, "restarts": 2}, {"m": 2.5}])
+def test_counts_must_be_integers(counts):
+    """A count that is not an integer is a ConfigError; numpy integers run as ints do."""
+    def run(**kw):
+        if "m" in kw:
+            return brute_force_min(TWO_ATOMS, OracleConfig(h=0.25, p=2.0, lam=0.2, **kw))[1]
+        return fit(TWO_ATOMS, FitConfig(p=2.0, lam=0.2, **kw)).breakdown.total
+
+    with pytest.raises(ConfigError, match="must be an integer"):
+        run(**counts)
+    ints = {k: int(v) for k, v in counts.items()}
+    assert run(**{k: np.int64(v) for k, v in ints.items()}) == run(**ints)
 
 
 def test_fixed_plan_solve_moves_vertex_to_atom():
