@@ -5,15 +5,17 @@
   arithmetic on the kept pairs) at n atoms (seed 1) and each family's p = 2
   fit of shape_n atoms (seed 0) resampled to m vertices: both times, their
   ratio and the kept pairs per atom, after checking equal bits; last, the
-  gate `CULL_MIN_PAIRS` and the sizes where culling is slower.
+  gate `CULL_MIN_PAIRS` and the sizes where culling is slower. The sizes
+  at n = 200, m = 13 to 22 (2400 to 4200 pairs) lie where the gate could go.
 - step: the per-step kernels at the vertices and on the plan of a fit of
   n noisy_segment atoms (seed 0) resampled to m vertices; the sizes are the
   plans of the oracle_certify, fit_exponents and fit_scale workloads.
 - oracle: `brute_force_min`'s pair kernel, its m = 3 subset pass (pair
   kernel included), its trace-back and the whole search, on n uniform
   atoms (seed 5) in a 0.6 x 0.6 box at h = 0.025 (G = 625), then on the
-  equilateral triangle at m = 2 (G = 1476); each energy is checked
-  against the hex recorded for it.
+  equilateral triangle at m = 2 (G = 1476), at each tile size
+  `PAIR_BLOCK` in blocks (set for the call only); each energy is checked
+  against the hex recorded for it at every tile.
 
 One timer serves all three: the calls of a case alternate within a batch,
 each repeated to fill BATCH_S at its first timing, and a time is the
@@ -35,8 +37,8 @@ from pencurve import DiscreteMeasure, FitConfig, Polyline, fit, optimizer, proje
 from pencurve.energy import (_entry_offsets, _fixed_plan_grad, fixed_plan_hessian,
                              fixed_plan_majoriser, fixed_plan_value_grad)
 from pencurve.measure import SYNTH_FAMILIES, diameter, tie_tolerance
-from pencurve.oracle import (OracleConfig, _extend, _grid_points, _pair_blocks, _trace_back,
-                             brute_force_min)
+from pencurve.oracle import (OracleConfig, _best_end, _extend, _grid_points, _pair_blocks,
+                             _trace_back, brute_force_min)
 
 BATCH_S, LAM, H = 0.004, 0.01, 0.025
 TRIANGLE = DiscreteMeasure(
@@ -47,6 +49,8 @@ RECORDED = {(3, 1.0): "0x1.cb0959e5e5823p-5", (3, 2.0): "0x1.6f241bc78208ep-5",
             (4, 1.0): "0x1.e2b6852b9d8b6p-5", (4, 2.0): "0x1.657ab6362178fp-5",
             (5, 1.0): "0x1.8eb9b100510d6p-4", (5, 2.0): "0x1.c1dafc7d73282p-5",
             "triangle": "0x1.279e49b3a850dp-1"}
+PLAN_CASES = sorted({(n, m) for n in (200, 1000, 3000, 10_000) for m in (10, 24, 48, 100, 200)}
+                    | {(200, m) for m in (13, 16, 19, 22)}, key=lambda case: (case[1], case[0]))
 
 
 def medians(calls, reps: int) -> list:
@@ -81,26 +85,23 @@ def kept_pairs(args) -> int:
     return sum(call.args[2].shape[1] for call in spy.call_args_list)
 
 
-def plan(sizes=(200, 1000, 3000, 10_000), vertices=(10, 24, 48, 100, 200), shape_n=1000, reps=11):
+def plan(cases=PLAN_CASES, shape_n=1000, reps=11):
     slower = []
     print(f"{'family':18s} {'n':>6s} {'m':>4s} {'pairs':>8s} {'dense ms':>9s} {'culled ms':>9s} "
           f"{'ratio':>6s} {'kept/atom':>9s}")
     for family in SYNTH_FAMILIES:
         shape = fit(synth_measure(family, shape_n, seed=0), FitConfig(p=2.0, lam=LAM)).curve
-        for m in vertices:
-            curve = resampled(shape, m)
-            for n in sizes:
-                mu = synth_measure(family, n, seed=1)
-                args = (mu.positions, curve, projection.EPS_PROJ * diameter(mu), mu.reach)
-                dense, culled = [lambda c=c: projection._nearest_feet(*args, culled=c)
-                                 for c in (False, True)]
-                assert all(map(np.array_equal, dense(), culled())), (family, n, m)
-                dense_s, culled_s = medians([dense, culled], reps)
-                if culled_s > dense_s:
-                    slower.append((n * (m - 1), family, n, m))
-                print(f"{family:18s} {n:6d} {m:4d} {n * (m - 1):8d} {dense_s * 1e3:9.3f} "
-                      f"{culled_s * 1e3:9.3f} {culled_s / dense_s:6.2f} "
-                      f"{kept_pairs(args) / n:9.2f}")
+        for n, m in cases:
+            curve, mu = resampled(shape, m), synth_measure(family, n, seed=1)
+            args = (mu.positions, curve, projection.EPS_PROJ * diameter(mu), mu.reach)
+            dense, culled = [lambda c=c: projection._nearest_feet(*args, culled=c)
+                             for c in (False, True)]
+            assert all(map(np.array_equal, dense(), culled())), (family, n, m)
+            dense_s, culled_s = medians([dense, culled], reps)
+            if culled_s > dense_s:
+                slower.append((n * (m - 1), family, n, m))
+            print(f"{family:18s} {n:6d} {m:4d} {n * (m - 1):8d} {dense_s * 1e3:9.3f} "
+                  f"{culled_s * 1e3:9.3f} {culled_s / dense_s:6.2f} {kept_pairs(args) / n:9.2f}")
     print(f"gate: the culled layout runs from CULL_MIN_PAIRS = {projection.CULL_MIN_PAIRS} pairs")
     for pairs, family, n, m in sorted(slower):
         print(f"culled slower: {pairs:8d} pairs ({family}, n = {n}, m = {m})")
@@ -133,8 +134,18 @@ def step(sizes=((4, 3, 1.0), (200, 20, 2.0), (1000, 150, 1.0)), reps=15):
         print(f"{name:20s}" + "".join(f"{t * 1e6:20.1f}" for t in row))
 
 
-def oracle(sizes=(3, 4, 5), exponents=(1.0, 2.0), reps=15):
-    print(f"{'case':<16}{'G':>6}{'pairs':>9}{'pass':>9}{'trace':>9}{'search':>9}   (median ms)")
+def tiled(call, block: int):
+    """call, run with the oracle's PAIR_BLOCK set to block."""
+    def run():
+        with mock.patch("pencurve.oracle.PAIR_BLOCK", block):
+            return call()
+    return run
+
+
+def oracle(sizes=(3, 4, 5), exponents=(1.0, 2.0), reps=15,
+           blocks=(1 << 13, 1 << 14, 1 << 15, 1 << 16)):
+    print(f"{'case':<16}{'tile':>7}{'G':>6}{'pairs':>9}{'pass':>9}{'trace':>9}{'search':>9}"
+          "   (median ms)")
     for case in [(n, p) for n in sizes for p in exponents] + ["triangle"]:
         if case == "triangle":
             mu, ocfg, label = TRIANGLE, OracleConfig(m=2, h=H, p=1.0, lam=1.0), "triangle m=2"
@@ -145,19 +156,21 @@ def oracle(sizes=(3, 4, 5), exponents=(1.0, 2.0), reps=15):
             mu, ocfg = DiscreteMeasure(pos, np.full(n, 1.0 / n)), OracleConfig(3, H, p, 0.05)
             label = f"n={n} p={p:g} m=3"
         P, p, lam = _grid_points(mu, ocfg.h), ocfg.p, ocfg.lam
-        value = brute_force_min(mu, ocfg)[1]
-        assert value.hex() == RECORDED[case], (case, value.hex())
+        for block in blocks:
+            value = tiled(lambda: brute_force_min(mu, ocfg)[1], block)()
+            assert value.hex() == RECORDED[case], (case, block, value.hex())
         calls = [lambda: collections.deque(_pair_blocks(P, mu, p, lam), maxlen=0),
                  lambda: brute_force_min(mu, ocfg)]
         if ocfg.m == 3:
             first = _extend(P, mu, p, lam)
-            totals = first[(len(first) - 1) ^ np.arange(len(first))] + first
-            end = divmod(int(totals.argmin()), len(P))
+            end = _best_end([first])[1:]
             calls += [lambda: _extend(P, mu, p, lam),
                       lambda: _trace_back(P, mu, p, lam, [first], *end)]
-        pairs, search, *rest = [t * 1e3 for t in medians(calls, reps)]
-        cells = f"{rest[0]:9.2f}{rest[1]:9.3f}" if rest else f"{'-':>9}{'-':>9}"
-        print(f"{label:<16}{len(P):>6}{pairs:9.2f}{cells}{search:9.2f}")
+        times = medians([tiled(call, block) for block in blocks for call in calls], reps)
+        for k, block in enumerate(blocks):
+            pairs, search, *rest = [t * 1e3 for t in times[k * len(calls):(k + 1) * len(calls)]]
+            cells = f"{rest[0]:9.2f}{rest[1]:9.3f}" if rest else f"{'-':>9}{'-':>9}"
+            print(f"{label:<16}{block:>7}{len(P):>6}{pairs:9.2f}{cells}{search:9.2f}")
 
 
 SECTIONS = {"plan": plan, "step": step, "oracle": oracle}

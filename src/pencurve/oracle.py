@@ -80,22 +80,25 @@ def _grid_points(mu: DiscreteMeasure, h: float) -> np.ndarray:
     return np.stack(np.meshgrid(*_grid_axes(mu, h), indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-PAIR_BLOCK = 1 << 16  # grid-point pairs per block of the pair kernel
+PAIR_BLOCK = 1 << 15  # grid-point pairs per block: the fastest tile of kernel_timing.py oracle
 
 
 def _pair_costs(ax, ay, bx, by, mu: DiscreteMeasure, p: float, lam: float, out: np.ndarray):
-    """lam * |a b|, and mass * dist(x, segment(a, b))^p per atom into out[i].
+    """lam * |a b| into out[0], and mass * dist(x, segment(a, b))^p per atom into out[1 + i].
 
     The endpoints are broadcast coordinate arrays, a the lower grid index.
     The pair blocks and the trace-back both call it: every step is
-    elementwise, so a pair's costs are the same bits in any layout.
+    elementwise, so a pair's costs are the same bits in any layout. Beside
+    out it holds six scratch lanes of out[0]'s shape (w0, w1, den, t, e0,
+    e1), and for a moment the den == 0 mask.
     """
     w0, w1 = bx - ax, by - ay
     den = w0 * w0 + w1 * w1
-    lengths = lam * np.sqrt(den)
+    np.sqrt(den, out=out[0])
+    out[0] *= lam
     den += den == 0.0  # 1 where den was 0; there t * w is 0 (w = 0) or underflows to 0
     t, e0, e1 = np.empty_like(den), np.empty_like(den), np.empty_like(den)
-    for (x0, x1), mass, cost in zip(mu.positions, mu.masses, out):
+    for (x0, x1), mass, cost in zip(mu.positions, mu.masses, out[1:]):
         num = np.multiply(x0 - ax, w0, out=e0)
         num += np.multiply(x1 - ay, w1, out=e1)
         np.divide(num, den, out=t)
@@ -105,9 +108,14 @@ def _pair_costs(ax, ay, bx, by, mu: DiscreteMeasure, p: float, lam: float, out: 
         e0 *= e0
         e0 += np.multiply(e1, e1, out=e1)
         np.sqrt(e0, out=cost)
-        cost **= p
+        if p != 1.0:  # x ** 1.0 == x
+            cost **= p
         cost *= mass
-    return lengths
+
+
+def _block_rows(G: int) -> int:
+    """Grid rows per pair block: about PAIR_BLOCK pairs, at least one row, at most G."""
+    return min(G, max(1, PAIR_BLOCK // G))
 
 
 def _pair_blocks(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float):
@@ -118,20 +126,22 @@ def _pair_blocks(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float):
     (n, rows, columns) array of mass * dist(x, segment(P_a, P_c))^p per
     atom) over the columns c >= a0; its cells with c < a, scored in an
     earlier block, get length +inf. The length is symmetric bit for bit,
-    and so is a full table mirrored from these cells. The atoms' costs
-    share one store, overwritten by the next block.
+    and so is a full table mirrored from these cells. The lengths and the
+    atoms' costs share one store of n + 1 lanes of _block_rows(G) * G
+    floats, overwritten by the next block. With the kernel's scratch it
+    holds 8 (n + 7) + 1 bytes per pair of a block (_held_bytes).
     """
     G = P.shape[0]
-    step = min(G, max(1, PAIR_BLOCK // G))
+    step = _block_rows(G)
     px, py = P[:, 0].copy(), P[:, 1].copy()
     below = np.tri(step, k=-1, dtype=bool)  # the cells c < a of a block's leading square
-    store = np.empty((mu.n_atoms, step * G))
+    store = np.empty((mu.n_atoms + 1, step * G))
     for a0 in range(0, G, step):
         a1 = min(a0 + step, G)
-        costs = store[:, : (a1 - a0) * (G - a0)].reshape(mu.n_atoms, a1 - a0, G - a0)
-        lengths = _pair_costs(P[a0:a1, 0:1], P[a0:a1, 1:2], px[a0:], py[a0:], mu, p, lam, costs)
-        lengths[:, : a1 - a0][below[: a1 - a0, : a1 - a0]] = np.inf
-        yield slice(a0, a1), lengths, costs
+        out = store[:, : (a1 - a0) * (G - a0)].reshape(mu.n_atoms + 1, a1 - a0, G - a0)
+        _pair_costs(P[a0:a1, 0:1], P[a0:a1, 1:2], px[a0:], py[a0:], mu, p, lam, out)
+        out[0, :, : a1 - a0][below[: a1 - a0, : a1 - a0]] = np.inf
+        yield slice(a0, a1), out[0], out[1:]
 
 
 def _gray_walk(acc: np.ndarray, costs: np.ndarray):
@@ -168,9 +178,10 @@ def _extend(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float, H=None) ->
     G, nsub = P.shape[0], 1 << mu.n_atoms
     starts = [[0] if H is None else [S for S in range(nsub) if not S & U] for U in range(nsub)]
     E = np.full((nsub, G), np.inf)
+    store = None if H is None else np.empty(_block_rows(G) * G)  # the candidates H + pair
     for rows, acc, costs in _pair_blocks(P, mu, p, lam):
         a0 = rows.start
-        cand = np.empty_like(acc)
+        cand = None if H is None else store[: acc.size].reshape(acc.shape)
         for added in _gray_walk(acc, costs):
             for S in starts[added]:
                 T = S | added
@@ -187,8 +198,9 @@ def _column(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float, c: int):
     """(lengths, costs) of the G pairs {b, c}, as the pair blocks score them, indexed by b."""
     b = np.arange(len(P))
     lo, hi = P[np.minimum(b, c)], P[np.maximum(b, c)]
-    costs = np.empty((mu.n_atoms, len(P)))
-    return _pair_costs(lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1], mu, p, lam, costs), costs
+    out = np.empty((mu.n_atoms + 1, len(P)))
+    _pair_costs(lo[:, 0], lo[:, 1], hi[:, 0], hi[:, 1], mu, p, lam, out)
+    return out[0], out[1:]
 
 
 def _prefix_end(column, H, E: np.ndarray, T: int, c: int):
@@ -232,10 +244,50 @@ def _trace_back(P: np.ndarray, mu: DiscreteMeasure, p: float, lam: float, passes
     return found[::-1]
 
 
+def _best_end(passes: list) -> tuple:
+    """(value, T, c): the first minimum of passes[-1][T][c] + passes[0][~T][c], T major.
+
+    Row by row, so the search holds one row of G sums, not 2^n x G.
+    """
+    first, last = passes[0], passes[-1]
+    best = (np.inf, 0, 0)
+    for T, row in enumerate(last):
+        row = row + first[len(first) - 1 - T]
+        c = int(row.argmin())
+        if row[c] < best[0]:
+            best = (float(row[c]), T, c)
+    return best
+
+
 def _approx(count: int) -> str:
     """f"{count:.3g}" for an int of any size; the float form overflows past 1.8e308."""
     from decimal import Decimal  # only a refusal past the float range needs it
     return f"{count:.3g}" if count < 1e308 else f"{Decimal(count):.3g}"
+
+
+def _held_bytes(counts: list, n: int, m: int) -> tuple:
+    """(grid and cost-array bytes, subset-row bytes) a search holds at once.
+
+    counts are the grid's axis counts, G their product, as exact integers.
+    Every search holds numpy's ufunc buffer (np.getbufsize() floats, which
+    the pair kernel's broadcast calls fill). m = 1 holds the two axes and,
+    per grid point of a block of PAIR_BLOCK, seven lanes (the indices i and
+    j, the point, its total and the differences dx and dy) plus three of
+    the next block's (its index range, i and j) as that block starts;
+    freeing a block's lanes before the next block's made it about 3x
+    slower. m >= 2 holds the grid and its column copies (32 G bytes), a
+    block's mask of cells c < a, and per pair of a block the store's n + 1
+    lanes, the kernel's six scratch lanes and its den == 0 mask; a pass
+    that extends a prefix (m = 4) adds one candidate lane. From m = 3 on,
+    the last pass holds the 2^n x G values of all m - 2.
+    """
+    G = math.prod(counts)
+    small = 8 * np.getbufsize()  # the ufunc buffer; it also covers a few small objects
+    if m == 1:
+        return small + 8 * sum(counts) + 10 * 8 * min(G, PAIR_BLOCK), 0
+    step = _block_rows(G)
+    lanes = 8 * (n + 7) + 1 + (8 if m > 3 else 0)
+    return small + 32 * G + step * step + lanes * step * G, 8 * max(m - 2, 0) * 2**n * G
 
 
 def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
@@ -256,30 +308,29 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
     the prefixes that attain its pass's value, an order that does not
     depend on PAIR_BLOCK. At m = 1 the grid is scored
     in blocks of PAIR_BLOCK points, each point's total alone, and the first
-    minimum in grid order wins. A grid that numpy cannot index is refused
-    whatever the budget. Returns (curve, energy); the true continuous
-    optimum is at least energy - lipschitz_constant(...) * h.
+    minimum in grid order wins. A search over its budget is refused before
+    it starts, with its grid points, its work and the bytes _held_bytes
+    counts; a grid that numpy cannot index is refused whatever the budget.
+    Returns (curve, energy); the true continuous optimum is at least
+    energy - lipschitz_constant(...) * h.
     """
     ocfg.validate()
     if mu.dim != 2:
         raise PencurveError("oracle supports d=2 only")
     in_range_at(mu, ocfg.p)
-    G = math.prod(_axis_counts(mu, ocfg.h))
+    counts = _axis_counts(mu, ocfg.h)
+    G = math.prod(counts)
     n = mu.n_atoms
     m = ocfg.m
-    # work in pair-cost evaluations; held: floats per cost array alive at once;
-    # from m = 3 on, each pass also keeps its 2^n x G subset values, and no back-pointers
-    if m == 1:
-        work, held = n * G, min(G, PAIR_BLOCK)
-    else:
-        work, held = (n + (m - 1) ** (n + 1)) * G * G, min(G, max(1, PAIR_BLOCK // G)) * G
-    subset_bytes = 8 * (m - 2) * 2**n * G if m > 2 else 0
+    # work in pair-cost evaluations; from m = 3 on, (m - 1)^(n + 1) per pair for the subsets
+    work = n * G if m == 1 else (n + (m - 1) ** (n + 1)) * G * G
     unindexable = G > np.iinfo(np.intp).max
     if work > ocfg.budget or unindexable:
+        cost_bytes, subset_bytes = _held_bytes(counts, n, m)
         raise BudgetExceededError(
             f"oracle needs ~{_approx(work)} pair-cost evaluations over"
             f" {G if G < 10**15 else '~' + _approx(G)} grid points,"
-            f" ~{_approx(8 * (n + 1) * held)} bytes of cost arrays and"
+            f" ~{_approx(cost_bytes)} bytes of grid and cost arrays and"
             f" ~{_approx(subset_bytes)} bytes of subset rows, budget is {ocfg.budget:.3g}"
             + ("; the grid is past numpy's index range" if unindexable else ""),
             required=work,
@@ -290,10 +341,17 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
         for start in range(0, G, PAIR_BLOCK):
             i, j = np.divmod(np.arange(start, min(start + PAIR_BLOCK, G)), len(ys))
             gx, gy = xs[i], ys[j]
-            totals = np.zeros(len(i))
+            totals, dx, dy = np.zeros(len(i)), np.empty(len(i)), np.empty(len(i))
             for (x0, x1), mass in zip(mu.positions, mu.masses):
-                dx, dy = x0 - gx, x1 - gy
-                totals += mass * np.sqrt(dx * dx + dy * dy) ** ocfg.p
+                np.subtract(x0, gx, out=dx)
+                np.subtract(x1, gy, out=dy)
+                dx *= dx
+                dx += np.multiply(dy, dy, out=dy)
+                np.sqrt(dx, out=dx)
+                if ocfg.p != 1.0:  # x ** 1.0 == x
+                    dx **= ocfg.p
+                dx *= mass
+                totals += dx
             k = int(np.argmin(totals))
             if start == 0 or totals[k] < best_energy:  # a running first-index minimum
                 best_energy, best = float(totals[k]), (gx[k], gy[k])
@@ -314,11 +372,8 @@ def brute_force_min(mu: DiscreteMeasure, ocfg: OracleConfig):
         passes = [_extend(P, mu, ocfg.p, ocfg.lam)]
         for _ in range(m - 3):
             passes.append(_extend(P, mu, ocfg.p, ocfg.lam, passes[-1]))
-        totals = passes[0][(len(passes[0]) - 1) ^ np.arange(len(passes[0]))]
-        totals += passes[-1]
-        flat = int(totals.argmin())
-        best_energy = float(totals.flat[flat])
-        best_tuple = _trace_back(P, mu, ocfg.p, ocfg.lam, passes, *divmod(flat, G))
+        best_energy, T, c = _best_end(passes)
+        best_tuple = _trace_back(P, mu, ocfg.p, ocfg.lam, passes, T, c)
 
     verts = P[list(best_tuple)]
     if tuple(map(tuple, verts[::-1])) < tuple(map(tuple, verts)):

@@ -1,8 +1,8 @@
 """demos/kernel_timing.py, each section run once at its smallest sizes.
 
 A section raises if its own checks fail (equal bits of the two plan
-layouts, the oracle energies' recorded hex); every time it prints must be
-a finite number.
+layouts, the oracle energies' recorded hex at each of two tile sizes);
+every time it prints must be a finite number.
 """
 
 import importlib.util
@@ -13,11 +13,11 @@ import pytest
 
 SCRIPT = Path(__file__).resolve().parents[1] / "demos" / "kernel_timing.py"
 SMALLEST = {
-    "plan": {"sizes": (200,), "vertices": (10,), "shape_n": 40, "reps": 1},
+    "plan": {"cases": ((200, 10),), "shape_n": 40, "reps": 1},
     "step": {"sizes": ((4, 3, 1.0),), "reps": 1},
-    "oracle": {"sizes": (3,), "exponents": (1.0,), "reps": 1},
+    "oracle": {"sizes": (3,), "exponents": (1.0,), "reps": 1, "blocks": (1 << 13, 1 << 16)},
 }
-ROWS = {"plan": 4, "step": 8, "oracle": 2}  # table rows printed at those sizes
+ROWS = {"plan": 4, "step": 8, "oracle": 4}  # table rows printed at those sizes
 
 
 @pytest.fixture(scope="module")

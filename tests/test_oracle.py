@@ -139,11 +139,42 @@ def test_budget_refusal_with_estimate():
     assert f"~{exc.value.required:.3g} pair-cost evaluations" in msg
     assert f"{G} grid points" in msg
     rows = oracle.PAIR_BLOCK // G
-    assert f"~{8 * 3 * rows * G:.3g} bytes of cost arrays" in msg  # one block of n + 1 = 3 arrays
+    # the grid and its two column copies, a block's mask of cells c < a, numpy's ufunc buffer,
+    # and per pair of a block n + 1 = 3 store lanes, 6 scratch lanes, the den == 0 mask byte
+    # and, at m = 4, the candidate lane
+    fixed = 32 * G + rows * rows + 8 * np.getbufsize()
+    assert f"~{fixed + (8 * 10 + 1) * rows * G:.3g} bytes of grid and cost arrays" in msg
     assert f"~{8 * 2 * 4 * G:.3g} bytes of subset rows" in msg  # 2 passes of 2^n x G values
     with pytest.raises(BudgetExceededError) as exc:
         brute_force_min(TWO_ATOMS, OracleConfig(m=2, h=1e-4, p=2.0, lam=0.2, budget=1e6))
-    assert f"~{8 * 3 * rows * G:.3g} bytes" in str(exc.value)  # one block of rows
+    assert f"~{fixed + (8 * 9 + 1) * rows * G:.3g} bytes" in str(exc.value)  # no candidates
+
+
+def _boxed(n):
+    """n uniform atoms (seed 5) in a 0.6 x 0.6 box: 625 grid points at h = 0.025."""
+    pos = np.random.default_rng(5).uniform(0.0, 1.0, (n, 2))
+    pos = 0.6 * (pos - pos.min(axis=0)) / (pos.max(axis=0) - pos.min(axis=0))
+    return DiscreteMeasure(pos, np.full(n, 1.0 / n))
+
+
+@pytest.mark.parametrize("mu, ocfg", [
+    (TRIANGLE, OracleConfig(m=2, h=0.025, p=1.0, lam=1.0)),
+    (_boxed(3), OracleConfig(m=3, h=0.025, p=2.0, lam=0.05)),
+    (_boxed(4), OracleConfig(m=3, h=0.025, p=1.0, lam=0.05)),
+    (_boxed(5), OracleConfig(m=3, h=0.025, p=2.0, lam=0.05)),
+    (_boxed(3), OracleConfig(m=4, h=0.05, p=2.0, lam=0.05)),
+    (TRIANGLE, OracleConfig(m=1, h=1e-3, p=1.5, lam=0.05)),
+], ids=["triangle m=2", "n=3 m=3", "n=4 m=3", "n=5 m=3", "n=3 m=4", "triangle m=1"])
+def test_stated_bytes_cover_the_traced_peak(mu, ocfg):
+    brute_force_min(mu, ocfg)  # numpy's lazy set-up is not the search's
+    tracemalloc.start()
+    try:
+        brute_force_min(mu, ocfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    stated = sum(oracle._held_bytes(oracle._axis_counts(mu, ocfg.h), mu.n_atoms, ocfg.m))
+    assert peak <= stated <= 1.25 * peak
 
 
 def reference_atom_pair_costs(x, mass, P, p, chunk=256):
@@ -209,7 +240,7 @@ def _table_cases():
     yield DiscreteMeasure(pos, np.full(4, 0.25)), 0.125, 1.0
 
 
-@pytest.mark.parametrize("pair_block", [None, 1, 150])
+@pytest.mark.parametrize("pair_block", [None, 1, 150, 1 << 16])
 def test_pair_blocks_match_per_element_reference(monkeypatch, pair_block):
     if pair_block is not None:  # 150 pairs: blocks of 2 rows at G = 63, 8 rows at G = 18
         monkeypatch.setattr(oracle, "PAIR_BLOCK", pair_block)
@@ -377,7 +408,7 @@ def reference_min(mu, ocfg):
     return merge_vertices(verts, 0.0), E
 
 
-@pytest.mark.parametrize("pair_block", [None, 1, 150])
+@pytest.mark.parametrize("pair_block", [None, 1, 150, 1 << 16])
 def test_m3_subset_search_equals_table_reference(monkeypatch, pair_block):
     if pair_block is not None:
         monkeypatch.setattr(oracle, "PAIR_BLOCK", pair_block)
@@ -451,12 +482,12 @@ def test_m4_search_does_not_depend_on_the_block_size(monkeypatch):
     # the last case ties: every monotone tuple on [0, 1] x {0} costs exactly 0.5
     cases = list(_m4_cases())[:6] + [(TWO_ATOMS, OracleConfig(m=4, h=0.5, p=1.0, lam=0.5))]
     found = []
-    for pair_block in (None, 1, 150):
+    for pair_block in (None, 1, 150, 1 << 16):
         if pair_block is not None:
             monkeypatch.setattr(oracle, "PAIR_BLOCK", pair_block)
         found.append([(E.hex(), curve.vertices.tobytes())
                       for curve, E in (brute_force_min(mu, ocfg) for mu, ocfg in cases)])
-    assert found[0] == found[1] == found[2]
+    assert found[0] == found[1] == found[2] == found[3]
     assert found[0][-1] == ((0.5).hex(), np.zeros((1, 2)).tobytes())
 
 
