@@ -1,4 +1,4 @@
-"""Time the kernel layers that evaluate E: nearest-foot plans, MM steps and the grid oracle.
+"""Time the kernels: nearest-foot plans, MM steps, the grid oracle and the certificates.
 
 - plan: `projection._nearest_feet` densely (the foot arithmetic on all
   n (m - 1) atom-segment pairs) and culled (a midpoint bound pass, then the
@@ -16,12 +16,17 @@
   equilateral triangle at m = 2 (G = 1476), at each tile size
   `PAIR_BLOCK` in blocks (set for the call only); each energy is checked
   against the hex recorded for it at every tile.
+- check: the certificates `full_report` spends its time in, on n atoms of
+  each family (seed 1) against that family's p = 2 fit of shape_n atoms
+  (seed 0) resampled to m vertices: `singleton_best_energy` (the length
+  bound), the two window sweeps `turn_direction_sweep` and
+  `check_local_tv` on one shared plan, and the whole report.
 
-One timer serves all three: the calls of a case alternate within a batch,
+One timer serves all four: the calls of a case alternate within a batch,
 each repeated to fill BATCH_S at its first timing, and a time is the
 median over reps batches of the time per call.
 
-Run: PYTHONPATH=src python3 demos/kernel_timing.py [plan|step|oracle] (all three by default)
+Run: PYTHONPATH=src python3 demos/kernel_timing.py [plan|step|oracle|check] (all by default)
 """
 
 import collections
@@ -34,6 +39,8 @@ from unittest import mock
 import numpy as np
 
 from pencurve import DiscreteMeasure, FitConfig, Polyline, fit, optimizer, projection, synth_measure
+from pencurve.diagnostics import (check_local_tv, full_report, singleton_best_energy,
+                                  turn_direction_sweep)
 from pencurve.energy import (_entry_offsets, _fixed_plan_grad, fixed_plan_hessian,
                              fixed_plan_majoriser, fixed_plan_value_grad)
 from pencurve.measure import SYNTH_FAMILIES, diameter, tie_tolerance
@@ -77,6 +84,11 @@ def resampled(curve: Polyline, m: int) -> Polyline:
     return Polyline(np.stack([np.interp(s, cum, col) for col in curve.vertices.T], axis=1))
 
 
+def family_shape(family: str, shape_n: int) -> Polyline:
+    """The p = 2 fit of shape_n atoms of the family (seed 0)."""
+    return fit(synth_measure(family, shape_n, seed=0), FitConfig(p=2.0, lam=LAM)).curve
+
+
 def kept_pairs(args) -> int:
     """Pairs the culled layout hands to the foot arithmetic in one call."""
     arithmetic = projection._foot_arithmetic
@@ -90,7 +102,7 @@ def plan(cases=PLAN_CASES, shape_n=1000, reps=11):
     print(f"{'family':18s} {'n':>6s} {'m':>4s} {'pairs':>8s} {'dense ms':>9s} {'culled ms':>9s} "
           f"{'ratio':>6s} {'kept/atom':>9s}")
     for family in SYNTH_FAMILIES:
-        shape = fit(synth_measure(family, shape_n, seed=0), FitConfig(p=2.0, lam=LAM)).curve
+        shape = family_shape(family, shape_n)
         for n, m in cases:
             curve, mu = resampled(shape, m), synth_measure(family, n, seed=1)
             args = (mu.positions, curve, projection.EPS_PROJ * diameter(mu), mu.reach)
@@ -173,7 +185,24 @@ def oracle(sizes=(3, 4, 5), exponents=(1.0, 2.0), reps=15,
             print(f"{label:<16}{block:>7}{len(P):>6}{pairs:9.2f}{cells}{search:9.2f}")
 
 
-SECTIONS = {"plan": plan, "step": step, "oracle": oracle}
+def check(sizes=(3500, 30_000, 100_000), exponents=(1.0, 2.0), m=24, shape_n=1000, reps=5):
+    print(f"{'family':18s} {'n':>6s} {'p':>3s} {'length ms':>10s} {'turn ms':>9s} "
+          f"{'tv_local ms':>11s} {'report ms':>10s}")
+    for family in SYNTH_FAMILIES:
+        curve = resampled(family_shape(family, shape_n), m)
+        for n in sizes:
+            mu = synth_measure(family, n, seed=1)
+            tp, _ = projection.build_plan(mu, curve)
+            for p in exponents:
+                times = medians([lambda: singleton_best_energy(mu, p),
+                                 lambda: turn_direction_sweep(mu, curve, p, LAM, plan=tp),
+                                 lambda: check_local_tv(mu, curve, p, LAM, plan=tp),
+                                 lambda: full_report(mu, curve, p, LAM)], reps)
+                print(f"{family:18s} {n:6d} {p:3g} " + " ".join(
+                    f"{t * 1e3:{w}.3f}" for t, w in zip(times, (10, 9, 11, 10))))
+
+
+SECTIONS = {"plan": plan, "step": step, "oracle": oracle, "check": check}
 
 if __name__ == "__main__":
     if len(sys.argv) > 2 or sys.argv[1:] and sys.argv[1] not in SECTIONS:

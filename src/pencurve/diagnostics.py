@@ -15,8 +15,8 @@ import numpy as np
 from .curve import Polyline, axis_norms, point_segment_foot, self_intersections_2d
 from .energy import _entry_offsets, validate_params
 from .errors import PencurveError
-from .measure import (DiscreteMeasure, convex_hull_2d, diameter, in_range_at, tie_tolerance,
-                      vertices_in_range)
+from .measure import (DiscreteMeasure, _nested_cells, convex_hull_2d, diameter, in_range_at,
+                      tie_tolerance, vertices_in_range)
 from .projection import TransportPlan, build_plan
 
 ANGLE_TOL = 5e-4  # radians; absorbs optimizer stationarity slack in angle checks
@@ -140,40 +140,14 @@ def _candidate_energies(mu: DiscreteMeasure, Z: np.ndarray, p: float,
     return np.sum(np.multiply(mu.masses, sq, out=sq), axis=1)
 
 
-def _occupied_cells(mu: DiscreteMeasure):
-    """Atoms grouped by a uniform grid over their bounding box.
-
-    Returns (order, cell, lo, hi, mass): atom order[j] lies in cell cell[j]
-    (cells are runs of `order`), and cell c has bounding box [lo[c], hi[c]]
-    and mass mass[c]. The k = n^(2/(2d+1)) cells per axis balance the C^2
-    bound table against the candidates a cell's width leaves unpruned.
-    Coincident atoms, or a span that overflows, give one cell.
-    """
-    X = mu.positions
-    n, d = X.shape
-    k = max(1, int(n ** (2.0 / (2 * d + 1))))
-    lo = np.min(X, axis=0)
-    side = float(np.max(np.max(X, axis=0) - lo)) / k
-    if not 0.0 < side < np.inf:  # coincident atoms, or a span past the float range
-        k, side = 1, 1.0
-    idx = np.minimum(np.floor((X - lo) / side), k - 1)
-    order = np.lexsort(idx.T)
-    idx = idx[order]
-    new = np.concatenate([[True], np.any(idx[1:] != idx[:-1], axis=1)])
-    starts = np.flatnonzero(new)
-    pos = X[order]
-    return (order, np.cumsum(new) - 1, np.minimum.reduceat(pos, starts),
-            np.maximum.reduceat(pos, starts), np.add.reduceat(mu.masses[order], starts))
-
-
 def _cell_bounds(lo: np.ndarray, hi: np.ndarray, mass: np.ndarray, p: float,
-                 rows: int) -> np.ndarray:
-    """sum_c mass[c] * gap(box_q, box_c)^p for every cell q, `rows` cells q at a time."""
-    out = np.empty(len(mass))
-    work = np.empty((3, min(rows, len(mass)), len(mass)))
-    for start in range(0, len(mass), rows):
-        q = slice(start, start + rows)
-        sq, gap, other = work[:, :len(out[q])]
+                 query: np.ndarray, rows: int) -> np.ndarray:
+    """sum_c mass[c] * gap(box_q, box_c)^p for each cell q in `query`, `rows` at a time."""
+    out = np.empty(len(query))
+    work = np.empty((3, min(rows, len(query)), len(mass)))
+    for start in range(0, len(query), rows):
+        q = query[start:start + rows]
+        sq, gap, other = work[:, :len(q)]
         sq[...] = 0.0
         for k in range(lo.shape[1]):
             np.subtract(lo[:, k], hi[q, k, None], out=gap)
@@ -182,7 +156,7 @@ def _cell_bounds(lo: np.ndarray, hi: np.ndarray, mass: np.ndarray, p: float,
             gap *= gap
             sq += gap
         np.power(np.sqrt(sq, out=sq), p, out=sq)
-        out[q] = np.sum(np.multiply(mass, sq, out=sq), axis=1)
+        out[start:start + len(q)] = np.sum(np.multiply(mass, sq, out=sq), axis=1)
     return out
 
 
@@ -194,50 +168,81 @@ def singleton_best_energy(mu: DiscreteMeasure, p: float) -> float:
     energy and hence for lambda * L of any minimizer.
 
     The result is the minimum over all n + 1 candidates, bit for bit, found
-    by branch and bound. The weighted mean is scored first. The atoms are
-    grouped into the C occupied cells of a uniform grid. No atom of cell c
-    is closer to a candidate of cell q than gap(box_q, box_c), so every
-    candidate in q scores at least B(q) = sum_c mass(c) * gap^p. Cells are
-    visited in increasing B(q) and their atoms scored exactly, 16 at a
-    time, until the next candidate's cell has
-    B(q) > best * (1 + BOUND_SLACK) + (n + C) * 2^-1074.
+    by branch and bound, coarse to fine. The weighted mean is scored first.
+    Grid level l groups the atoms into the occupied cells of 2^l cells per
+    axis (`_nested_cells`); each cell's box is the bounding box of its
+    atoms, so a cell's box holds the boxes of its children. No atom of cell
+    c is closer to a candidate of cell q than gap(box_q, box_c), so every
+    candidate in q scores at least B(q) = sum_c mass(c) * gap^p over the
+    cells c of q's level. A cell is live while
+    B(q) <= best * (1 + BOUND_SLACK) + 2n * 2^-1074. Level l bounds only
+    the children of live level l - 1 cells (at level 1, every cell), so the
+    cell of the minimiser is visited at every level. A level whose table
+    has more than n entries also scores the first atom of its least-bound
+    cell, which lowers best early where the mean is far from the minimum
+    (p < 2). The search refines while the next level's table (its children
+    times its cells) is smaller than scoring the live atoms (their count
+    times n). Then the live cells' atoms are scored exactly, 16 at a time,
+    in increasing B, until the next candidate's cell is no longer live.
 
     Rounding cannot make that rule drop the minimum. Differences, squares,
     sums of d squares and square roots are correctly rounded, hence
     monotone, so each computed atom distance is at least the computed gap;
     the power and the product with the mass add a few ulps. numpy's pairwise
-    sums (the energy over n atoms, the cell masses, B over C cells) err by
-    at most about (log2 n + 16) * eps relative on nonnegative terms,
-    eps = 2^-53. In all B(q) exceeds a computed energy in q by at most about
-    (3 log2 n + 60) * eps, under 2e-14 for n <= 10^9: five orders below the
-    1e-9 slack. A term that underflows loses at most 2^-1075, which the
-    absolute term covers. So the minimum over the scored candidates is the
-    minimum over all of them.
+    sums (the energy over n atoms, the cell masses, B over at most n cells
+    of one level) err by at most about (log2 n + 16) * eps relative on
+    nonnegative terms, eps = 2^-53. In all every B(q) of every level
+    exceeds a computed energy in q by at most about (3 log2 n + 60) * eps,
+    under 2e-14 for n <= 10^9: five orders below the 1e-9 slack. A term
+    that underflows loses at most 2^-1075, and at most 2n terms (n atoms,
+    or at most n cells) take part, which the absolute term covers. So the
+    minimum over the scored candidates is the minimum over all of them.
 
-    Cost: the C x C table of B is built in row blocks of at most 4 n
-    entries; each scored candidate costs n. At n = 3500 on a noisy circle
-    at p = 2 only the mean is scored (0.003 s against 0.09 s for the full
-    scan); on a uniform square at n = 30000, p = 2, 4% of the candidates
-    are (0.46 s against 8.3 s). One cell (a single atom, or coincident
-    atoms) scores every candidate.
+    Cost: each level's table is built in row blocks of at most 4 n
+    entries, and each scored candidate costs n, so memory is O(n). On a
+    noisy circle at p = 2 no cell of the 8 x 8 level stays live and only
+    the mean is scored: 0.7 ms at n = 3500 and 12 ms at n = 10^5 on a
+    2-CPU host, against 1.8 and 190 ms for one grid level with its full
+    C x C table. A uniform square at n = 30000, p = 2 takes 0.17 s against
+    0.41 s. One cell (a single atom, or coincident atoms) scores every
+    candidate.
     """
     X = mu.positions
-    n = len(X)
-    order, cell, lo, hi, mass = _occupied_cells(mu)
-    bound = _cell_bounds(lo, hi, mass, p, rows=max(1, 4 * n // len(mass)))[cell]
+    n, d = X.shape
     work = np.empty((2, 16, n))
     mean = (mu.masses / mu.total_mass) @ X
     best = float(_candidate_energies(mu, mean[None, :], p, work)[0])
-    rank = np.argsort(bound, kind="stable")  # candidates cell by cell, in increasing B
-    cands, bound = order[rank], bound[rank]
-    underflow = (n + len(mass)) * math.ulp(0.0)
+    slack = 1.0 + BOUND_SLACK
+    underflow = 2 * n * math.ulp(0.0)
+    order, key, levels = _nested_cells(mu)
+    pos, masses = X[order], mu.masses[order]
+    starts, bound, live = np.zeros(1, dtype=np.intp), np.zeros(1), np.ones(1, dtype=bool)
+    for level in range(1, levels + 1):
+        cell = key >> (d * (levels - level))
+        cells = np.flatnonzero(np.concatenate([[True], cell[1:] != cell[:-1]]))
+        query = np.flatnonzero(live[np.searchsorted(starts, cells, side="right") - 1])
+        if len(query) * len(cells) >= np.sum(np.diff(starts, append=n)[live]) * n:
+            break  # this level's table would cost more than scoring the live atoms
+        lo, hi = np.minimum.reduceat(pos, cells), np.maximum.reduceat(pos, cells)
+        mass = np.add.reduceat(masses, cells)
+        starts, bound = cells, np.full(len(cells), np.inf)
+        bound[query] = _cell_bounds(lo, hi, mass, p, query, rows=max(1, 4 * n // len(cells)))
+        if len(query) * len(cells) > n:  # one more candidate costs less than this table
+            lowest = cells[np.argmin(bound)]  # the first atom of the least-bound cell
+            best = min(best, float(_candidate_energies(mu, pos[lowest:lowest + 1], p, work)[0]))
+        live = bound <= best * slack + underflow
+    ranked = np.flatnonzero(live)
+    ranked = ranked[np.argsort(bound[ranked], kind="stable")]  # cells in increasing B
+    sizes = np.diff(starts, append=n)[ranked]
+    atoms = np.repeat(starts[ranked] - np.cumsum(sizes) + sizes, sizes) + np.arange(np.sum(sizes))
+    cands, bound = pos[atoms], np.repeat(bound[ranked], sizes)
     start = 0
     while True:  # blocks of at most 16 candidates: 16 x n temporaries
-        last = np.searchsorted(bound, best * (1.0 + BOUND_SLACK) + underflow, side="right")
+        last = np.searchsorted(bound, best * slack + underflow, side="right")
         stop = min(start + 16, int(last))
         if stop <= start:
             return best
-        best = min(best, float(np.min(_candidate_energies(mu, X[cands[start:stop]], p, work))))
+        best = min(best, float(np.min(_candidate_energies(mu, cands[start:stop], p, work))))
         start = stop
 
 
@@ -340,12 +345,33 @@ def _window_mass_prefixes(plan: TransportPlan, m: int):
     return pv, ps
 
 
+def _start_blocks(starts: int, width: int, plan: TransportPlan, m: int) -> list:
+    """Runs of the window starts 0 .. starts - 1, so that a (run x width) array
+    holds at most 8 (plan entries + m) values (one start at least): O(n + m)."""
+    rows = max(1, 8 * (len(plan.mass) + m) // max(width, 1))
+    return [np.arange(a, min(a + rows, starts)) for a in range(0, starts, rows)]
+
+
+def _first_worst(viol: np.ndarray):
+    """(value, row, column) of the worst entry, as a start-by-start sweep keeps it.
+
+    Each row offers its first argmax (NaN counts as largest) and wins only
+    over strictly smaller offers of earlier rows, so a row holding a NaN
+    never wins; without NaN, the first argmax in row-major order.
+    """
+    cols = np.argmax(viol, axis=1)
+    offers = viol[np.arange(len(viol)), cols]
+    row = int(np.argmax(np.where(np.isnan(offers), -np.inf, offers)))
+    return offers[row], row, int(cols[row])
+
+
 def check_local_tv(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
                    plan: TransportPlan | None = None) -> TheoryCheck:
     """Turning inside every vertex window against the mass projected there.
 
-    Windows (a, b) are swept one start a at a time, all ends b in one array
-    step: O(m) memory. The first worst window in (a, b) order is reported.
+    Windows (a, b) are swept as a start x end array per block of starts
+    (`_start_blocks`), ends b < a + 2 padded with -inf. The first worst
+    window in (a, b) order is reported.
     """
     if plan is None:
         plan, _ = build_plan(mu, c)
@@ -355,15 +381,17 @@ def check_local_tv(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
     coef = (p / lam) * diameter(mu) ** (p - 1.0)
     pa = np.concatenate([[0.0], np.cumsum(c.turning_angles)])  # pa[j] = angles of vertices 1..j
     pv, ps = _window_mass_prefixes(plan, m)
+    b = np.arange(m)
     worst = (-np.inf, None)  # (violation, window)
-    for a in range(m - 2):
-        b = np.arange(a + 2, m)
+    for a in _start_blocks(m - 2, m, plan, m):
+        a = a[:, None]
         tv = pa[b - 1] - pa[a]  # interior vertices a+1..b-1
         sigma = (pv[b + 1] - pv[a]) + (ps[b] - ps[a])
         viol = tv - coef * sigma
-        k = int(np.argmax(viol))
-        if viol[k] > worst[0]:
-            worst = (viol[k], (a, a + 2 + k))
+        viol[b < a + 2] = -np.inf
+        value, row, end = _first_worst(viol)
+        if value > worst[0]:
+            worst = (value, (int(a[row, 0]), end))
     observed = worst[0]
     return TheoryCheck(
         "tv_local", observed <= ANGLE_TOL, 0.0, float(observed), ANGLE_TOL,
@@ -379,10 +407,10 @@ def _entry_sides(mu: DiscreteMeasure, c: Polyline, plan: TransportPlan, eps_side
     segment or both segments at a vertex; ambiguous entries count on both
     sides, which can only loosen the resulting bound.
     """
-    seg_unit = c.unit_tangents
+    ux, uy = (np.ascontiguousarray(col) for col in c.unit_tangents.T)  # 1-D gathers are faster
     ia = plan.ia
     off = _entry_offsets(c.vertices, plan, mu.positions)[2]
-    c1, c2 = (seg_unit[k][:, 0] * off[:, 1] - seg_unit[k][:, 1] * off[:, 0]
+    c1, c2 = (ux[k] * off[:, 1] - uy[k] * off[:, 0]
               for k in (np.where(plan.at_vertex, np.maximum(ia - 1, 0), ia),
                         np.minimum(ia, c.n_vertices - 2)))
     above = (c1 > eps_side) | (c2 > eps_side)
@@ -392,17 +420,37 @@ def _entry_sides(mu: DiscreteMeasure, c: Polyline, plan: TransportPlan, eps_side
     return below | both, above | both
 
 
-def _running(op, values: np.ndarray) -> np.ndarray:
-    """0.0, then op applied cumulatively in entry order (sums add one entry at a time)."""
-    return np.concatenate([[0.0], op.accumulate(values)])
+def _running_sums(values: np.ndarray) -> np.ndarray:
+    """0.0, then the running sums along each row, adding one entry at a time."""
+    out = np.zeros((len(values), values.shape[1] + 1))
+    np.add.accumulate(values, axis=1, out=out[:, 1:])
+    return out
+
+
+def _eligible_ends(c: Polyline, plan: TransportPlan) -> np.ndarray:
+    """Per start a, the count of ends b = a + 1, a + 2, ... of eligible windows.
+
+    Window (a, b) turns by the sequential sum of angles a .. b - 2, a
+    nondecreasing prefix from a, and is eligible below 1/2.
+    """
+    m = c.n_vertices
+    width = max(m - 2, 1)
+    angles = np.concatenate([c.turning_angles, np.full(width, np.inf)])
+    rows = np.lib.stride_tricks.sliding_window_view(angles, width)
+    return 1 + np.concatenate([np.sum(np.cumsum(rows[a], axis=1) < 0.5, axis=1)
+                               for a in _start_blocks(m - 1, width, plan, m)])
 
 
 def turn_direction_sweep(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
                          plan: TransportPlan | None = None) -> TheoryCheck:
     """Worst turn-direction violation over all eligible (TV < 1/2) windows.
 
-    Windows (a, b) are swept one start a at a time, all eligible ends b in
-    one array step. The first worst window in (a, b) order is reported.
+    Windows (a, b) are swept as start x end arrays per block of starts
+    (`_start_blocks`). The mass on a side of window (a, b) is a running
+    sum along the row of a start x entry array, from start a's first plan
+    entry, so it adds one entry at a time in curve order. The largest
+    distance is a running maximum over each key's largest, which is exact
+    in any grouping. The first worst window in (a, b) order is reported.
     """
     if c.dim != 2:
         return TheoryCheck("turn_direction", None, None, None, None, "needs d=2")
@@ -412,43 +460,55 @@ def turn_direction_sweep(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
     if m < 2:
         return TheoryCheck("turn_direction", True, 0.0, 0.0, ANGLE_TOL, "no segment")
     # entries in curve order: vertex j has key 2j, segment j key 2j + 1, so
-    # window (a, b) holds keys 2a..2b
+    # window (a, b) holds keys 2a..2b; a stable sort of keys below 2^16 is a radix sort
     key = plan.ia + plan.ib
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key.astype(np.min_scalar_type(2 * m)), kind="stable")
     key = key[order]
-    sides = [(np.where(side, plan.mass, 0.0)[order], np.where(side, plan.dist, 0.0)[order])
-             for side in _entry_sides(mu, c, plan, tie_tolerance(diameter(mu)))]
-    angles, seg_unit = c.turning_angles, c.unit_tangents
+    sides = _entry_sides(mu, c, plan, tie_tolerance(diameter(mu)))
+    masses = [np.where(side, plan.mass, 0.0)[order] for side in sides]
+    runs = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    keys = key[runs]
+    dists = np.zeros((2, 2 * m - 1))  # per side and key: the largest distance, 0.0 if none
+    for out, side in zip(dists, sides):
+        out[keys] = np.maximum.reduceat(np.where(side, plan.dist, 0.0)[order], runs)
+    seg_unit = c.unit_tangents
     coef = p / lam
+    count = _eligible_ends(c, plan)
+    first = np.searchsorted(key, 2 * np.arange(m - 1))  # each start's first entry
+    last = np.searchsorted(key, 2 * np.arange(m), side="right")  # past each end's entries
+    length = last[np.arange(m - 1) + count] - first  # entries of each start's longest window
     worst = (-np.inf, None)
-    checked = 0
-    for a in range(m - 1):
-        # ends b = a + 1 .. a + n: window (a, b) turns by the sequential sum of
-        # angles a .. b - 2, a nondecreasing prefix, and is eligible below 1/2
-        n = 1 + int(np.searchsorted(np.cumsum(angles[a:]), 0.5))
-        first = np.searchsorted(key, 2 * a)
-        ends = np.searchsorted(key, 2 * np.arange(a + 1, a + n + 1), side="right") - first
-        tk = seg_unit[a:a + n]
-        sine = seg_unit[a, 0] * tk[:, 1] - seg_unit[a, 1] * tk[:, 0]
+    width = max(2 * int(np.max(count)) + 1, int(np.max(length)) + 1)  # keys, entries per row
+    for a in _start_blocks(m - 1, width, plan, m):
+        window = np.arange(int(np.max(count[a])))
+        eligible = window < count[a, None]
+        end = a[:, None] + np.minimum(window + 1, count[a, None])  # padded with the last end
+        at = np.arange(len(a))[:, None], last[end] - first[a, None]
+        # each start's entries, then padding (clipped) that no window reads
+        entry = np.minimum(first[a, None] + np.arange(int(np.max(length[a]))), len(key) - 1)
+        key_at = np.minimum(2 * a[:, None] + np.arange(2 * len(window) + 1), 2 * m - 2)
+        tk = seg_unit[end - 1]
+        sine = seg_unit[a, 0, None] * tk[..., 1] - seg_unit[a, 1, None] * tk[..., 0]
         terms = []
-        for run, (ms, ds) in zip((np.maximum.accumulate(sine), np.maximum.accumulate(-sine)),
-                                 sides):
+        for run, ms, ds in zip((np.maximum.accumulate(sine, axis=1),
+                                np.maximum.accumulate(-sine, axis=1)), masses, dists):
             sup = np.where(run > 0.0, run, 0.0)  # from +0.0, which a -0.0 must not replace
-            mass = _running(np.add, ms[first:first + ends[-1]])[ends]
-            dist = _running(np.maximum, ds[first:first + ends[-1]])[ends]
+            mass = _running_sums(ms[entry])[at]
+            dist = np.maximum.accumulate(ds[key_at], axis=1)[:, 2 * window + 2]
             # d^(p-1) by Python's pow (np.power rounds differently)
-            power = np.array([d ** (p - 1.0) for d in dist.tolist()])
+            power = np.ones_like(dist)
+            power[eligible] = [d ** (p - 1.0) for d in dist[eligible].tolist()]
             terms.append(sup - coef * power * mass)
         viol = np.maximum(*terms)
-        k = int(np.argmax(viol))
-        checked += n
-        if viol[k] > worst[0]:
-            worst = (viol[k], (a, a + 1 + k))
+        viol[~eligible] = -np.inf
+        value, row, k = _first_worst(viol)
+        if value > worst[0]:
+            worst = (value, (int(a[row]), int(a[row]) + 1 + k))
     if worst[1] is None:
         return TheoryCheck("turn_direction", True, 0.0, 0.0, ANGLE_TOL, "no eligible window")
     return TheoryCheck(
         "turn_direction", worst[0] <= ANGLE_TOL, 0.0, float(worst[0]), ANGLE_TOL,
-        f"{checked} eligible windows; worst {worst[1]} at violation {worst[0]:.3g}",
+        f"{int(np.sum(count))} eligible windows; worst {worst[1]} at violation {worst[0]:.3g}",
     )
 
 

@@ -382,6 +382,39 @@ def _monotone_chain(positions: np.ndarray) -> np.ndarray:
     return pts
 
 
+def _nested_cells(mu: DiscreteMeasure):
+    """Atoms ordered so that every cell of every grid level is a run of them.
+
+    Level l cuts the atoms' bounding cube into 2^l cells per axis, for
+    l = 1 .. levels, where levels = ceil(log2(n) / d) leaves about one atom
+    per finest cell. Returns (order, key, levels): atom order[j] has the
+    Morton key key[j], ascending, whose top d * l bits name its level-l
+    cell. A single atom, coincident atoms, a span that overflows or a key
+    past 62 bits give levels = 0: one cell.
+    """
+    X = mu.positions
+    n, d = X.shape
+    levels = math.ceil(math.log2(n) / d)
+    lo = np.array([np.min(col) for col in X.T])  # column by column: 10x faster than axis=0
+    span = max(float(np.max(col)) - low for col, low in zip(X.T, lo))
+    side = span / 2.0 ** levels
+    if not 0.0 < side < np.inf or d * levels > 62:
+        return np.arange(n), np.zeros(n, dtype=np.int64), 0
+    idx = np.minimum(np.floor((X - lo) / side), 2 ** levels - 1).astype(np.int64)
+    # bit b of axis k goes to key bit d * b + d - 1 - k, through a table that
+    # spreads the bits of a byte d places apart (bits past `levels` never occur)
+    bits = np.arange(min(levels, 8))
+    spread = ((np.arange(256)[:, None] >> bits & 1) << d * bits).sum(axis=1)
+    key = np.zeros(n, dtype=np.int64)
+    for k in range(d):
+        for low in range(0, levels, 8):
+            key |= spread[idx[:, k] >> low & 255] << (d * low + d - 1 - k)
+    order = np.arange(n)
+    for low in range(0, d * levels, 16):  # a radix sort: stable sorts of 16-bit digits
+        order = order[np.argsort((key[order] >> low).astype(np.uint16), kind="stable")]
+    return order, key[order], levels
+
+
 def synth_measure(family: str, n: int, seed: int, **params) -> DiscreteMeasure:
     """Deterministic synthetic test measures with uniform masses 1/n.
 

@@ -7,7 +7,6 @@ import pytest
 from pencurve.curve import Polyline, point_segment_foot
 from pencurve.diagnostics import (
     _entry_sides,
-    _running,
     _window_mass_prefixes,
     check_hull_containment,
     check_injectivity,
@@ -31,6 +30,12 @@ from pencurve.measure import (
 from pencurve.projection import build_plan
 
 diag_mod = importlib.import_module("pencurve.diagnostics")
+
+
+def _running(op, values: np.ndarray) -> np.ndarray:
+    """0.0, then op applied cumulatively in entry order (sums add one entry at a time)."""
+    return np.concatenate([[0.0], op.accumulate(values)])
+
 
 TWO_ATOMS = DiscreteMeasure(np.array([[0.0, 0.0], [1.0, 0.0]]), np.array([0.5, 0.5]))
 OPTIMAL = Polyline(np.array([[0.2, 0.0], [0.8, 0.0]]))
@@ -113,6 +118,25 @@ def test_singleton_search_prunes_the_full_scan(monkeypatch):
     mu = synth_measure("noisy_circle", 3500, seed=0)
     singleton_best_energy(mu, 2.0)
     assert 1 <= sum(scored) <= 0.01 * (mu.n_atoms + 1)
+
+
+def test_singleton_search_never_builds_the_full_cell_table(monkeypatch):
+    # coarse to fine, only the children of live cells are bounded: a silent
+    # fall back to a table of every cell against every other, on the single
+    # grid of n^(2/(2d+1)) cells per axis that the search replaced, fails here
+    entries = []
+    inner = diag_mod._cell_bounds
+    monkeypatch.setattr(diag_mod, "_cell_bounds", lambda lo, hi, mass, p, query, rows: (
+        entries.append(len(query) * len(mass)) or inner(lo, hi, mass, p, query, rows)))
+    for n in (3500, 30_000):
+        mu = synth_measure("noisy_circle", n, seed=0)
+        entries.clear()
+        singleton_best_energy(mu, 2.0)
+        X = mu.positions
+        k = int(n ** 0.4)
+        side = np.max(np.ptp(X, axis=0)) / k
+        cells = len(np.unique(np.minimum(np.floor((X - X.min(axis=0)) / side), k - 1), axis=0))
+        assert 0 < sum(entries) < cells ** 2 / 4
 
 
 def test_hull_containment():
@@ -417,6 +441,25 @@ def test_turn_direction_tied_windows_and_cutoff_match_the_loop():
         np.stack([np.cos(th), np.sin(th)], axis=1), axis=0)]))
     for p in (1.0, 2.0):
         _assert_turn_matches_loop(mu, arc, p, 0.2)
+
+
+def test_window_sweeps_keep_the_first_worst_window_across_blocks():
+    # long curves over few atoms split the window starts into several blocks;
+    # a tie between blocks keeps the earlier window, as the start-by-start loop
+    mu = DiscreteMeasure(np.array([[0.25, 0.5], [0.25, -0.5], [0.75, 0.5], [0.75, -0.5]]),
+                         np.full(4, 0.25))
+    straight = Polyline(np.stack([np.linspace(0.0, 1.0, 40), np.zeros(40)], axis=1))
+    plan, _ = build_plan(mu, straight)
+    assert len(diag_mod._start_blocks(39, 79, plan, 40)) > 1  # every window is eligible
+    assert _assert_turn_matches_loop(mu, straight, 2.0, 0.2) == (0, 1)
+    # equal right-angle turns at vertices 1 and 98, no mass near either
+    stairs = Polyline(np.array([(0.0, 0.0), *((1.0, y) for y in range(98)), (2.0, 97.0)]))
+    one = DiscreteMeasure(np.array([[0.5, 50.5]]), np.ones(1))
+    assert len(diag_mod._start_blocks(98, 100, build_plan(one, stairs)[0], 100)) > 1
+    chk = check_local_tv(one, stairs, p=1.0, lam=0.1)
+    viol, window = _local_tv_loop(one, stairs, 1.0, 0.1)
+    assert window == (0, 2) and viol == np.pi / 2
+    assert chk.observed == viol and _local_tv_window(chk) == "(0, 2)"
 
 
 def test_injectivity_reports():

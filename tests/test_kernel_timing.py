@@ -16,8 +16,9 @@ SMALLEST = {
     "plan": {"cases": ((200, 10),), "shape_n": 40, "reps": 1},
     "step": {"sizes": ((4, 3, 1.0),), "reps": 1},
     "oracle": {"sizes": (3,), "exponents": (1.0,), "reps": 1, "blocks": (1 << 13, 1 << 16)},
+    "check": {"sizes": (3500,), "exponents": (1.0,), "shape_n": 40, "reps": 1},
 }
-ROWS = {"plan": 4, "step": 8, "oracle": 4}  # table rows printed at those sizes
+ROWS = {"plan": 4, "step": 8, "oracle": 4, "check": 4}  # table rows printed at those sizes
 
 
 @pytest.fixture(scope="module")
@@ -35,7 +36,7 @@ def _number(token: str):
         return None
 
 
-@pytest.mark.parametrize("section", ["plan", "step", "oracle"])
+@pytest.mark.parametrize("section", ["plan", "step", "oracle", "check"])
 def test_section_runs_its_checks_and_prints_finite_times(kernel_timing, capsys, section):
     kernel_timing.SECTIONS[section](**SMALLEST[section])
     header, *rows = capsys.readouterr().out.splitlines()
