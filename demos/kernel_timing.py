@@ -20,7 +20,8 @@
   each family (seed 1) against that family's p = 2 fit of shape_n atoms
   (seed 0) resampled to m vertices: `singleton_best_energy` (the length
   bound), the two window sweeps `turn_direction_sweep` and
-  `check_local_tv` on one shared plan, and the whole report.
+  `check_local_tv` on one shared plan, and the whole report. m = 200 is
+  the fit's vertex cap, where the window sweeps cost the most.
 
 One timer serves all four: the calls of a case alternate within a batch,
 each repeated to fill BATCH_S at its first timing, and a time is the
@@ -185,21 +186,24 @@ def oracle(sizes=(3, 4, 5), exponents=(1.0, 2.0), reps=15,
             print(f"{label:<16}{block:>7}{len(P):>6}{pairs:9.2f}{cells}{search:9.2f}")
 
 
-def check(sizes=(3500, 30_000, 100_000), exponents=(1.0, 2.0), m=24, shape_n=1000, reps=5):
-    print(f"{'family':18s} {'n':>6s} {'p':>3s} {'length ms':>10s} {'turn ms':>9s} "
+def check(sizes=(3500, 30_000, 100_000), exponents=(1.0, 2.0), vertices=(24, 200),
+          shape_n=1000, reps=5):
+    print(f"{'family':18s} {'n':>6s} {'m':>4s} {'p':>3s} {'length ms':>10s} {'turn ms':>9s} "
           f"{'tv_local ms':>11s} {'report ms':>10s}")
     for family in SYNTH_FAMILIES:
-        curve = resampled(family_shape(family, shape_n), m)
-        for n in sizes:
-            mu = synth_measure(family, n, seed=1)
-            tp, _ = projection.build_plan(mu, curve)
-            for p in exponents:
-                times = medians([lambda: singleton_best_energy(mu, p),
-                                 lambda: turn_direction_sweep(mu, curve, p, LAM, plan=tp),
-                                 lambda: check_local_tv(mu, curve, p, LAM, plan=tp),
-                                 lambda: full_report(mu, curve, p, LAM)], reps)
-                print(f"{family:18s} {n:6d} {p:3g} " + " ".join(
-                    f"{t * 1e3:{w}.3f}" for t, w in zip(times, (10, 9, 11, 10))))
+        shape = family_shape(family, shape_n)
+        for m in vertices:
+            curve = resampled(shape, m)
+            for n in sizes:
+                mu = synth_measure(family, n, seed=1)
+                tp, _ = projection.build_plan(mu, curve)
+                for p in exponents:
+                    times = medians([lambda: singleton_best_energy(mu, p),
+                                     lambda: turn_direction_sweep(mu, curve, p, LAM, plan=tp),
+                                     lambda: check_local_tv(mu, curve, p, LAM, plan=tp),
+                                     lambda: full_report(mu, curve, p, LAM)], reps)
+                    print(f"{family:18s} {n:6d} {m:4d} {p:3g} " + " ".join(
+                        f"{t * 1e3:{w}.3f}" for t, w in zip(times, (10, 9, 11, 10))))
 
 
 SECTIONS = {"plan": plan, "step": step, "oracle": oracle, "check": check}

@@ -328,21 +328,27 @@ def _hull_transition_params(a: np.ndarray, b: np.ndarray, hull: np.ndarray) -> l
     return out
 
 
+def _turn_coef(mu: DiscreteMeasure, p: float, lam: float) -> float:
+    """(p / lambda) diam^(p-1); 0 where diam^(p-1) is, even if p / lambda overflows."""
+    scale = diameter(mu) ** (p - 1.0)
+    return (p / lam) * scale if scale else 0.0
+
+
 def check_tv_bound(mu: DiscreteMeasure, c: Polyline, p: float, lam: float) -> TheoryCheck:
     """Total turning of the curve against the global mass/diameter bound."""
-    bound = (p / lam) * diameter(mu) ** (p - 1.0) * mu.total_mass
+    bound = _turn_coef(mu, p, lam) * mu.total_mass
     observed = float(np.sum(c.turning_angles))
     return TheoryCheck("tv_global", observed <= bound + ANGLE_TOL, bound, observed, ANGLE_TOL)
 
 
-def _window_mass_prefixes(plan: TransportPlan, m: int):
+def _window_mass_prefixes(plan: TransportPlan, m: int, weights: np.ndarray):
+    """Prefix sums pv, ps of the entry weights on vertices and on segments: window (a, b),
+    vertices a..b and the segments between, weighs (pv[b + 1] - pv[a]) + (ps[b] - ps[a])."""
     at_vertex = plan.at_vertex
     # bincount adds the weights one at a time in entry order
-    wv = np.bincount(plan.ia[at_vertex], weights=plan.mass[at_vertex], minlength=m)
-    ws = np.bincount(plan.ia[~at_vertex], weights=plan.mass[~at_vertex], minlength=m - 1)
-    pv = np.concatenate([[0.0], np.cumsum(wv)])
-    ps = np.concatenate([[0.0], np.cumsum(ws)])
-    return pv, ps
+    wv = np.bincount(plan.ia[at_vertex], weights=weights[at_vertex], minlength=m)
+    ws = np.bincount(plan.ia[~at_vertex], weights=weights[~at_vertex], minlength=m - 1)
+    return tuple(np.concatenate([[0.0], np.cumsum(w)]) for w in (wv, ws))
 
 
 def _start_blocks(starts: int, width: int, plan: TransportPlan, m: int) -> list:
@@ -353,16 +359,9 @@ def _start_blocks(starts: int, width: int, plan: TransportPlan, m: int) -> list:
 
 
 def _first_worst(viol: np.ndarray):
-    """(value, row, column) of the worst entry, as a start-by-start sweep keeps it.
-
-    Each row offers its first argmax (NaN counts as largest) and wins only
-    over strictly smaller offers of earlier rows, so a row holding a NaN
-    never wins; without NaN, the first argmax in row-major order.
-    """
-    cols = np.argmax(viol, axis=1)
-    offers = viol[np.arange(len(viol)), cols]
-    row = int(np.argmax(np.where(np.isnan(offers), -np.inf, offers)))
-    return offers[row], row, int(cols[row])
+    """(value, row, column) of the first worst entry in row-major order."""
+    row, col = divmod(int(np.argmax(viol)), viol.shape[1])
+    return viol[row, col], row, col
 
 
 def check_local_tv(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
@@ -370,28 +369,31 @@ def check_local_tv(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
     """Turning inside every vertex window against the mass projected there.
 
     Windows (a, b) are swept as a start x end array per block of starts
-    (`_start_blocks`), ends b < a + 2 padded with -inf. The first worst
-    window in (a, b) order is reported.
+    (`_start_blocks`), ends b < a + 2 padded with -inf. A window without
+    mass gets bound 0 (coef may be inf). The first worst window in (a, b)
+    order is reported. Without a plan, the measure must be in the range
+    of `in_range_at`.
     """
     if plan is None:
-        plan, _ = build_plan(mu, c)
+        plan, _ = build_plan(in_range_at(mu, p), c)
     m = c.n_vertices
     if m < 3:
         return TheoryCheck("tv_local", True, None, 0.0, ANGLE_TOL, "no interior vertex")
-    coef = (p / lam) * diameter(mu) ** (p - 1.0)
+    coef = _turn_coef(mu, p, lam)
     pa = np.concatenate([[0.0], np.cumsum(c.turning_angles)])  # pa[j] = angles of vertices 1..j
-    pv, ps = _window_mass_prefixes(plan, m)
+    pv, ps = _window_mass_prefixes(plan, m, plan.mass)
     b = np.arange(m)
-    worst = (-np.inf, None)  # (violation, window)
+    worst = None  # (violation, window)
     for a in _start_blocks(m - 2, m, plan, m):
         a = a[:, None]
         tv = pa[b - 1] - pa[a]  # interior vertices a+1..b-1
         sigma = (pv[b + 1] - pv[a]) + (ps[b] - ps[a])
-        viol = tv - coef * sigma
+        viol = tv - np.multiply(coef, sigma, out=np.zeros_like(sigma), where=sigma > 0.0)
         viol[b < a + 2] = -np.inf
         value, row, end = _first_worst(viol)
-        if value > worst[0]:
-            worst = (value, (int(a[row, 0]), end))
+        if worst is None or value > worst[0]:
+            start = int(a[row, 0])  # a padded end wins only in an all -inf block: (a, a + 2)
+            worst = (value, (start, max(end, start + 2)))
     observed = worst[0]
     return TheoryCheck(
         "tv_local", observed <= ANGLE_TOL, 0.0, float(observed), ANGLE_TOL,
@@ -420,13 +422,6 @@ def _entry_sides(mu: DiscreteMeasure, c: Polyline, plan: TransportPlan, eps_side
     return below | both, above | both
 
 
-def _running_sums(values: np.ndarray) -> np.ndarray:
-    """0.0, then the running sums along each row, adding one entry at a time."""
-    out = np.zeros((len(values), values.shape[1] + 1))
-    np.add.accumulate(values, axis=1, out=out[:, 1:])
-    return out
-
-
 def _eligible_ends(c: Polyline, plan: TransportPlan) -> np.ndarray:
     """Per start a, the count of ends b = a + 1, a + 2, ... of eligible windows.
 
@@ -446,66 +441,54 @@ def turn_direction_sweep(mu: DiscreteMeasure, c: Polyline, p: float, lam: float,
     """Worst turn-direction violation over all eligible (TV < 1/2) windows.
 
     Windows (a, b) are swept as start x end arrays per block of starts
-    (`_start_blocks`). The mass on a side of window (a, b) is a running
-    sum along the row of a start x entry array, from start a's first plan
-    entry, so it adds one entry at a time in curve order. The largest
-    distance is a running maximum over each key's largest, which is exact
-    in any grouping. The first worst window in (a, b) order is reported.
+    (`_start_blocks`). The mass on a side of window (a, b) is read from
+    that side's prefix sums (`_window_mass_prefixes`), as tv_local reads
+    its mass. The largest distance is a running maximum over each key's
+    largest, which is exact in any grouping. A side whose mass times
+    d^(p-1) is 0 gets bound 0 (p / lam may be inf). The first worst window
+    in (a, b) order is reported. Without a plan, the measure must be in
+    the range of `in_range_at`.
     """
     if c.dim != 2:
         return TheoryCheck("turn_direction", None, None, None, None, "needs d=2")
     if plan is None:
-        plan, _ = build_plan(mu, c)
+        plan, _ = build_plan(in_range_at(mu, p), c)
     m = c.n_vertices
     if m < 2:
         return TheoryCheck("turn_direction", True, 0.0, 0.0, ANGLE_TOL, "no segment")
-    # entries in curve order: vertex j has key 2j, segment j key 2j + 1, so
-    # window (a, b) holds keys 2a..2b; a stable sort of keys below 2^16 is a radix sort
+    # vertex j has key 2j, segment j key 2j + 1, so window (a, b) holds keys 2a..2b
     key = plan.ia + plan.ib
-    order = np.argsort(key.astype(np.min_scalar_type(2 * m)), kind="stable")
-    key = key[order]
     sides = _entry_sides(mu, c, plan, tie_tolerance(diameter(mu)))
-    masses = [np.where(side, plan.mass, 0.0)[order] for side in sides]
-    runs = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
-    keys = key[runs]
+    prefixes = [_window_mass_prefixes(plan, m, np.where(side, plan.mass, 0.0)) for side in sides]
     dists = np.zeros((2, 2 * m - 1))  # per side and key: the largest distance, 0.0 if none
     for out, side in zip(dists, sides):
-        out[keys] = np.maximum.reduceat(np.where(side, plan.dist, 0.0)[order], runs)
+        np.maximum.at(out, key, np.where(side, plan.dist, 0.0))
     seg_unit = c.unit_tangents
-    coef = p / lam
     count = _eligible_ends(c, plan)
-    first = np.searchsorted(key, 2 * np.arange(m - 1))  # each start's first entry
-    last = np.searchsorted(key, 2 * np.arange(m), side="right")  # past each end's entries
-    length = last[np.arange(m - 1) + count] - first  # entries of each start's longest window
-    worst = (-np.inf, None)
-    width = max(2 * int(np.max(count)) + 1, int(np.max(length)) + 1)  # keys, entries per row
-    for a in _start_blocks(m - 1, width, plan, m):
+    worst = None
+    for a in _start_blocks(m - 1, 2 * int(np.max(count)) + 1, plan, m):
         window = np.arange(int(np.max(count[a])))
         eligible = window < count[a, None]
         end = a[:, None] + np.minimum(window + 1, count[a, None])  # padded with the last end
-        at = np.arange(len(a))[:, None], last[end] - first[a, None]
-        # each start's entries, then padding (clipped) that no window reads
-        entry = np.minimum(first[a, None] + np.arange(int(np.max(length[a]))), len(key) - 1)
         key_at = np.minimum(2 * a[:, None] + np.arange(2 * len(window) + 1), 2 * m - 2)
         tk = seg_unit[end - 1]
         sine = seg_unit[a, 0, None] * tk[..., 1] - seg_unit[a, 1, None] * tk[..., 0]
         terms = []
-        for run, ms, ds in zip((np.maximum.accumulate(sine, axis=1),
-                                np.maximum.accumulate(-sine, axis=1)), masses, dists):
+        for run, (pv, ps), ds in zip((np.maximum.accumulate(sine, axis=1),
+                                      np.maximum.accumulate(-sine, axis=1)), prefixes, dists):
             sup = np.where(run > 0.0, run, 0.0)  # from +0.0, which a -0.0 must not replace
-            mass = _running_sums(ms[entry])[at]
+            mass = (pv[end + 1] - pv[a, None]) + (ps[end] - ps[a, None])
             dist = np.maximum.accumulate(ds[key_at], axis=1)[:, 2 * window + 2]
-            # d^(p-1) by Python's pow (np.power rounds differently)
-            power = np.ones_like(dist)
-            power[eligible] = [d ** (p - 1.0) for d in dist[eligible].tolist()]
-            terms.append(sup - coef * power * mass)
+            # (p / lam) d^(p-1) by Python's pow (np.power rounds differently), never inf * 0
+            scale = np.zeros_like(dist)
+            scale[eligible] = [p / lam * w if w else 0.0
+                               for w in (d ** (p - 1.0) for d in dist[eligible].tolist())]
+            terms.append(sup - np.multiply(scale, mass, out=np.zeros_like(mass), where=mass > 0.0))
         viol = np.maximum(*terms)
         viol[~eligible] = -np.inf
         value, row, k = _first_worst(viol)
-        if value > worst[0]:
+        if worst is None or value > worst[0]:
             worst = (value, (int(a[row]), int(a[row]) + 1 + k))
-    if worst[1] is None:
-        return TheoryCheck("turn_direction", True, 0.0, 0.0, ANGLE_TOL, "no eligible window")
     return TheoryCheck(
         "turn_direction", worst[0] <= ANGLE_TOL, 0.0, float(worst[0]), ANGLE_TOL,
         f"{int(np.sum(count))} eligible windows; worst {worst[1]} at violation {worst[0]:.3g}",

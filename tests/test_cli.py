@@ -517,3 +517,21 @@ def test_malformed_input_files_exit_two_with_one_line(tmp_path, capsys, command,
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("vertices,name,window", [
+    ([[0.6, 1.0], [0.8, 0.3], [0.4, 0.3], [0.0, 0.1]], "turn_direction", "worst (1, 3) at"),
+    ([[0.56, 1.11], [0.94, -0.2], [1.0, -0.15], [0.82, 0.05]], "tv_local", "worst window (0, 2)"),
+])
+def test_check_fails_window_certificates_when_p_over_lambda_overflows(
+        two_atoms_csv, tmp_path, vertices, name, window):
+    curve = tmp_path / "curve.json"
+    curve.write_text(json.dumps({"dim": 2, "vertices": vertices}))
+    checks = []
+    for lam in ("0.1", "1e-320"):  # 2 / 1e-320 overflows to inf
+        report = tmp_path / f"report-{lam}.json"
+        assert cli.main(["check", str(two_atoms_csv), str(curve), "--p", "2", "--lambda", lam,
+                         "--out", str(report)]) == 0
+        checks.append({c["name"]: c for c in json.loads(report.read_text())["checks"]}[name])
+    assert checks[0]["status"] == "FAIL" and window in checks[0]["detail"]
+    assert checks[1] == checks[0]

@@ -6,6 +6,7 @@ import pytest
 
 from pencurve.curve import Polyline, point_segment_foot
 from pencurve.diagnostics import (
+    ANGLE_TOL,
     _entry_sides,
     _window_mass_prefixes,
     check_hull_containment,
@@ -20,7 +21,9 @@ from pencurve.diagnostics import (
     singleton_best_energy,
     turn_direction_sweep,
 )
+from pencurve.errors import PencurveError
 from pencurve.measure import (
+    SYNTH_FAMILIES,
     DiscreteMeasure,
     convex_hull_2d,
     diameter,
@@ -28,6 +31,7 @@ from pencurve.measure import (
     tie_tolerance,
 )
 from pencurve.projection import build_plan
+from test_report_digests import CASES, LAM, _case, _walk
 
 diag_mod = importlib.import_module("pencurve.diagnostics")
 
@@ -281,7 +285,7 @@ def _local_tv_loop(mu, c, p, lam):
     m = c.n_vertices
     coef = (p / lam) * diameter(mu) ** (p - 1.0)
     pa = np.concatenate([[0.0], np.cumsum(c.turning_angles)])
-    pv, ps = _window_mass_prefixes(plan, m)
+    pv, ps = _window_mass_prefixes(plan, m, plan.mass)
     worst = (-np.inf, None)
     for a in range(m - 1):
         for b in range(a + 2, m):
@@ -352,30 +356,37 @@ def test_turn_direction_skips_big_tv():
     assert chk.detail.startswith("2 eligible windows")  # (0, 1) and (1, 2); (0, 2) excluded
 
 
-def _turn_direction_loop(mu, c, p, lam):
+def _turn_direction_loop(mu, c, p, lam, running_sums=False):
     """Reference for turn_direction_sweep: every end b in turn for each start a.
 
-    Returns (worst violation, its first window, eligible windows checked).
+    A side's window mass is read from its prefix sums, as tv_local reads its
+    mass; with running_sums, it is the rule the sweep used before: a running
+    sum in curve order from the start's first plan entry. A side whose mass
+    times d^(p-1) is 0 gets bound 0. Returns (worst violation, its first
+    window, {eligible window: its violation}).
     """
     plan, _ = build_plan(mu, c)
     m = c.n_vertices
     key = plan.ia + plan.ib
     order = np.argsort(key, kind="stable")
     key = key[order]
+    sides = _entry_sides(mu, c, plan, tie_tolerance(diameter(mu)))
+    prefixes = [_window_mass_prefixes(plan, m, np.where(side, plan.mass, 0.0)) for side in sides]
     sides = [(np.where(side, plan.mass, 0.0)[order], np.where(side, plan.dist, 0.0)[order])
-             for side in _entry_sides(mu, c, plan, tie_tolerance(diameter(mu)))]
+             for side in sides]
     angles = c.turning_angles
     seg_unit = c.segment_vectors / c.segment_lengths[:, None]
     coef = p / lam
     worst = (-np.inf, None)
-    checked = 0
+    violations = {}
     for a in range(m - 1):
         first = np.searchsorted(key, 2 * a)
         ends = np.searchsorted(key, 2 * np.arange(a, m), side="right") - first
         (mass_below, d_below), (mass_above, d_above) = (
-            (_running(np.add, ms[first:])[ends].tolist(),
+            (_running(np.add, ms[first:])[ends].tolist() if running_sums
+             else ((pv[a + 1:] - pv[a]) + (ps[a:] - ps[a])).tolist(),
              _running(np.maximum, ds[first:])[ends].tolist())
-            for ms, ds in sides)
+            for (ms, ds), (pv, ps) in zip(sides, prefixes))
         t0 = seg_unit[a]
         sup_up = sup_down = 0.0
         tv = 0.0
@@ -389,19 +400,21 @@ def _turn_direction_loop(mu, c, p, lam):
             sup_up = max(sup_up, sine)
             sup_down = max(sup_down, -sine)
             k = b - a
-            viol = max(sup_up - coef * d_below[k] ** (p - 1.0) * mass_below[k],
-                       sup_down - coef * d_above[k] ** (p - 1.0) * mass_above[k])
-            checked += 1
-            if viol > worst[0]:
+            bounds = [coef * w * ms if w > 0.0 and ms > 0.0 else 0.0
+                      for w, ms in ((d_below[k] ** (p - 1.0), mass_below[k]),
+                                    (d_above[k] ** (p - 1.0), mass_above[k]))]
+            viol = violations[a, b] = max(sup_up - bounds[0], sup_down - bounds[1])
+            if worst[1] is None or viol > worst[0]:
                 worst = (viol, (a, b))
-    return worst[0], worst[1], checked
+    return worst[0], worst[1], violations
 
 
 def _assert_turn_matches_loop(mu, c, p, lam):
     chk = turn_direction_sweep(mu, c, p, lam)
-    viol, window, checked = _turn_direction_loop(mu, c, p, lam)
+    viol, window, violations = _turn_direction_loop(mu, c, p, lam)
     assert chk.observed == viol and str(chk.observed) == str(viol)  # -0.0 differs in str
-    assert chk.detail == f"{checked} eligible windows; worst {window} at violation {viol:.3g}"
+    assert chk.detail == (f"{len(violations)} eligible windows; worst {window} at violation "
+                          f"{viol:.3g}")
     return window
 
 
@@ -460,6 +473,79 @@ def test_window_sweeps_keep_the_first_worst_window_across_blocks():
     viol, window = _local_tv_loop(one, stairs, 1.0, 0.1)
     assert window == (0, 2) and viol == np.pi / 2
     assert chk.observed == viol and _local_tv_window(chk) == "(0, 2)"
+
+
+def test_prefix_masses_move_turn_direction_only_by_rounding():
+    # the running sums the sweep read before add a window's entries in another
+    # order: statuses and details stay, observed moves by rounding only. Two
+    # windows whose masses tie under one rule can differ by rounding under the
+    # other, so the window may change to one that ties the worst
+    def assert_near(mu, c, p, lam):
+        chk = turn_direction_sweep(mu, c, p, lam)
+        viol, window, violations = _turn_direction_loop(mu, c, p, lam, running_sums=True)
+        tol = 1e-12 * max(1.0, abs(viol))
+        assert chk.passed == (viol <= ANGLE_TOL)
+        assert abs(chk.observed - viol) <= tol
+        shown = tuple(map(int, chk.detail.split("worst (")[1].split(")")[0].split(", ")))
+        assert shown == window or abs(violations[shown] - viol) <= tol
+        assert chk.detail == (f"{len(violations)} eligible windows; worst {shown} at violation "
+                              f"{viol:.3g}")
+
+    for name in sorted(CASES):
+        mu, c, p = _case(name)
+        if mu.dim == 2:
+            assert_near(mu, c, p, LAM)
+    rng = np.random.default_rng(10)
+    for k in range(1000):
+        mu = synth_measure(SYNTH_FAMILIES[k % 4], int(rng.integers(3, 401)), seed=k)
+        c = _walk(rng, int(rng.integers(2, 41)), 2, float(rng.choice([0.05, 0.2, 0.6, 2.0])))
+        assert_near(mu, c, (1.0, 1.5, 2.0, 3.0)[k // 4 % 4], 10.0 ** rng.uniform(-3.0, 0.0))
+
+
+# two atoms of mass 1/2 at p = 2: each curve fails one window certificate
+TURN_FAILS = P((0.6, 1.0), (0.8, 0.3), (0.4, 0.3), (0.0, 0.1))  # turn_direction at (1, 3)
+TV_FAILS = P((0.56, 1.11), (0.94, -0.2), (1.0, -0.15), (0.82, 0.05))  # tv_local at (0, 2)
+
+
+def test_window_sweeps_fail_alike_when_p_over_lambda_overflows():
+    # at lambda = 1e-320, p / lambda is inf: a side without mass keeps bound 0
+    # (inf * 0 would be NaN and hide the window) and a side with mass gets inf
+    for check, curve, value, window in (
+            (turn_direction_sweep, TURN_FAILS, 0.447, "worst (1, 3) at"),
+            (check_local_tv, TV_FAILS, 1.98, "worst window (0, 2) exceeds")):
+        finite, overflow = (check(TWO_ATOMS, curve, 2.0, lam) for lam in (0.1, 1e-320))
+        assert finite.status == overflow.status == "FAIL"
+        assert finite.observed == pytest.approx(value, abs=5e-3) and window in finite.detail
+        assert overflow.observed == finite.observed and overflow.detail == finite.detail
+
+
+def test_window_sweeps_name_a_window_when_every_bound_is_infinite():
+    tv = check_local_tv(TWO_ATOMS, TURN_FAILS, 2.0, 1e-320)  # each window holds mass
+    assert tv.passed and tv.observed == -np.inf
+    assert tv.detail == "largest margin used at window (0, 2)"
+    across = DiscreteMeasure(np.array([[0.5, 1.0], [0.5, -1.0]]), np.array([0.5, 0.5]))
+    turn = turn_direction_sweep(across, P((0.0, 0.0), (1.0, 0.0)), 2.0, 1e-320)
+    assert turn.passed and turn.observed == -np.inf
+    assert turn.detail == "1 eligible windows; worst (0, 1) at violation -inf"
+
+
+def test_turning_bounds_of_a_single_point_measure_are_zero_when_p_over_lambda_overflows():
+    # diam^(p-1) = 0: the bounds are 0, not inf * 0
+    one = DiscreteMeasure(np.array([[0.5, 1.0]]), np.ones(1))
+    reports = [full_report(one, P((0.0, 0.0), (0.5, 0.5), (1.0, 0.0)), 2.0, lam).to_dict()
+               for lam in (0.1, 1e-320)]
+    for name in ("tv_global", "tv_local"):
+        finite, overflow = ({c["name"]: c for c in r["checks"]}[name] for r in reports)
+        assert finite["status"] == overflow["status"] == "FAIL"
+        assert overflow == finite
+
+
+def test_window_sweeps_refuse_a_measure_out_of_range_without_a_plan():
+    mu = DiscreteMeasure(np.array([[0.0, 0.0], [1e140, 0.0], [5e139, 3e139]]), np.ones(3))
+    c = P((1e139, 0.0), (3e139, 1e139), (6e139, 1e139), (9e139, 0.0))
+    for check in (check_local_tv, turn_direction_sweep):
+        with pytest.raises(PencurveError, match="supported range at p = 3"):
+            check(mu, c, 3.0, 0.1)
 
 
 def test_injectivity_reports():

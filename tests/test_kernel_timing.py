@@ -16,7 +16,7 @@ SMALLEST = {
     "plan": {"cases": ((200, 10),), "shape_n": 40, "reps": 1},
     "step": {"sizes": ((4, 3, 1.0),), "reps": 1},
     "oracle": {"sizes": (3,), "exponents": (1.0,), "reps": 1, "blocks": (1 << 13, 1 << 16)},
-    "check": {"sizes": (3500,), "exponents": (1.0,), "shape_n": 40, "reps": 1},
+    "check": {"sizes": (3500,), "exponents": (1.0,), "vertices": (24,), "shape_n": 40, "reps": 1},
 }
 ROWS = {"plan": 4, "step": 8, "oracle": 4, "check": 4}  # table rows printed at those sizes
 

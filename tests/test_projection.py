@@ -19,7 +19,7 @@ def P(*pts):
 
 def sigma_mass(plan, c, a, b):
     """Mass projected onto vertices a..b and the segments between them, as tv_local reads it."""
-    pv, ps = _window_mass_prefixes(plan, c.n_vertices)
+    pv, ps = _window_mass_prefixes(plan, c.n_vertices, plan.mass)
     return (pv[b + 1] - pv[a]) + (ps[b] - ps[a])
 
 

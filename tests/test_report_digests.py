@@ -6,9 +6,13 @@ length bound's pruning regime at n = 3500 (noisy_circle at p = 2,
 uniform_square at p = 1); and a 3-D Gaussian cloud. The walks turn by
 small steps, so that the window sweeps see both eligible and ineligible
 windows. A digest is of `json.dumps(report.to_dict(), sort_keys=True)`,
-which holds every certificate's bound, observed value and detail string;
-the recorded digests date from before the length-bound search bounded
-cells coarse to fine and the window sweeps became array passes.
+which holds every certificate's bound, observed value and detail string.
+The recorded digests date from before the length-bound search bounded
+cells coarse to fine and the window sweeps became array passes, except
+two: noisy_circle-3500-p2 and uniform_square-3500-p1 were re-pinned when
+turn_direction began to read its window masses from prefix sums, which
+moved only its observed value, by 1.9e-16 and 3.0e-15 relative
+(tests/test_diagnostics.py bounds that move on every case).
 """
 
 import hashlib
@@ -38,7 +42,7 @@ DIGESTS = {
     "noisy_circle-300-p1.5": "8e3c9c63d173a2edcbe670ded0770ff6c8692b92ff01f227c1109de54a119857",
     "noisy_circle-300-p2": "8047de2417f2faf36fea01adfe0115063a4aef772f1e453c40c2bd1d80a9ec0c",
     "noisy_circle-300-p3": "881706c900904f75b6e45b192dbd24dc8e5b34dccaa4bc0ba95bcfbaa82f852e",
-    "noisy_circle-3500-p2": "ce96bbaf0f89ccc36dea3984e080cad61b732fd627c9c714fbfbca8e5bdcecf3",
+    "noisy_circle-3500-p2": "e05191372ba5346154a3923b109715d9dd27f69d7fa0d7b16a2d5a7f8befa0be",
     "noisy_segment-300-p1": "74f528fa9cfe5c6adacb0d43b6e917cc655c93a406c1cb04f10f58889de8909d",
     "noisy_segment-300-p1.5": "d5b7c607b4b4352596930c752f05d9031fd90a317bd277866873f6c29c31db34",
     "noisy_segment-300-p2": "f480624fc0ed58c8499aa2ab4ee0f92734cecb65f715e92f3a0df2dc5970913b",
@@ -47,7 +51,7 @@ DIGESTS = {
     "uniform_square-300-p1.5": "46b6ec0428af2fb6f7e9083f8692bfb1f74c94e17c94ad761637770dcf6e7aba",
     "uniform_square-300-p2": "797f3337ce5b9d0190405b16e59eda051a8c1249935d330c406715c6ccd3d718",
     "uniform_square-300-p3": "c5c40a805083afa866d0401d8c45d1f3b9b0c6edc10fec66f83e1846e60a033e",
-    "uniform_square-3500-p1": "2af651e7c150e348d7b68ad6d398cc5f495c70fee811f142dd6e28c30920ba90",
+    "uniform_square-3500-p1": "973c39b1d9f9c35317eef1f185f6268732670170f1f40a58c97cbc605a2050f9",
 }
 
 
